@@ -6,32 +6,18 @@ mask?  The kernel answers it by depth-first search over positions in
 ascending index order, trying "include" before "exclude", so the first
 subset found is the lexicographically least one of size k.
 
-Two interchangeable implementations live here.  The pure-Python one works
-on arbitrary-width integer masks.  The numba one is limited to universes
-of at most 64 positions and stores masks as uint64.  Selection is driven
-by the ``EDGEID_KERNEL`` environment variable: ``python``, ``numba``, or
-``auto`` (default; numba when available and the universe fits, silently
-falling back otherwise).
+The search is iterative and works on arbitrary-width integer masks, so
+its depth is bounded by memory, not by the interpreter's recursion limit.
+The exclude branch is the last thing a node tries, so it needs no frame
+of its own: the only state to remember is which positions are included,
+and that is the chosen mask itself.  Backtracking drops the highest
+included position and tries its exclude branch.
 
-Both implementations count one search node per visited DFS state and
-stop once the node budget is exceeded, reporting exhaustion.  A run that
+One search node is counted per visited DFS state, and the search stops
+once the node budget is exceeded, reporting exhaustion.  A run that
 returns not-found without exhaustion is a proof that no k-subset hits
 every constraint.
 """
-
-import os
-
-import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    _HAVE_NUMBA = False
-
-KERNEL_ENV = "EDGEID_KERNEL"
 
 # Positions past the top bit of a constraint can never hit it, so once the
 # search advances beyond that bit the constraint must already be satisfied.
@@ -50,131 +36,44 @@ def _group_by_top_bit(universe, constraints):
     return groups
 
 
-def _search_python(universe, constraints, k, budget):
-    groups = _group_by_top_bit(universe, constraints)
+def _search(universe, groups, k, budget):
+    chosen = 0
+    count = 0
+    pos = 0
     nodes = 0
-    found_mask = 0
-
-    class _Exhausted(Exception):
-        pass
-
-    def walk(pos, chosen, count):
-        nonlocal nodes, found_mask
+    while True:
         nodes += 1
         if nodes > budget:
-            raise _Exhausted
+            return False, 0, nodes, True
         if count == k:
             for p in range(pos, universe):
                 for c in groups[p]:
                     if not c & chosen:
-                        return False
-            found_mask = chosen
-            return True
-        if count + (universe - pos) < k:
-            return False
-        if walk(pos + 1, chosen | (1 << pos), count + 1):
-            return True
-        for c in groups[pos]:
-            if not c & chosen:
-                return False
-        return walk(pos + 1, chosen, count)
-
-    try:
-        ok = walk(0, 0, 0)
-    except _Exhausted:
-        return False, 0, nodes, True
-    return ok, found_mask, nodes, False
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _search_u64(universe, cmasks, group_start, k, budget):
-        one = np.uint64(1)
-        zero = np.uint64(0)
-        chosen = zero
-        count = 0
-        nodes = 0
-        # state per frame: 0 entering, 1 include branch open, 2 done
-        state = np.zeros(universe + 2, np.int8)
-        f = 0
-        while f >= 0:
-            if state[f] == 0:
-                nodes += 1
-                if nodes > budget:
-                    return False, zero, nodes, True
-                if count == k:
-                    ok = True
-                    for p in range(f, universe):
-                        for ci in range(group_start[p], group_start[p + 1]):
-                            if cmasks[ci] & chosen == zero:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        return True, chosen, nodes, False
-                    f -= 1
-                    continue
-                if count + (universe - f) < k:
-                    f -= 1
-                    continue
-                state[f] = 1
-                chosen |= one << np.uint64(f)
-                count += 1
-                f += 1
-                state[f] = 0
-                continue
-            if state[f] == 1:
-                chosen &= ~(one << np.uint64(f))
-                count -= 1
-                state[f] = 2
-                viable = True
-                for ci in range(group_start[f], group_start[f + 1]):
-                    if cmasks[ci] & chosen == zero:
-                        viable = False
                         break
-                if viable:
-                    f += 1
-                    state[f] = 0
-                continue
-            f -= 1
-        return False, zero, nodes, False
-
-    def _search_numba(universe, constraints, k, budget):
-        groups = _group_by_top_bit(universe, constraints)
-        flat = []
-        group_start = np.zeros(universe + 1, np.int64)
-        for p in range(universe):
-            group_start[p] = len(flat)
-            flat.extend(groups[p])
-        group_start[universe] = len(flat)
-        cmasks = np.array(flat, dtype=np.uint64) if flat else np.zeros(0, np.uint64)
-        found, mask, nodes, exhausted = _search_u64(
-            universe, cmasks, group_start, k, budget
-        )
-        return bool(found), int(mask), int(nodes), bool(exhausted)
-
-else:
-    _search_numba = None
-
-
-def kernel_name(universe):
-    """Name of the implementation a search over this universe would use."""
-    mode = os.environ.get(KERNEL_ENV, "auto").strip().lower()
-    if mode not in ("auto", "numba", "python"):
-        raise ValueError(f"unknown {KERNEL_ENV} value {mode!r}")
-    if mode == "python":
-        return "python"
-    if mode == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba kernel requested but numba is not installed")
-        if universe > 64:
-            raise ValueError("numba kernel requested but the universe exceeds 64")
-        return "numba"
-    if _HAVE_NUMBA and universe <= 64:
-        return "numba"
-    return "python"
+                else:
+                    continue
+                break
+            else:
+                return True, chosen, nodes, False
+        elif count + universe - pos >= k:
+            chosen |= 1 << pos
+            count += 1
+            pos += 1
+            continue
+        # Dead end: unwind to the highest included position whose exclude
+        # branch leaves every constraint topping out there hit.
+        while chosen:
+            p = chosen.bit_length() - 1
+            chosen ^= 1 << p
+            count -= 1
+            for c in groups[p]:
+                if not c & chosen:
+                    break
+            else:
+                pos = p + 1
+                break
+        else:
+            return False, 0, nodes, False
 
 
 def search_exact_size(universe, constraints, k, budget):
@@ -182,12 +81,12 @@ def search_exact_size(universe, constraints, k, budget):
 
     Returns ``(found, mask, nodes, exhausted)``.  ``mask`` is the subset as
     an int bitmask when found, else 0.  ``exhausted`` means the node budget
-    ran out before the search space was covered.
+    ran out before the search space was covered; ``nodes`` is then
+    ``budget + 1``, counting the node that crossed the line.
     """
     if k < 0:
         raise ValueError("need k >= 0")
     if budget < 1:
         raise ValueError("need a positive node budget")
-    if kernel_name(universe) == "numba":
-        return _search_numba(universe, constraints, k, budget)
-    return _search_python(universe, constraints, k, budget)
+    groups = _group_by_top_bit(universe, constraints)
+    return _search(universe, groups, k, budget)

@@ -5,7 +5,8 @@ output so pipelines and golden files stay stable.  Graph arguments are
 edge-list files; ``-`` (or omitting the argument where noted) reads
 standard input.  Exit codes: 0 success (for ``verify``, a valid code;
 for ``solve``, status Optimal), 1 failed verification / Infeasible /
-unreachable target, 2 usage error, 3 malformed input file.
+unreachable target, 2 usage error, 3 malformed input file, 4 internal
+error (a fault in edgeid itself, reported on stderr).
 """
 
 import argparse
@@ -54,6 +55,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -112,7 +114,7 @@ def cmd_solve(args):
     budget = args.budget if args.budget is not None else _default_budget()
     if budget < 1:
         raise _UsageError("budget must be positive")
-    opts = SolveOptions(budget=budget, upper_hint=hint, parallel=args.parallel)
+    opts = SolveOptions(budget=budget, upper_hint=hint)
     try:
         result = min_edge_code(g, opts)
     except ValueError as exc:
@@ -302,7 +304,6 @@ def build_parser():
     p.add_argument("graph", nargs="?", default="-")
     p.add_argument("--budget", type=int, help="search node budget")
     p.add_argument("--hint", help="file with a known code, used as upper bound")
-    p.add_argument("--parallel", action="store_true", help="split the search")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("approx", help="inclusionwise minimal code (4-approximation)")
@@ -357,6 +358,13 @@ def main(argv=None):
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a fault in edgeid, not in the input: keep the traceback for a report
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ A node budget caps the total work; runs that exhaust it fall back to a
 verified hint when one was supplied.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ._search import search_exact_size
@@ -39,14 +37,12 @@ class SolveOptions:
     vertex indices for ``min_vertex_code``).  It caps the search: sizes
     below it are refuted one by one, and if all are refuted the hint is
     returned as optimal.  ``prune_with_bounds`` starts the size sweep at
-    the best analytic lower bound instead of 1.  ``parallel`` splits each
-    size over two-level prefixes and searches them in a thread pool.
+    the best analytic lower bound instead of 1.
     """
 
     budget: int = DEFAULT_BUDGET
     upper_hint: object = None
     prune_with_bounds: bool = True
-    parallel: bool = False
 
 
 @dataclass(frozen=True)
@@ -58,73 +54,35 @@ class SolveResult:
     nodes_used: int = 0
 
 
+def _bits(mask):
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _constraints_from_masks(masks):
+    """Domination and separation constraints of a closed-neighborhood system.
+
+    Only pairs whose masks intersect give a separation constraint.  Since
+    ``j`` is in ``masks[x]`` exactly when ``x`` is in ``masks[j]``, the
+    partners of ``i`` are the two-hop reach of ``i`` above index ``i``.
+    """
     cons = set(masks)
     for i, mi in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            mj = masks[j]
-            if mi & mj:
-                d = mi ^ mj
-                if d == 0:
-                    raise ValueError("universe contains twins")
-                cons.add(d)
+        reach = 0
+        for x in _bits(mi):
+            reach |= masks[x]
+        shift = i + 1
+        for j in _bits(reach >> shift):
+            d = mi ^ masks[j + shift]
+            if d == 0:
+                raise ValueError("universe contains twins")
+            cons.add(d)
     return sorted(cons)
-
-
-def _is_code_mask(masks, code_mask):
-    seen = set()
-    for mk in masks:
-        t = mk & code_mask
-        if t == 0 or t in seen:
-            return False
-        seen.add(t)
-    return True
-
-
-def _branches(universe):
-    return [(i, j) for i in range(universe - 1) for j in range(i + 1, universe)]
-
-
-def _search_k_parallel(universe, constraints, k, budget):
-    live = []
-    for i, j in _branches(universe):
-        prefix = (1 << i) | (1 << j)
-        shift = j + 1
-        sub = []
-        dead = False
-        for c in constraints:
-            if c & prefix:
-                continue
-            hi = c >> shift
-            if hi == 0:
-                dead = True
-                break
-            sub.append(hi)
-        if not dead:
-            live.append((prefix, shift, sub))
-    if not live:
-        return False, 0, 0, False
-    per_budget = max(1, budget // len(live))
-    workers = min(len(live), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                lambda br: search_exact_size(universe - br[1], br[2], k - 2, per_budget),
-                live,
-            )
-        )
-    nodes = sum(r[2] for r in results)
-    for (prefix, shift, _), (found, mask, _, _) in zip(live, results):
-        if found:
-            return True, prefix | (mask << shift), nodes, False
-    exhausted = any(r[3] for r in results)
-    return False, 0, nodes, exhausted
-
-
-def _search_k(universe, constraints, k, budget, parallel):
-    if parallel and k >= 2 and universe >= 2:
-        return _search_k_parallel(universe, constraints, k, budget)
-    return search_exact_size(universe, constraints, k, budget)
 
 
 def _solve_masks(universe, masks, lower, opts, hint_mask, hint_len):
@@ -133,8 +91,10 @@ def _solve_masks(universe, masks, lower, opts, hint_mask, hint_len):
     ``lower`` is ``(value, name)`` or None; caller has excluded twins and
     verified the hint.  Without a hint the sweep is capped at the full
     universe, which is always a code here, so it cannot fall through.
+    Constraints are built on the first search, so a hint that the lower
+    bound already certifies costs no build.
     """
-    constraints = _constraints_from_masks(masks)
+    constraints = None
     start = lower[0] if lower is not None else 1
     bound_used = (lower[1], lower[0]) if lower is not None else None
     cap = hint_len - 1 if hint_mask is not None else universe
@@ -143,8 +103,10 @@ def _solve_masks(universe, masks, lower, opts, hint_mask, hint_len):
         remaining = opts.budget - nodes_total
         if remaining <= 0:
             break
-        found, mask, nodes, exhausted = _search_k(
-            universe, constraints, k, remaining, opts.parallel
+        if constraints is None:
+            constraints = _constraints_from_masks(masks)
+        found, mask, nodes, exhausted = search_exact_size(
+            universe, constraints, k, remaining
         )
         nodes_total += nodes
         if found:
@@ -245,10 +207,21 @@ def shrink_to_minimal(g, code):
         raise ValueError("not an edge-identifying code")
     masks = g.all_edge_masks()
     mask = code.mask
+    traces = [mk & mask for mk in masks]
+    seen = set(traces)
     for i in code.indices():
-        trial = mask & ~(1 << i)
-        if _is_code_mask(masks, trial):
-            mask = trial
+        # Dropping i changes only the traces of N[i], each by losing bit i.
+        # The old traces all hold bit i and the new ones do not, so the
+        # drop keeps a code iff no new trace is empty or already present.
+        bit = 1 << i
+        near = _bits(masks[i])
+        dropped = [traces[j] ^ bit for j in near]
+        if all(t and t not in seen for t in dropped):
+            for j, t in zip(near, dropped):
+                seen.discard(traces[j])
+                seen.add(t)
+                traces[j] = t
+            mask ^= bit
     return EdgeSet(g.fingerprint, mask)
 
 

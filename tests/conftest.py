@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from edgeid._search import _group_by_top_bit
 from edgeid.graph_core import Graph, GraphBuilder, isomorphic, pendant_pairs
 from edgeid.reduction import SatFormula, attach_p_gadget
 
@@ -40,6 +41,69 @@ def naive_min_edge_code(g):
             if naive_is_code(g, combo):
                 return combo
     return None
+
+
+def reference_search(universe, constraints, k, budget):
+    """The recursive search kernel, kept as the reference for the iterative
+    one: same ``(found, mask, nodes, exhausted)`` for every input.  It
+    recurses once per position, so keep universes small."""
+    groups = _group_by_top_bit(universe, constraints)
+    nodes = 0
+    found_mask = 0
+
+    class _Exhausted(Exception):
+        pass
+
+    def walk(pos, chosen, count):
+        nonlocal nodes, found_mask
+        nodes += 1
+        if nodes > budget:
+            raise _Exhausted
+        if count == k:
+            for p in range(pos, universe):
+                for c in groups[p]:
+                    if not c & chosen:
+                        return False
+            found_mask = chosen
+            return True
+        if count + (universe - pos) < k:
+            return False
+        if walk(pos + 1, chosen | (1 << pos), count + 1):
+            return True
+        for c in groups[pos]:
+            if not c & chosen:
+                return False
+        return walk(pos + 1, chosen, count)
+
+    try:
+        ok = walk(0, 0, 0)
+    except _Exhausted:
+        return False, 0, nodes, True
+    return ok, found_mask, nodes, False
+
+
+def naive_constraints_from_masks(masks):
+    """Every pair of intersecting masks gives its symmetric difference."""
+    cons = set(masks)
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            mj = masks[j]
+            if mi & mj:
+                d = mi ^ mj
+                if d == 0:
+                    raise ValueError("universe contains twins")
+                cons.add(d)
+    return sorted(cons)
+
+
+def naive_shrink(g, code):
+    """Ascending pass that drops an edge whenever the rest is still a code."""
+    chosen = sorted(code)
+    for i in list(chosen):
+        trial = [e for e in chosen if e != i]
+        if naive_is_code(g, trial):
+            chosen = trial
+    return chosen
 
 
 def _invariant_key(g):

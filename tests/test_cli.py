@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from edgeid.cli import main
+from edgeid.cli import EXIT_INTERNAL, main
 from edgeid.families import known_code, standard_graph
 from edgeid.graph_core import EdgeSet, read_edge_list, write_edge_list
 from edgeid.identify import verify_edge_code
@@ -137,12 +137,16 @@ class TestSolve:
         assert status == 1
         assert "upper_hint" in err
 
-    def test_parallel_matches_serial(self, run_cli, tmp_path):
+    def test_internal_error_has_its_own_exit(self, run_cli, tmp_path, monkeypatch):
+        def broken(g, opts):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr("edgeid.cli.min_edge_code", broken)
         gpath = graph_file(tmp_path, standard_graph("petersen"))
-        _, serial, _ = run_cli(["solve", gpath])
-        _, par1, _ = run_cli(["solve", gpath, "--parallel"])
-        _, par2, _ = run_cli(["solve", gpath, "--parallel"])
-        assert par1 == serial and par2 == serial
+        status, out, err = run_cli(["solve", gpath])
+        assert status == EXIT_INTERNAL == 4
+        assert out == ""
+        assert err.splitlines()[-1] == "internal error: RuntimeError: kernel fault"
 
 
 class TestApprox:

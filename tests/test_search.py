@@ -1,21 +1,17 @@
-"""Search kernel: correctness, kernel parity, budget accounting."""
+"""Search kernel: correctness, parity with the recursive reference, budget
+accounting, depth."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgeid._search import (
-    _HAVE_NUMBA,
-    KERNEL_ENV,
-    _group_by_top_bit,
-    _search_python,
-    kernel_name,
-    search_exact_size,
-)
-
-if _HAVE_NUMBA:
-    from edgeid._search import _search_numba
+from conftest import reference_search
+from edgeid._search import _group_by_top_bit, search_exact_size
+from edgeid.families import standard_graph
+from edgeid.solver import SolveOptions, min_edge_code
 
 
 def brute_force(universe, constraints, k):
@@ -52,7 +48,7 @@ def test_python_kernel_finds_lex_least():
     rng = random.Random(7)
     for _ in range(300):
         universe, constraints, k = random_instance(rng)
-        found, mask, nodes, exhausted = _search_python(
+        found, mask, nodes, exhausted = search_exact_size(
             universe, constraints, k, 10**7
         )
         assert not exhausted
@@ -63,15 +59,41 @@ def test_python_kernel_finds_lex_least():
         assert nodes >= 1
 
 
-@pytest.mark.skipif(not _HAVE_NUMBA, reason="numba not installed")
-def test_kernels_agree_exactly():
-    rng = random.Random(11)
-    for _ in range(200):
-        universe, constraints, k = random_instance(rng)
-        budget = rng.choice([3, 10, 50, 10**6])
-        py = _search_python(universe, constraints, k, budget)
-        nb = _search_numba(universe, constraints, k, budget)
-        assert py == nb, (universe, constraints, k, budget)
+BUDGETS = (1, 2, 3, 5, 10, 50, 10**6)
+
+
+@st.composite
+def constraint_systems(draw):
+    universe = draw(st.integers(0, 16))
+    if universe == 0:
+        return 0, []
+    mask = st.integers(1, (1 << universe) - 1)
+    return universe, draw(st.lists(mask, max_size=2 * universe))
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_systems())
+def test_kernel_matches_recursive_reference(system):
+    universe, constraints = system
+    for k in range(universe + 2):
+        for budget in BUDGETS:
+            expect = reference_search(universe, constraints, k, budget)
+            got = search_exact_size(universe, constraints, k, budget)
+            assert got == expect, (k, budget)
+
+
+def test_deep_universe_does_not_recurse():
+    # every position is forced, so the search descends 1500 levels
+    universe = 1500
+    found, mask, nodes, exhausted = search_exact_size(
+        universe, [1 << i for i in range(universe)], universe, 10**6
+    )
+    assert found and not exhausted
+    assert mask == (1 << universe) - 1 and nodes == universe + 1
+    # through the solver on a large instance: C_1200 starts at its
+    # half-order bound 600 and runs out of budget there
+    res = min_edge_code(standard_graph("cycle", 1200), SolveOptions(budget=10**4))
+    assert res.status == "BudgetExhausted" and res.nodes_used == 10**4 + 1
 
 
 def test_budget_exhaustion_reported():
@@ -89,10 +111,10 @@ def test_budget_exhaustion_reported():
 def test_node_budget_monotone_python():
     # a larger budget never changes the answer, only whether it completes
     universe, constraints, k = 10, [0b1111100000, 0b0000011111, 0b1010101010], 3
-    full = _search_python(universe, constraints, k, 10**7)
+    full = search_exact_size(universe, constraints, k, 10**7)
     assert not full[3]
     for budget in range(1, 40):
-        partial = _search_python(universe, constraints, k, budget)
+        partial = search_exact_size(universe, constraints, k, budget)
         if not partial[3]:
             assert partial == full
             break
@@ -116,23 +138,8 @@ def test_trivial_cases():
         search_exact_size(5, [], 1, 0)
 
 
-def test_kernel_env_selection(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    assert kernel_name(10) == "python"
-    monkeypatch.setenv(KERNEL_ENV, "bogus")
-    with pytest.raises(ValueError):
-        kernel_name(10)
-    if _HAVE_NUMBA:
-        monkeypatch.setenv(KERNEL_ENV, "numba")
-        assert kernel_name(10) == "numba"
-        with pytest.raises(ValueError):
-            kernel_name(65)
-        monkeypatch.setenv(KERNEL_ENV, "auto")
-        assert kernel_name(65) == "python"
-
-
 def test_python_kernel_handles_wide_universe():
-    # beyond 64 positions only the python kernel applies; auto must route there
+    # wider than a machine word
     universe = 70
     constraints = [1 << 69, (1 << 70) - 1]
     found, mask, _, exhausted = search_exact_size(universe, constraints, 1, 10**5)

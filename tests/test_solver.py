@@ -4,11 +4,18 @@ import random
 
 import pytest
 
-from conftest import naive_is_code, naive_min_edge_code
+from conftest import (
+    naive_constraints_from_masks,
+    naive_is_code,
+    naive_min_edge_code,
+    naive_shrink,
+    random_connected_pendant_free,
+)
 from edgeid.graph_core import EdgeSet, Graph, line_graph, pendant_pairs
-from edgeid.identify import verify_edge_code, verify_vertex_code
+from edgeid.identify import verify_edge_code, verify_vertex_code, vertex_closed_masks
 from edgeid.solver import (
     SolveOptions,
+    _constraints_from_masks,
     approx_edge_code,
     min_edge_code,
     min_vertex_code,
@@ -116,26 +123,6 @@ def test_hint_as_plain_indices():
     assert res.status == "Optimal" and res.size == 5
 
 
-def test_parallel_agrees_with_serial():
-    for g in sample_graphs() + [petersen()]:
-        serial = min_edge_code(g)
-        parallel = min_edge_code(g, SolveOptions(parallel=True))
-        assert parallel.status == serial.status
-        assert parallel.size == serial.size
-        assert parallel.code == serial.code  # same lex-least subset
-
-
-def test_kernel_choice_does_not_change_results(monkeypatch):
-    outcomes = {}
-    for mode in ("python", "auto"):
-        monkeypatch.setenv("EDGEID_KERNEL", mode)
-        outcomes[mode] = [
-            (r.status, r.size, None if r.code is None else r.code.mask)
-            for r in (min_edge_code(g) for g in sample_graphs())
-        ]
-    assert outcomes["python"] == outcomes["auto"]
-
-
 def test_min_vertex_code_on_line_graphs():
     for g in sample_graphs():
         lg, _ = line_graph(g)
@@ -183,6 +170,46 @@ def test_shrink_to_minimal():
     with pytest.raises(ValueError):
         c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         shrink_to_minimal(c4, EdgeSet.from_indices(c4, [0]))
+
+
+def test_constraints_match_all_pairs_build():
+    rng = random.Random(17)
+    graphs = sample_graphs() + [petersen()]
+    graphs += [random_connected_pendant_free(rng, 14) for _ in range(40)]
+    for g in graphs:
+        for masks in (g.all_edge_masks(), vertex_closed_masks(g)):
+            try:
+                expect = naive_constraints_from_masks(masks)
+            except ValueError:
+                with pytest.raises(ValueError, match="twins"):
+                    _constraints_from_masks(masks)
+                continue
+            assert _constraints_from_masks(masks) == expect
+    # K_3's closed vertex neighborhoods are all equal
+    with pytest.raises(ValueError, match="twins"):
+        _constraints_from_masks(vertex_closed_masks(complete(3)))
+
+
+def random_code(rng, g):
+    """A verified code: the full edge set less some edges dropped at random
+    while the rest stays a code, so usually not minimal."""
+    chosen = set(range(g.m))
+    order = list(range(g.m))
+    rng.shuffle(order)
+    for i in order[: rng.randint(0, g.m)]:
+        if naive_is_code(g, chosen - {i}):
+            chosen.discard(i)
+    return EdgeSet.from_indices(g, chosen)
+
+
+def test_shrink_matches_one_removal_at_a_time():
+    rng = random.Random(29)
+    for _ in range(60):
+        g = random_connected_pendant_free(rng, 12)
+        for start in (EdgeSet.full(g), random_code(rng, g), random_code(rng, g)):
+            assert verify_edge_code(g, start).is_code
+            got = shrink_to_minimal(g, start)
+            assert got.indices() == naive_shrink(g, start.indices())
 
 
 def test_approx_edge_code():
