@@ -44,6 +44,7 @@ from .graph_core import (
     pendant_pairs,
     read_code_file,
     read_edge_list,
+    read_multigraph,
     subdivide_once,
     twin_pairs,
     write_edge_list,

@@ -8,7 +8,6 @@ edge-identifying code number.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graph_core import (Graph, connected_components, isomorphic, line_graph,
                          pendant_pairs)
@@ -233,10 +232,9 @@ def bounds_report(g):
                 "identified-universe-minus-2", m - 2, "upper", False,
                 "line graph has fewer than two edges"))
 
-        avg = Fraction(2 * m, n)
-        if avg >= 5:
+        if 2 * m >= 5 * n:  # average degree at least 5
             delta_l = max(g.degree(u) + g.degree(v) - 2 for u, v in g.edges)
-            value = math.floor(m - Fraction(m, delta_l))
+            value = m * (delta_l - 1) // delta_l  # floor(m - m / delta_l)
             entries.append(BoundEntry("dense-average-degree", value,
                                       "upper", True))
         else:
@@ -258,7 +256,8 @@ def conjecture_check(g, gamma, c):
     delta = max((g.degree(v) for v in range(g.n)), default=0)
     if delta < 1:
         raise ValueError("conjecture needs a graph with an edge")
-    return gamma <= g.n - Fraction(g.n, delta) + c
+    # gamma <= n - n/delta + c, multiplied through by delta > 0
+    return delta * (gamma - c) <= g.n * (delta - 1)
 
 
 def solver_lower_bound(g):

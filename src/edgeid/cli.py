@@ -17,10 +17,10 @@ from .bounds import bounds_report
 from .graph_core import (
     EdgeSet,
     FormatError,
-    Multigraph,
     line_graph,
     read_code_file,
     read_edge_list,
+    read_multigraph,
     write_edge_list,
 )
 from .families import (
@@ -184,7 +184,7 @@ def _family_instance(args):
     if kind == "subdivided":
         if len(params) != 1 or args.multigraph is None:
             raise _UsageError("subdivided takes one parameter k and --multigraph FILE")
-        mg = _read_multigraph(_read_text(args.multigraph))
+        mg = read_multigraph(_read_text(args.multigraph))
         return subdivided_regular_code(mg, params[0])
     raise _UsageError(f"unknown family kind {kind!r}")
 
@@ -249,42 +249,6 @@ def cmd_reduce(args):
             fh.write(labels_to_text(inst.labels))
     _emit(write_edge_list(inst.graph, code=code, k=inst.k))
     return EXIT_OK
-
-
-def _read_multigraph(text):
-    header = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: expected 'n m' header")
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise FormatError(f"line {lineno}: expected 'n m' header") from None
-            continue
-        if parts[0] in ("c", "k"):
-            continue
-        if len(parts) != 2:
-            raise FormatError(f"line {lineno}: expected 'u v' edge line")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: expected 'u v' edge line") from None
-        edges.append((u, v))
-    if header is None:
-        raise FormatError("empty multigraph input")
-    n, m = header
-    if len(edges) != m:
-        raise FormatError(f"header declares {m} edges, found {len(edges)}")
-    try:
-        return Multigraph(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
 
 
 def build_parser():

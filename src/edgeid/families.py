@@ -30,6 +30,7 @@ from .graph_core import (
     GraphBuilder,
     Multigraph,
     bipartite_perfect_matching,
+    bits,
     subdivide_once,
 )
 
@@ -269,17 +270,13 @@ def jk_graph(k):
     """
     if k < 3:
         raise ValueError("need k >= 3")
-    w = k + 1
-    removed = {(1, w), (k - 1, w), (0, 2), (k - 2, k)}
-    if len(removed) != 4:
-        raise ValueError(f"removed edges collide for k={k}")
-    edges = [e for e in combinations(range(k + 2), 2) if e not in removed]
-    g = Graph(k + 2, edges)
+    builder = GraphBuilder()
+    _, path_edges = _add_j_block(builder, k)
+    g = builder.to_graph()
     assert g.m == math.comb(k + 2, 2) - 4
-    code = EdgeSet.from_indices(g, [g.edge_index(i, i + 1) for i in range(k)])
     return FamilyInstance(
         g,
-        code,
+        EdgeSet.from_indices(g, path_edges),
         None,
         "complete graph minus four edges, code = the spanning path",
     )
@@ -398,9 +395,7 @@ def claw_free_example(k):
     edges = list(combinations(range(k), 2))
     for s in range(1, 1 << k):
         bv = k + s - 1
-        for a in range(k):
-            if s >> a & 1:
-                edges.append((a, bv))
+        edges += [(a, bv) for a in bits(s)]
     nb = (1 << k) - 1
     for s in range(1, nb):
         for t in range(s + 1, nb + 1):

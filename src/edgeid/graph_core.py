@@ -14,6 +14,26 @@ class FormatError(ValueError):
     """Raised when an edge-list or code file cannot be parsed."""
 
 
+def bits(mask):
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_of(indices, size):
+    """Bitmask with the bits of ``indices`` set; each must lie in range(size)."""
+    mask = 0
+    for i in indices:
+        if not 0 <= i < size:
+            raise ValueError(f"index {i} out of range for size {size}")
+        mask |= 1 << i
+    return mask
+
+
 class Graph:
     """Immutable simple graph with stably indexed edges.
 
@@ -55,12 +75,8 @@ class Graph:
         # Quadratic-size data, built on first use so that merely holding a
         # large graph stays cheap.
         if self._edge_masks is None:
-            vert_mask = [0] * self.n
-            for v in range(self.n):
-                mv = 0
-                for i in self._inc[v]:
-                    mv |= 1 << i
-                vert_mask[v] = mv
+            m = self.m
+            vert_mask = [mask_of(inc, m) for inc in self._inc]
             self._edge_masks = tuple(
                 vert_mask[u] | vert_mask[v] for u, v in self.edges
             )
@@ -192,13 +208,7 @@ class EdgeSet:
 
     @classmethod
     def from_indices(cls, g, indices):
-        mask = 0
-        m = g.m
-        for i in indices:
-            if not 0 <= i < m:
-                raise ValueError(f"edge index {i} out of range for m={m}")
-            mask |= 1 << i
-        return cls(g.fingerprint, mask)
+        return cls(g.fingerprint, mask_of(indices, g.m))
 
     @classmethod
     def full(cls, g):
@@ -213,21 +223,13 @@ class EdgeSet:
             raise ValueError("edge sets belong to different graphs")
 
     def indices(self):
-        mask = self.mask
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return out
+        return bits(self.mask)
 
     def __iter__(self):
         return iter(self.indices())
 
     def __len__(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __contains__(self, i):
         return bool(self.mask >> i & 1)
@@ -294,14 +296,14 @@ def line_graph(g):
     return Graph(g.m, lg_edges), {i: i for i in range(g.m)}
 
 
+def vertex_closed_masks(g):
+    """Closed vertex neighborhoods N[v] as bitmasks over vertices."""
+    return [mask_of(g.neighbors(v), g.n) | 1 << v for v in range(g.n)]
+
+
 def twin_pairs(g):
     """Pairs of vertices with equal closed neighborhoods, sorted."""
-    closed = []
-    for v in range(g.n):
-        mask = 1 << v
-        for u in g.neighbors(v):
-            mask |= 1 << u
-        closed.append(mask)
+    closed = vertex_closed_masks(g)
     groups = {}
     for v in range(g.n):
         groups.setdefault(closed[v], []).append(v)
@@ -481,28 +483,42 @@ def bipartite_perfect_matching(mg, left):
     match_edge_of_right = {}
     matched_left = {}
 
-    def augment(u, visited):
-        for e in mg.incident_edges(u):
-            a, b = mg.edges[e]
-            w = b if a == u else a
-            if w in visited:
-                continue
-            visited.add(w)
-            if w not in match_edge_of_right:
-                match_edge_of_right[w] = e
-                matched_left[u] = e
-                return True
-            other_e = match_edge_of_right[w]
-            oa, ob = mg.edges[other_e]
-            other_u = oa if oa in left else ob
-            if augment(other_u, visited):
-                match_edge_of_right[w] = e
-                matched_left[u] = e
-                return True
+    def far_end(e, u):
+        a, b = mg.edges[e]
+        return b if a == u else a
+
+    def augment(root):
+        # Depth-first search for an augmenting path from root, with an
+        # explicit stack so that path length is not bounded by the
+        # recursion limit.  path[i] is the edge taken out of stack[i].
+        visited = set()
+        stack = [(root, iter(mg.incident_edges(root)))]
+        path = []
+        while stack:
+            u, edges = stack[-1]
+            for e in edges:
+                w = far_end(e, u)
+                if w in visited:
+                    continue
+                visited.add(w)
+                path.append(e)
+                if w not in match_edge_of_right:
+                    for (x, _), f in zip(stack, path):
+                        match_edge_of_right[far_end(f, x)] = f
+                        matched_left[x] = f
+                    return True
+                oa, ob = mg.edges[match_edge_of_right[w]]
+                other_u = oa if oa in left else ob
+                stack.append((other_u, iter(mg.incident_edges(other_u))))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
     for u in sorted(left):
-        if not augment(u, set()):
+        if not augment(u):
             return None
     return sorted(matched_left.values())
 
@@ -561,24 +577,25 @@ def isomorphic(g1, g2):
     return extend(0)
 
 
-def read_edge_list(text):
-    """Parse the edge-list format.
+def _parse_edge_list(text):
+    """Parse the edge-list format into ``(n, edges, code, k)``.
 
-    Lines starting with ``#`` are comments.  The first data line is
-    ``n m``, followed by m lines ``u v``.  Trailing ``c <index>`` lines
-    (an embedded code) and a ``k <value>`` trailer are collected and
-    returned alongside: (graph, code_indices_or_None, k_or_None).
+    ``#`` starts a comment that runs to the end of the line.  The first
+    data line is ``n m``, followed by m lines ``u v``.  ``c <index>`` lines
+    (an embedded code, each index below m) and one ``k <value>`` trailer
+    may appear among them; ``code`` is None when there are no ``c`` lines.
     """
     header = None
     edges = []
     code = []
     kval = None
     saw_code = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         if header is None:
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: expected 'n m' header")
@@ -615,17 +632,38 @@ def read_edge_list(text):
         edges.append((u, v))
     if header is None:
         raise FormatError("missing 'n m' header")
-    if len(edges) != header[1]:
-        raise FormatError(f"expected {header[1]} edges, found {len(edges)}")
+    n, m = header
+    if len(edges) != m:
+        raise FormatError(f"expected {m} edges, found {len(edges)}")
+    for i in code:
+        if not 0 <= i < m:
+            raise FormatError(f"code index {i} out of range")
+    return n, edges, (code if saw_code else None), kval
+
+
+def read_edge_list(text):
+    """Parse an edge-list file into ``(graph, code_indices_or_None, k_or_None)``.
+
+    The format is the one ``_parse_edge_list`` describes; the graph must be
+    simple.
+    """
+    n, edges, code, kval = _parse_edge_list(text)
     try:
-        g = Graph(header[0], edges)
+        return Graph(n, edges), code, kval
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    if saw_code:
-        for i in code:
-            if not 0 <= i < g.m:
-                raise FormatError(f"code index {i} out of range")
-    return g, (code if saw_code else None), kval
+
+
+def read_multigraph(text):
+    """Parse an edge-list file into a Multigraph: parallel edges allowed.
+
+    ``c`` and ``k`` lines are checked as in ``read_edge_list`` and dropped.
+    """
+    n, edges, _, _ = _parse_edge_list(text)
+    try:
+        return Multigraph(n, edges)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def write_edge_list(g, code=None, k=None, comments=()):

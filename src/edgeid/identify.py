@@ -9,7 +9,8 @@ neighborhood trace N[.] & C, so it runs in one pass over the elements.
 
 from dataclasses import dataclass, field
 
-from .graph_core import EdgeSet, girth, induced_by_edges, pendant_pairs
+from .graph_core import (bits, girth, induced_by_edges, mask_of, pendant_pairs,
+                         vertex_closed_masks)
 
 GIRTH5 = "Girth5"
 TRIANGLE_FREE_NO_C4 = "TriangleFreeNoC4"
@@ -75,9 +76,7 @@ def _verify_masks(masks, code_mask, max_pairs):
                 truncated = True
                 done = True
                 break
-            trace = tuple(b for b in range(code_mask.bit_length())
-                          if traces[i] >> b & 1)
-            unseparated.append((i, j, trace))
+            unseparated.append((i, j, tuple(bits(traces[i]))))
     return VerifyReport(
         is_dominating=not undominated,
         is_separating=not unseparated and not truncated,
@@ -97,25 +96,9 @@ def verify_edge_code(g, c, max_pairs=100):
     return _verify_masks(g.all_edge_masks(), c.mask, max_pairs)
 
 
-def vertex_closed_masks(g):
-    """Closed vertex neighborhoods N[v] as bitmasks over vertices."""
-    masks = []
-    for v in range(g.n):
-        mask = 1 << v
-        for u in g.neighbors(v):
-            mask |= 1 << u
-        masks.append(mask)
-    return masks
-
-
 def verify_vertex_code(g, vertices, max_pairs=100):
     """Check whether a vertex subset identifies every vertex of g."""
-    code_mask = 0
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        code_mask |= 1 << v
-    return _verify_masks(vertex_closed_masks(g), code_mask, max_pairs)
+    return _verify_masks(vertex_closed_masks(g), mask_of(vertices, g.n), max_pairs)
 
 
 def separation_witness(g, c, e, f):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from ._search import search_exact_size
 from .bounds import log_lower, solver_lower_bound
-from .graph_core import EdgeSet, pendant_pairs
-from .identify import verify_edge_code, verify_vertex_code, vertex_closed_masks
+from .graph_core import EdgeSet, bits, mask_of, pendant_pairs, vertex_closed_masks
+from .identify import verify_edge_code, verify_vertex_code
 
 DEFAULT_BUDGET = 10**8
 
@@ -36,13 +36,11 @@ class SolveOptions:
     ``upper_hint`` is a known code (edge indices for ``min_edge_code``,
     vertex indices for ``min_vertex_code``).  It caps the search: sizes
     below it are refuted one by one, and if all are refuted the hint is
-    returned as optimal.  ``prune_with_bounds`` starts the size sweep at
-    the best analytic lower bound instead of 1.
+    returned as optimal.
     """
 
     budget: int = DEFAULT_BUDGET
     upper_hint: object = None
-    prune_with_bounds: bool = True
 
 
 @dataclass(frozen=True)
@@ -52,16 +50,6 @@ class SolveResult:
     size: object = None
     lower_bound_used: object = None
     nodes_used: int = 0
-
-
-def _bits(mask):
-    """Positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _constraints_from_masks(masks):
@@ -74,10 +62,10 @@ def _constraints_from_masks(masks):
     cons = set(masks)
     for i, mi in enumerate(masks):
         reach = 0
-        for x in _bits(mi):
+        for x in bits(mi):
             reach |= masks[x]
         shift = i + 1
-        for j in _bits(reach >> shift):
+        for j in bits(reach >> shift):
             d = mi ^ masks[j + shift]
             if d == 0:
                 raise ValueError("universe contains twins")
@@ -85,22 +73,22 @@ def _constraints_from_masks(masks):
     return sorted(cons)
 
 
-def _solve_masks(universe, masks, lower, opts, hint_mask, hint_len):
+def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
     """Shared size sweep.  Returns ``(status, mask, size, bound_used, nodes)``.
 
-    ``lower`` is ``(value, name)`` or None; caller has excluded twins and
-    verified the hint.  Without a hint the sweep is capped at the full
-    universe, which is always a code here, so it cannot fall through.
-    Constraints are built on the first search, so a hint that the lower
-    bound already certifies costs no build.
+    The sweep starts at ``lower``, a ``(value, name)`` analytic bound.  The
+    caller has excluded twins and verified the hint.  Without a hint the
+    sweep is capped at the full universe, which is always a code here, so
+    it cannot fall through.  Constraints are built on the first search,
+    so a hint that the lower bound already certifies costs no build.
     """
+    start, name = lower
+    bound_used = (name, start)
     constraints = None
-    start = lower[0] if lower is not None else 1
-    bound_used = (lower[1], lower[0]) if lower is not None else None
     cap = hint_len - 1 if hint_mask is not None else universe
     nodes_total = 0
     for k in range(start, cap + 1):
-        remaining = opts.budget - nodes_total
+        remaining = budget - nodes_total
         if remaining <= 0:
             break
         if constraints is None:
@@ -112,14 +100,12 @@ def _solve_masks(universe, masks, lower, opts, hint_mask, hint_len):
         if found:
             return STATUS_OPTIMAL, mask, k, bound_used, nodes_total
         if exhausted:
-            if hint_mask is not None:
-                return STATUS_FEASIBLE, hint_mask, hint_len, None, nodes_total
-            return STATUS_BUDGET, None, None, None, nodes_total
+            break
     else:
         if hint_mask is not None:
             return STATUS_OPTIMAL, hint_mask, hint_len, bound_used, nodes_total
         raise RuntimeError("size sweep fell through without a code")
-    # remaining budget hit zero before the sweep finished
+    # the budget ran out before the sweep finished
     if hint_mask is not None:
         return STATUS_FEASIBLE, hint_mask, hint_len, None, nodes_total
     return STATUS_BUDGET, None, None, None, nodes_total
@@ -149,10 +135,9 @@ def min_edge_code(g, options=None):
             raise ValueError("upper_hint is not an edge-identifying code")
         hint_mask = hint.mask
         hint_len = len(hint)
-    masks = g.all_edge_masks()
-    lower = solver_lower_bound(g) if opts.prune_with_bounds else None
     status, mask, size, bound_used, nodes = _solve_masks(
-        g.m, masks, lower, opts, hint_mask, hint_len
+        g.m, g.all_edge_masks(), solver_lower_bound(g), opts.budget,
+        hint_mask, hint_len
     )
     code = EdgeSet(g.fingerprint, mask) if mask is not None else None
     return SolveResult(status, code, size, bound_used, nodes)
@@ -174,22 +159,15 @@ def min_vertex_code(g, options=None):
     hint_mask = None
     hint_len = 0
     if opts.upper_hint is not None:
-        verts = sorted(set(opts.upper_hint))
-        if verts and not (0 <= verts[0] and verts[-1] < g.n):
-            raise ValueError("hint vertex out of range")
-        if not verify_vertex_code(g, verts).is_code:
+        hint_mask = mask_of(opts.upper_hint, g.n)
+        if not verify_vertex_code(g, bits(hint_mask)).is_code:
             raise ValueError("upper_hint is not an identifying code")
-        hint_mask = 0
-        for v in verts:
-            hint_mask |= 1 << v
-        hint_len = len(verts)
-    lower = (log_lower(g.n), "log-universe") if opts.prune_with_bounds else None
+        hint_len = hint_mask.bit_count()
     status, mask, size, bound_used, nodes = _solve_masks(
-        g.n, masks, lower, opts, hint_mask, hint_len
+        g.n, masks, (log_lower(g.n), "log-universe"), opts.budget,
+        hint_mask, hint_len
     )
-    code = None
-    if mask is not None:
-        code = tuple(v for v in range(g.n) if mask >> v & 1)
+    code = tuple(bits(mask)) if mask is not None else None
     return SolveResult(status, code, size, bound_used, nodes)
 
 
@@ -214,7 +192,7 @@ def shrink_to_minimal(g, code):
         # The old traces all hold bit i and the new ones do not, so the
         # drop keeps a code iff no new trace is empty or already present.
         bit = 1 << i
-        near = _bits(masks[i])
+        near = bits(masks[i])
         dropped = [traces[j] ^ bit for j in near]
         if all(t and t not in seen for t in dropped):
             for j, t in zip(near, dropped):

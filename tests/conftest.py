@@ -82,6 +82,46 @@ def reference_search(universe, constraints, k, budget):
     return ok, found_mask, nodes, False
 
 
+def reference_perfect_matching(mg, left):
+    """The recursive augmenting-path matching, kept as the reference for the
+    iterative one: same result for every input it can finish.  It recurses
+    once per augmenting-path step, so keep multigraphs small."""
+    left = frozenset(left)
+    for u, v in mg.edges:
+        if (u in left) == (v in left):
+            raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
+    right = [v for v in range(mg.n) if v not in left]
+    if len(left) != len(right):
+        return None
+    match_edge_of_right = {}
+    matched_left = {}
+
+    def augment(u, visited):
+        for e in mg.incident_edges(u):
+            a, b = mg.edges[e]
+            w = b if a == u else a
+            if w in visited:
+                continue
+            visited.add(w)
+            if w not in match_edge_of_right:
+                match_edge_of_right[w] = e
+                matched_left[u] = e
+                return True
+            other_e = match_edge_of_right[w]
+            oa, ob = mg.edges[other_e]
+            other_u = oa if oa in left else ob
+            if augment(other_u, visited):
+                match_edge_of_right[w] = e
+                matched_left[u] = e
+                return True
+        return False
+
+    for u in sorted(left):
+        if not augment(u, set()):
+            return None
+    return sorted(matched_left.values())
+
+
 def naive_constraints_from_masks(masks):
     """Every pair of intersecting masks gives its symmetric difference."""
     cons = set(masks)

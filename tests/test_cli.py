@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: pipelines, exit codes, determinism."""
 
 import io
+import random
 import sys
 
 import pytest
@@ -218,6 +219,28 @@ class TestFamily:
         assert status == 0
         g, code, _ = read_edge_list(out)
         assert g.n == 5 and g.m == 6
+        assert verify_edge_code(g, EdgeSet.from_indices(g, code)).is_code
+
+    def test_subdivided_long_augmenting_paths(self, run_cli, tmp_path):
+        # a random 3-regular multigraph on 2000 vertices (configuration
+        # model, loops rejected): its matching search walks augmenting
+        # paths far longer than the interpreter's recursion limit
+        rng = random.Random(0)
+        stubs = [v for v in range(2000) for _ in range(3)]
+        while True:
+            rng.shuffle(stubs)
+            edges = list(zip(stubs[::2], stubs[1::2]))
+            if all(u != v for u, v in edges):
+                break
+        mpath = tmp_path / "cubic.mg"
+        mpath.write_text(f"2000 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        status, out, err = run_cli(
+            ["family", "subdivided", "3", "--multigraph", str(mpath), "--with-code"]
+        )
+        assert status == 0, err
+        g, code, _ = read_edge_list(out)
+        assert g.n == 5000 and g.m == 6000
+        assert len(code) == 2 * 2000
         assert verify_edge_code(g, EdgeSet.from_indices(g, code)).is_code
 
     def test_subdivided_requires_multigraph(self, run_cli):

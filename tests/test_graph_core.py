@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, naive_edge_neighborhoods
+from conftest import (
+    connected_graphs,
+    naive_edge_neighborhoods,
+    reference_perfect_matching,
+)
 from edgeid.graph_core import (
     EdgeSet,
     FormatError,
@@ -14,6 +18,7 @@ from edgeid.graph_core import (
     GraphBuilder,
     Multigraph,
     bipartite_perfect_matching,
+    bits,
     closed_edge_neighborhood,
     connected_components,
     girth,
@@ -22,9 +27,11 @@ from edgeid.graph_core import (
     is_k_degenerate,
     isomorphic,
     line_graph,
+    mask_of,
     pendant_pairs,
     read_code_file,
     read_edge_list,
+    read_multigraph,
     subdivide_once,
     twin_pairs,
     write_edge_list,
@@ -138,12 +145,25 @@ class TestEdgeSet:
         assert len({EdgeSet.from_indices(g, [1]), EdgeSet.from_indices(g, [1])}) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 200))
+def test_bits_matches_naive_scan(mask):
+    naive = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    assert bits(mask) == naive
+    assert mask_of(naive, mask.bit_length()) == mask
+
+
 def test_multigraph_allows_parallel_edges():
     mg = Multigraph(2, [(0, 1), (1, 0), (0, 1)])
     assert mg.m == 3
     assert mg.edges == ((0, 1), (0, 1), (0, 1))
     with pytest.raises(ValueError):
         Multigraph(2, [(0, 0)])
+    text = "# theta\n2 3 # header\n0 1\n1 0  # parallel\n0 1\nc 2\nk 2\n"
+    mg = read_multigraph(text)
+    assert mg.n == 2 and mg.edges == ((0, 1), (0, 1), (0, 1))
+    with pytest.raises(FormatError):
+        read_edge_list(text)  # a simple graph has no parallel edges
 
 
 def test_graph_builder_tracks_indices():
@@ -273,6 +293,23 @@ def test_bipartite_perfect_matching():
     assert bipartite_perfect_matching(mg3, [0]) is not None
 
 
+@st.composite
+def bipartite_multigraphs(draw):
+    """Multigraphs with left side 0..a-1 and right side a..a+b-1."""
+    a = draw(st.integers(1, 5))
+    b = draw(st.sampled_from([a, a, a, max(a - 1, 1), a + 1]))
+    edge = st.tuples(st.integers(0, a - 1), st.integers(a, a + b - 1))
+    edges = draw(st.lists(edge, max_size=3 * a + 3))
+    return Multigraph(a + b, edges), range(a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bipartite_multigraphs())
+def test_perfect_matching_matches_recursive_reference(case):
+    mg, left = case
+    assert bipartite_perfect_matching(mg, left) == reference_perfect_matching(mg, left)
+
+
 def test_isomorphic_positive_and_negative():
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     c4b = Graph(4, [(0, 2), (2, 1), (1, 3), (0, 3)])
@@ -301,21 +338,62 @@ def test_read_edge_list_round_trip():
 
 
 def test_read_edge_list_errors():
-    with pytest.raises(FormatError):
-        read_edge_list("")
-    with pytest.raises(FormatError):
-        read_edge_list("2\n")
-    with pytest.raises(FormatError):
-        read_edge_list("2 1\n0 1\n0 1\n")
-    with pytest.raises(FormatError):
-        read_edge_list("2 2\n0 1\n")
-    with pytest.raises(FormatError):
-        read_edge_list("2 1\n0 x\n")
-    with pytest.raises(FormatError):
-        read_edge_list("3 1\n0 1\nc 5\n")
-    with pytest.raises(FormatError) as err:
-        read_edge_list("2 1\n0 1\nk nope\n")
-    assert "line 3" in str(err.value)
+    for read in (read_edge_list, read_multigraph):
+        with pytest.raises(FormatError):
+            read("")
+        with pytest.raises(FormatError):
+            read("2\n")
+        with pytest.raises(FormatError):
+            read("2 1\n0 1\n0 1\n")
+        with pytest.raises(FormatError):
+            read("2 2\n0 1\n")
+        with pytest.raises(FormatError):
+            read("2 1\n0 x\n")
+        with pytest.raises(FormatError):
+            read("3 1\n0 1\nc 5\n")
+        with pytest.raises(FormatError) as err:
+            read("2 1\n0 1\nk nope\n")
+        assert "line 3" in str(err.value)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts using every part of the format (comments, inline
+    comments, either endpoint order, c and k lines), some with one fault:
+    a loop, a repeated edge, a bad line or a wrong edge count."""
+    pool = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=8))
+    body = [f"{u} {v}" if draw(st.booleans()) else f"{v} {u} # e" for u, v in edges]
+    if edges:
+        body += [f"c {i}" for i in draw(st.lists(st.integers(0, len(edges) - 1),
+                                                 max_size=3))]
+    body += draw(st.lists(st.sampled_from(["", "# note", "k 3"]), max_size=3))
+    m = len(edges)
+    fault = draw(st.sampled_from([None] * 6 + ["loop", "repeat", "count", "c 9",
+                                               "c x", "k", "k 3", "0", "1 2 3"]))
+    if fault == "loop":
+        body.append("1 1")
+        m += 1
+    elif fault == "repeat" and edges:
+        body.append(f"{edges[0][1]} {edges[0][0]}")
+        m += 1
+    elif fault == "count":
+        m += draw(st.sampled_from([1, -1]))
+    elif fault is not None:
+        body.append(fault)
+    lines = draw(st.permutations(body))
+    return "\n".join(["# header next", f"5 {m}"] + lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+def test_readers_agree_on_every_accepted_text(text):
+    try:
+        g, _, _ = read_edge_list(text)
+    except FormatError:
+        return
+    mg = read_multigraph(text)
+    assert mg.n == g.n and mg.edges == g.edges
 
 
 def test_read_code_file():

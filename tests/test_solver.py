@@ -76,11 +76,6 @@ def test_lower_bound_is_reported_on_optimal():
     name, value = res.lower_bound_used
     # half-order and edge-count-inverse tie at 5; the first candidate wins
     assert value == 5 and name == "half-order"
-    unpruned = min_edge_code(petersen(), SolveOptions(prune_with_bounds=False))
-    assert unpruned.size == 5
-    assert unpruned.lower_bound_used is None
-    # without the bound floor the sweep starts at 0 and burns more nodes
-    assert unpruned.nodes_used >= res.nodes_used
 
 
 def test_budget_exhaustion_and_hint_fallback():
