@@ -13,30 +13,96 @@ of its own: the only state to remember is which positions are included,
 and that is the chosen mask itself.  Backtracking drops the highest
 included position and tries its exclude branch.
 
+The search does not look at the constraint masks themselves.  A
+``ConstraintSystem`` sorts and numbers the constraints once and stores
+their transpose: for each position ``p``, ``hits[p]`` is the set of
+constraints that contain ``p`` and ``tops[p]`` the set of constraints
+whose top bit is ``p``, both as bitmasks over the constraint numbers.
+The search keeps a stack ``hit`` in which ``hit[c]`` is the set of
+constraints that the lowest ``c`` included positions hit; the unhit
+constraints are the ones missing from it.  Every check is then one or
+two integer operations:
+
+- including ``pos`` pushes ``hit[count] | hits[pos]``;
+- a full k-subset is a solution iff ``hit[k]`` holds every constraint;
+- a constraint with top bit ``p`` can no longer be hit once the search
+  moves past ``p``, so excluding ``p`` is allowed iff ``hit[count]``
+  holds all of ``tops[p]``.
+
+Numbered in ascending order of their masks, the constraints come in
+ascending order of top bit, so ``tops[p]`` is one run of numbers, and
+``hits[p]`` and the masks on the stack stay as narrow as the highest
+constraint number reached so far.  The stack tracks hit rather than
+unhit constraints for that reason: a set of unhit constraints is as wide
+as the whole system from the start.
+
+A static bound then prunes subtrees that hold no solution.  ``pack[p]``
+is the largest number of constraints that lie inside ``[p, universe)``
+and whose spans from lowest to top bit are pairwise disjoint; one
+right-to-left scan over the positions computes it for every ``p``.  At
+a node with ``count`` positions included below ``pos``, every constraint
+inside ``[pos, universe)`` is still unhit, and each of a disjoint family
+needs an element of its own from those positions, so
+``count + pack[pos] > k`` means no k-subset extends the node.  Such a
+node is a dead end.  The pruned search visits the same nodes as the
+unpruned one, in the same order, minus subtrees without a solution; it
+therefore returns the same subset, the lexicographically least one, in
+no more nodes.
+
 One search node is counted per visited DFS state, and the search stops
 once the node budget is exceeded, reporting exhaustion.  A run that
 returns not-found without exhaustion is a proof that no k-subset hits
 every constraint.
 """
 
-# Positions past the top bit of a constraint can never hit it, so once the
-# search advances beyond that bit the constraint must already be satisfied.
-# Grouping constraints by top bit makes that check O(group) per step.
+from .graph_core import bits, mask_of
 
 
-def _group_by_top_bit(universe, constraints):
-    groups = [[] for _ in range(universe)]
-    for c in constraints:
-        if c <= 0:
+class ConstraintSystem:
+    """Constraint masks over ``range(universe)`` in the form the kernel
+    searches, built once and shared by searches at every size k."""
+
+    __slots__ = ("universe", "full", "hits", "tops", "pack")
+
+    def __init__(self, universe, constraints):
+        masks = sorted(constraints)
+        if masks and masks[0] <= 0:
             raise ValueError("constraint masks must be nonzero")
-        top = c.bit_length() - 1
-        if top >= universe:
+        if masks and masks[-1].bit_length() > universe:
             raise ValueError("constraint mask exceeds the universe")
-        groups[top].append(c)
-    return groups
+        members = [[] for _ in range(universe)]
+        below = [0] * (universe + 1)  # constraints with top bit below p
+        shortest = [universe] * universe  # least top bit per lowest bit
+        for i, c in enumerate(masks):
+            top = c.bit_length() - 1
+            below[top + 1] = i + 1
+            low = (c & -c).bit_length() - 1
+            shortest[low] = min(shortest[low], top)
+            for q in bits(c >> low):
+                members[low + q].append(i)
+        for p in range(universe):
+            below[p + 1] = max(below[p + 1], below[p])
+        self.universe = universe
+        self.full = (1 << len(masks)) - 1
+        self.hits = [mask_of(ids, len(masks)) for ids in members]
+        self.tops = [
+            (1 << below[p + 1]) - (1 << below[p]) for p in range(universe)
+        ]
+        pack = [0] * (universe + 1)
+        for p in range(universe - 1, -1, -1):
+            pack[p] = pack[p + 1]
+            if shortest[p] < universe:
+                pack[p] = max(pack[p], 1 + pack[shortest[p] + 1])
+        self.pack = pack
 
 
-def _search(universe, groups, k, budget):
+def _search(system, k, budget):
+    universe = system.universe
+    full = system.full
+    hits = system.hits
+    tops = system.tops
+    pack = system.pack
+    hit = [0] * (min(k, universe) + 1)
     chosen = 0
     count = 0
     pos = 0
@@ -46,16 +112,10 @@ def _search(universe, groups, k, budget):
         if nodes > budget:
             return False, 0, nodes, True
         if count == k:
-            for p in range(pos, universe):
-                for c in groups[p]:
-                    if not c & chosen:
-                        break
-                else:
-                    continue
-                break
-            else:
+            if hit[k] == full:
                 return True, chosen, nodes, False
-        elif count + universe - pos >= k:
+        elif count + universe - pos >= k and count + pack[pos] <= k:
+            hit[count + 1] = hit[count] | hits[pos]
             chosen |= 1 << pos
             count += 1
             pos += 1
@@ -66,10 +126,8 @@ def _search(universe, groups, k, budget):
             p = chosen.bit_length() - 1
             chosen ^= 1 << p
             count -= 1
-            for c in groups[p]:
-                if not c & chosen:
-                    break
-            else:
+            top = tops[p]
+            if hit[count] & top == top:
                 pos = p + 1
                 break
         else:
@@ -79,14 +137,20 @@ def _search(universe, groups, k, budget):
 def search_exact_size(universe, constraints, k, budget):
     """Find the lex-least k-subset of ``range(universe)`` hitting every mask.
 
-    Returns ``(found, mask, nodes, exhausted)``.  ``mask`` is the subset as
-    an int bitmask when found, else 0.  ``exhausted`` means the node budget
-    ran out before the search space was covered; ``nodes`` is then
-    ``budget + 1``, counting the node that crossed the line.
+    ``constraints`` is a list of nonzero masks, or a ``ConstraintSystem``
+    over the same universe, which lets searches at several sizes share
+    one preparation.  Returns ``(found, mask, nodes, exhausted)``.
+    ``mask`` is the subset as an int bitmask when found, else 0.
+    ``exhausted`` means the node budget ran out before the search space
+    was covered; ``nodes`` is then ``budget + 1``, counting the node that
+    crossed the line.
     """
     if k < 0:
         raise ValueError("need k >= 0")
     if budget < 1:
         raise ValueError("need a positive node budget")
-    groups = _group_by_top_bit(universe, constraints)
-    return _search(universe, groups, k, budget)
+    if not isinstance(constraints, ConstraintSystem):
+        constraints = ConstraintSystem(universe, constraints)
+    elif constraints.universe != universe:
+        raise ValueError("constraint system is over another universe")
+    return _search(constraints, k, budget)

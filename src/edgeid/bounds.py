@@ -211,12 +211,17 @@ def bounds_report(g):
                 "order-doubled-minus-5", 2 * n - 5, "upper", False,
                 "needs n >= 3 and g neither complete on 4 nor that minus an edge"))
 
-        lg, _ = line_graph(g)
-        if lg.m >= 2:
+        # The line graph has a vertex per edge and an edge per pair of
+        # edges at a vertex.  Only the six exceptions, all on at most six
+        # vertices, need it built.
+        if sum(d * (d - 1) // 2 for d in map(g.degree, range(n))) >= 2:
             entries.append(BoundEntry("identified-universe-minus-1", m - 1,
                                       "upper", True))
-            exceptional = lg.n <= 6 and any(
-                isomorphic(lg, h) for h in _line_graph_exceptions())
+            exceptional = False
+            if m <= 6:
+                lg, _ = line_graph(g)
+                exceptional = any(
+                    isomorphic(lg, h) for h in _line_graph_exceptions())
             if not exceptional:
                 entries.append(BoundEntry("identified-universe-minus-2",
                                           m - 2, "upper", True))

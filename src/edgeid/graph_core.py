@@ -105,6 +105,8 @@ class Graph:
 
     def edge_mask(self, e):
         """Bitmask of the closed neighborhood of edge e (includes e)."""
+        if not 0 <= e < self.m:
+            raise ValueError(f"edge index {e} out of range")
         self._ensure_masks()
         return self._edge_masks[e]
 
@@ -274,8 +276,6 @@ class EdgeSet:
 
 def closed_edge_neighborhood(g, e):
     """All edges sharing an endpoint with edge e, plus e itself."""
-    if not 0 <= e < g.m:
-        raise ValueError(f"edge index {e} out of range")
     return EdgeSet(g.fingerprint, g.edge_mask(e))
 
 

@@ -16,7 +16,7 @@ verified hint when one was supplied.
 
 from dataclasses import dataclass
 
-from ._search import search_exact_size
+from ._search import ConstraintSystem, search_exact_size
 from .bounds import log_lower, solver_lower_bound
 from .graph_core import EdgeSet, bits, mask_of, pendant_pairs, vertex_closed_masks
 from .identify import verify_edge_code, verify_vertex_code
@@ -79,22 +79,23 @@ def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
     The sweep starts at ``lower``, a ``(value, name)`` analytic bound.  The
     caller has excluded twins and verified the hint.  Without a hint the
     sweep is capped at the full universe, which is always a code here, so
-    it cannot fall through.  Constraints are built on the first search,
-    so a hint that the lower bound already certifies costs no build.
+    it cannot fall through.  Constraints are built and prepared for the
+    kernel on the first search, once for every size, so a hint that the
+    lower bound already certifies costs no build.
     """
     start, name = lower
     bound_used = (name, start)
-    constraints = None
+    system = None
     cap = hint_len - 1 if hint_mask is not None else universe
     nodes_total = 0
     for k in range(start, cap + 1):
         remaining = budget - nodes_total
         if remaining <= 0:
             break
-        if constraints is None:
-            constraints = _constraints_from_masks(masks)
+        if system is None:
+            system = ConstraintSystem(universe, _constraints_from_masks(masks))
         found, mask, nodes, exhausted = search_exact_size(
-            universe, constraints, k, remaining
+            universe, system, k, remaining
         )
         nodes_total += nodes
         if found:

@@ -9,7 +9,6 @@ import itertools
 
 import pytest
 
-from edgeid._search import _group_by_top_bit
 from edgeid.graph_core import Graph, GraphBuilder, isomorphic, pendant_pairs
 from edgeid.reduction import SatFormula, attach_p_gadget
 
@@ -43,6 +42,18 @@ def naive_min_edge_code(g):
     return None
 
 
+def _group_by_top_bit(universe, constraints):
+    groups = [[] for _ in range(universe)]
+    for c in constraints:
+        if c <= 0:
+            raise ValueError("constraint masks must be nonzero")
+        top = c.bit_length() - 1
+        if top >= universe:
+            raise ValueError("constraint mask exceeds the universe")
+        groups[top].append(c)
+    return groups
+
+
 def reference_search(universe, constraints, k, budget):
     """The recursive search kernel, kept as the reference for the iterative
     one: same ``(found, mask, nodes, exhausted)`` for every input.  It
@@ -73,6 +84,63 @@ def reference_search(universe, constraints, k, budget):
         for c in groups[pos]:
             if not c & chosen:
                 return False
+        return walk(pos + 1, chosen, count)
+
+    try:
+        ok = walk(0, 0, 0)
+    except _Exhausted:
+        return False, 0, nodes, True
+    return ok, found_mask, nodes, False
+
+
+def brute_force_pack(universe, constraints):
+    """``pack[p]``: the most constraints inside ``[p, universe)`` whose
+    [lowest bit, top bit] spans are pairwise disjoint, by enumerating every
+    such family as a chain of spans in ascending order."""
+    spans = sorted(
+        {((c & -c).bit_length() - 1, c.bit_length() - 1) for c in constraints}
+    )
+    best = [0] * (universe + 1)  # largest family whose lowest bit is p
+
+    def extend(first, last_top, size):
+        best[first] = max(best[first], size)
+        for lo, hi in spans:
+            if lo > last_top:
+                extend(first, hi, size + 1)
+
+    for lo, hi in spans:
+        extend(lo, hi, 1)
+    return [max(best[p:]) for p in range(universe + 1)]
+
+
+def reference_pruned_search(universe, constraints, k, budget):
+    """``reference_search`` with the kernel's suffix packing bound: a node
+    with ``count + pack[pos] > k`` is a dead end.  Same
+    ``(found, mask, nodes, exhausted)`` as the kernel for every input."""
+    groups = _group_by_top_bit(universe, constraints)
+    pack = brute_force_pack(universe, constraints)
+    nodes = 0
+    found_mask = 0
+
+    class _Exhausted(Exception):
+        pass
+
+    def walk(pos, chosen, count):
+        nonlocal nodes, found_mask
+        nodes += 1
+        if nodes > budget:
+            raise _Exhausted
+        if count == k:
+            if any(not c & chosen for c in constraints):
+                return False
+            found_mask = chosen
+            return True
+        if count + (universe - pos) < k or count + pack[pos] > k:
+            return False
+        if walk(pos + 1, chosen | (1 << pos), count + 1):
+            return True
+        if any(not c & chosen for c in groups[pos]):
+            return False
         return walk(pos + 1, chosen, count)
 
     try:

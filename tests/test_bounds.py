@@ -1,11 +1,14 @@
 """Bound arithmetic and report assembly."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import pendant_free_unions, random_connected_pendant_free
 from edgeid.bounds import (
+    _line_graph_exceptions,
     bounds_report,
     conjecture_check,
     connected_code_max_edges,
@@ -17,7 +20,7 @@ from edgeid.bounds import (
     sqrt_lower_ceiling,
     upper_bounds,
 )
-from edgeid.graph_core import Graph
+from edgeid.graph_core import Graph, isomorphic, line_graph
 
 
 def complete(n):
@@ -139,6 +142,38 @@ def test_bounds_report_upper_gates():
     by_name7 = {e.name: e for e in rep7.entries}
     assert by_name7["dense-average-degree"].applicable
     assert by_name7["dense-average-degree"].value == 18
+
+
+def test_identified_universe_entries_match_line_graph():
+    # the report counts line-graph edges from the degrees; restate both
+    # entries from the line graph itself
+    rng = random.Random(5)
+    graphs = pendant_free_unions(8) + [
+        random_connected_pendant_free(rng, 14) for _ in range(30)
+    ]
+    for g in graphs:
+        lg, _ = line_graph(g)
+        if lg.m >= 2:
+            exceptional = lg.n <= 6 and any(
+                isomorphic(lg, h) for h in _line_graph_exceptions())
+            reason = "line graph is one of the six extremal exceptions"
+            expect = [
+                ("identified-universe-minus-1", g.m - 1, "upper", True, ""),
+                ("identified-universe-minus-2", g.m - 2, "upper", not exceptional,
+                 reason if exceptional else ""),
+            ]
+        else:
+            reason = "line graph has fewer than two edges"
+            expect = [
+                ("identified-universe-minus-1", g.m - 1, "upper", False, reason),
+                ("identified-universe-minus-2", g.m - 2, "upper", False, reason),
+            ]
+        got = [
+            (e.name, e.value, e.direction, e.applicable, e.reason)
+            for e in bounds_report(g).entries
+            if e.name.startswith("identified-universe")
+        ]
+        assert got == expect, g.edges
 
 
 def test_bounds_report_empty_graph():

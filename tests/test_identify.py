@@ -124,6 +124,19 @@ def test_separation_witness():
         separation_witness(g, c, 1, 1)
 
 
+def test_edge_index_out_of_range():
+    # -1 must not index from the end, and m must not reach past it
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    c = EdgeSet.from_indices(g, [0, 2])
+    for bad in (-1, g.m):
+        with pytest.raises(ValueError, match=f"edge index {bad} out of range"):
+            g.edge_mask(bad)
+        with pytest.raises(ValueError, match=f"edge index {bad} out of range"):
+            separation_witness(g, c, bad, 0)
+        with pytest.raises(ValueError, match=f"edge index {bad} out of range"):
+            separation_witness(g, c, 0, bad)
+
+
 @settings(max_examples=150, deadline=None)
 @given(graph_and_subset())
 def test_separation_witness_consistent_with_verify(gs):

@@ -1,4 +1,4 @@
-"""Search kernel: correctness, parity with the recursive reference, budget
+"""Search kernel: correctness, parity with the recursive references, budget
 accounting, depth."""
 
 import itertools
@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_search
-from edgeid._search import _group_by_top_bit, search_exact_size
+from conftest import _group_by_top_bit, reference_pruned_search, reference_search
+from edgeid._search import ConstraintSystem, search_exact_size
 from edgeid.families import standard_graph
-from edgeid.solver import SolveOptions, min_edge_code
+from edgeid.solver import SolveOptions, _constraints_from_masks, min_edge_code
 
 
 def brute_force(universe, constraints, k):
@@ -38,10 +38,14 @@ def random_instance(rng, max_universe=14):
 def test_group_by_top_bit_validation():
     groups = _group_by_top_bit(4, [0b1010, 0b0001])
     assert groups[3] == [0b1010] and groups[0] == [0b0001]
-    with pytest.raises(ValueError):
-        _group_by_top_bit(4, [0])
-    with pytest.raises(ValueError):
-        _group_by_top_bit(3, [0b1000])
+    # the kernel rejects the same masks as the reference, with the same text
+    for check in (_group_by_top_bit, lambda u, cs: search_exact_size(u, cs, 1, 10)):
+        with pytest.raises(ValueError, match="constraint masks must be nonzero"):
+            check(4, [0b1, 0])
+        with pytest.raises(ValueError, match="constraint mask exceeds the universe"):
+            check(3, [0b1, 0b1000])
+    with pytest.raises(ValueError, match="another universe"):
+        search_exact_size(5, ConstraintSystem(4, [0b1]), 1, 10)
 
 
 def test_python_kernel_finds_lex_least():
@@ -75,11 +79,18 @@ def constraint_systems(draw):
 @given(constraint_systems())
 def test_kernel_matches_recursive_reference(system):
     universe, constraints = system
+    prepared = ConstraintSystem(universe, constraints)
     for k in range(universe + 2):
         for budget in BUDGETS:
-            expect = reference_search(universe, constraints, k, budget)
             got = search_exact_size(universe, constraints, k, budget)
-            assert got == expect, (k, budget)
+            # the recursive restatement of the pruned search, node for node
+            assert got == reference_pruned_search(universe, constraints, k, budget), (
+                k, budget)
+            assert search_exact_size(universe, prepared, k, budget) == got
+            # pruning keeps the answer of the unpruned search, in fewer nodes
+            plain = reference_search(universe, constraints, k, budget)
+            if not got[3] and not plain[3]:
+                assert got[:2] == plain[:2] and got[2] <= plain[2], (k, budget)
 
 
 def test_deep_universe_does_not_recurse():
@@ -99,13 +110,18 @@ def test_deep_universe_does_not_recurse():
 def test_budget_exhaustion_reported():
     universe = 12
     constraints = [1 << i for i in range(universe)]  # forces the full set
-    found, mask, nodes, exhausted = search_exact_size(universe, constraints, 6, 5)
-    assert not found and exhausted
+    # twelve disjoint singletons need twelve elements: refuted at the root
+    assert search_exact_size(universe, constraints, 6, 5) == (False, 0, 1, False)
+    # Q_4 has no code of size 7, and the refutation takes more than 5 nodes
+    q4 = standard_graph("hypercube", 4)
+    q4_constraints = _constraints_from_masks(q4.all_edge_masks())
+    found, mask, nodes, exhausted = search_exact_size(q4.m, q4_constraints, 7, 5)
+    assert not found and exhausted and mask == 0
     # the node that crossed the line is counted, so the total is budget + 1
     assert nodes == 6
     # with room to finish, the proof of absence is exact
-    found, _, _, exhausted = search_exact_size(universe, constraints, 6, 10**6)
-    assert not found and not exhausted
+    found, _, nodes, exhausted = search_exact_size(q4.m, q4_constraints, 7, 10**6)
+    assert not found and not exhausted and nodes > 6
 
 
 def test_node_budget_monotone_python():

@@ -11,6 +11,7 @@ from conftest import (
     naive_shrink,
     random_connected_pendant_free,
 )
+from edgeid.families import standard_graph
 from edgeid.graph_core import EdgeSet, Graph, line_graph, pendant_pairs
 from edgeid.identify import verify_edge_code, verify_vertex_code, vertex_closed_masks
 from edgeid.solver import (
@@ -76,6 +77,22 @@ def test_lower_bound_is_reported_on_optimal():
     name, value = res.lower_bound_used
     # half-order and edge-count-inverse tie at 5; the first candidate wins
     assert value == 5 and name == "half-order"
+
+
+@pytest.mark.parametrize(
+    "kind, params, size, nodes",
+    [
+        ("petersen", None, 5, 387),
+        ("complete", 7, 6, 3689),
+        ("complete_bipartite", (4, 5), 7, 26192),
+        ("cycle", 30, 15, 3676),
+    ],
+)
+def test_node_counts_are_pinned(kind, params, size, nodes):
+    # node counts are deterministic: a pruning change that moves one must
+    # update the pin and say why
+    res = min_edge_code(standard_graph(kind, params))
+    assert (res.status, res.size, res.nodes_used) == ("Optimal", size, nodes)
 
 
 def test_budget_exhaustion_and_hint_fallback():
