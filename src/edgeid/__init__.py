@@ -34,6 +34,7 @@ from .graph_core import (
     Graph,
     GraphBuilder,
     Multigraph,
+    RejectedInput,
     closed_edge_neighborhood,
     connected_components,
     girth,

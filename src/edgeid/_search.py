@@ -55,7 +55,7 @@ returns not-found without exhaustion is a proof that no k-subset hits
 every constraint.
 """
 
-from .graph_core import bits, mask_of
+from .graph_core import bits
 
 
 class ConstraintSystem:
@@ -70,24 +70,21 @@ class ConstraintSystem:
             raise ValueError("constraint masks must be nonzero")
         if masks and masks[-1].bit_length() > universe:
             raise ValueError("constraint mask exceeds the universe")
-        members = [[] for _ in range(universe)]
-        below = [0] * (universe + 1)  # constraints with top bit below p
+        hits = [0] * universe
+        tops = [0] * universe
         shortest = [universe] * universe  # least top bit per lowest bit
         for i, c in enumerate(masks):
+            bit = 1 << i
             top = c.bit_length() - 1
-            below[top + 1] = i + 1
+            tops[top] |= bit
             low = (c & -c).bit_length() - 1
             shortest[low] = min(shortest[low], top)
             for q in bits(c >> low):
-                members[low + q].append(i)
-        for p in range(universe):
-            below[p + 1] = max(below[p + 1], below[p])
+                hits[low + q] |= bit
         self.universe = universe
         self.full = (1 << len(masks)) - 1
-        self.hits = [mask_of(ids, len(masks)) for ids in members]
-        self.tops = [
-            (1 << below[p + 1]) - (1 << below[p]) for p in range(universe)
-        ]
+        self.hits = hits
+        self.tops = tops
         pack = [0] * (universe + 1)
         for p in range(universe - 1, -1, -1):
             pack[p] = pack[p + 1]

@@ -9,8 +9,7 @@ edge-identifying code number.
 import math
 from dataclasses import dataclass
 
-from .graph_core import (Graph, connected_components, isomorphic, line_graph,
-                         pendant_pairs)
+from .graph_core import connected_components, pendant_pairs
 
 
 @dataclass
@@ -143,24 +142,13 @@ def sqrt_lower_ceiling(m):
     return j
 
 
-_EXCEPTION_GRAPHS = None
-
-
-def _line_graph_exceptions():
-    """The six identified graphs that escape the order-minus-2 bound."""
-    global _EXCEPTION_GRAPHS
-    if _EXCEPTION_GRAPHS is None:
-        p3 = Graph(3, [(0, 1), (1, 2)])
-        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        p4_join = Graph(5, [(0, 1), (1, 2), (2, 3),
-                            (4, 0), (4, 1), (4, 2), (4, 3)])
-        c4_join = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3),
-                            (4, 0), (4, 1), (4, 2), (4, 3)])
-        k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        lk4, _ = line_graph(k4)
-        _EXCEPTION_GRAPHS = (p3, p4, c4, p4_join, c4_join, lk4)
-    return _EXCEPTION_GRAPHS
+# Line-graph degree sequences of the six identified graphs that escape the
+# order-minus-2 bound: P_3, P_4, C_4, P_4 and C_4 each joined to an apex,
+# and L(K_4).  Each is the only graph of its order with its sequence.
+_EXCEPTION_DEGREES = frozenset([
+    (1, 1, 2), (1, 1, 2, 2), (2, 2, 2, 2), (2, 2, 3, 3, 4), (3, 3, 3, 3, 4),
+    (4, 4, 4, 4, 4, 4),
+])
 
 
 def _is_k4(g):
@@ -212,16 +200,14 @@ def bounds_report(g):
                 "needs n >= 3 and g neither complete on 4 nor that minus an edge"))
 
         # The line graph has a vertex per edge and an edge per pair of
-        # edges at a vertex.  Only the six exceptions, all on at most six
-        # vertices, need it built.
+        # edges at a vertex; vertex uv of it has degree deg u + deg v - 2.
+        # The six exceptions all have at most six vertices.
         if sum(d * (d - 1) // 2 for d in map(g.degree, range(n))) >= 2:
             entries.append(BoundEntry("identified-universe-minus-1", m - 1,
                                       "upper", True))
-            exceptional = False
-            if m <= 6:
-                lg, _ = line_graph(g)
-                exceptional = any(
-                    isomorphic(lg, h) for h in _line_graph_exceptions())
+            exceptional = m <= 6 and tuple(sorted(
+                g.degree(u) + g.degree(v) - 2 for u, v in g.edges
+            )) in _EXCEPTION_DEGREES
             if not exceptional:
                 entries.append(BoundEntry("identified-universe-minus-2",
                                           m - 2, "upper", True))

@@ -17,6 +17,7 @@ from .bounds import bounds_report
 from .graph_core import (
     EdgeSet,
     FormatError,
+    RejectedInput,
     line_graph,
     read_code_file,
     read_edge_list,
@@ -114,13 +115,7 @@ def cmd_solve(args):
     budget = args.budget if args.budget is not None else _default_budget()
     if budget < 1:
         raise _UsageError("budget must be positive")
-    opts = SolveOptions(budget=budget, upper_hint=hint)
-    try:
-        result = min_edge_code(g, opts)
-    except ValueError as exc:
-        # a rejected hint is a failed verification, not a usage slip
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAIL
+    result = min_edge_code(g, SolveOptions(budget=budget, upper_hint=hint))
     size = result.size if result.size is not None else "-"
     print(f"size {size} status {result.status}")
     if result.lower_bound_used is not None:
@@ -134,11 +129,7 @@ def cmd_solve(args):
 
 def cmd_approx(args):
     g, _, _ = read_edge_list(_read_text(args.graph))
-    try:
-        code = approx_edge_code(g)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAIL
+    code = approx_edge_code(g)
     print(f"size {len(code)}")
     for i in code.indices():
         print(f"c {i}")
@@ -190,7 +181,13 @@ def _family_instance(args):
 
 
 def cmd_family(args):
-    inst = _family_instance(args)
+    try:
+        inst = _family_instance(args)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        # the family constructors reject bad parameters with ValueError
+        raise _UsageError(str(exc)) from None
     code = None
     comments = []
     if args.with_code:
@@ -239,11 +236,7 @@ def cmd_reduce(args):
             raise FormatError(
                 f"{args.assignment}: assignment entries must be 0 or 1"
             ) from None
-        try:
-            code = sorted(assignment_to_code(inst, asg).indices())
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_FAIL
+        code = sorted(assignment_to_code(inst, asg).indices())
     if args.labels is not None:
         with open(args.labels, "w", encoding="utf-8") as fh:
             fh.write(labels_to_text(inst.labels))
@@ -316,10 +309,11 @@ def main(argv=None):
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except RejectedInput as exc:
+        # a failed verification, not a usage slip
+        print(str(exc), file=sys.stderr)
+        return EXIT_FAIL
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -14,6 +14,10 @@ class FormatError(ValueError):
     """Raised when an edge-list or code file cannot be parsed."""
 
 
+class RejectedInput(ValueError):
+    """Raised when well-formed input fails its check, as a non-code hint does."""
+
+
 def bits(mask):
     """Positions of the set bits of ``mask``, ascending."""
     out = []
@@ -34,11 +38,13 @@ def mask_of(indices, size):
     return mask
 
 
-class Graph:
-    """Immutable simple graph with stably indexed edges.
+class Multigraph:
+    """Immutable loopless multigraph with stably indexed edges.
 
     Vertices are 0..n-1.  Edges keep construction order; each is normalized
-    to (u, v) with u < v.  Duplicate edges and self-loops are rejected.
+    to (u, v) with u < v.  Self-loops are rejected and parallel edges kept,
+    so a multigraph can be the input of a subdivision.  ``neighbors`` lists
+    a vertex once per edge to it.
     """
 
     def __init__(self, n, edges):
@@ -46,28 +52,54 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
         norm = []
-        seen = set()
-        for u, v in edges:
+        adj = [[] for _ in range(n)]
+        inc = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        self.edges = tuple(norm)
-        self._index = {e: i for i, e in enumerate(self.edges)}
-        adj = [[] for _ in range(n)]
-        inc = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(self.edges):
+            if u > v:
+                u, v = v, u
+            norm.append((u, v))
             adj[u].append(v)
             adj[v].append(u)
             inc[u].append(i)
             inc[v].append(i)
+        self.edges = tuple(norm)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._inc = tuple(tuple(a) for a in inc)
+
+    @property
+    def m(self):
+        return len(self.edges)
+
+    def degree(self, v):
+        return len(self._inc[v])
+
+    def neighbors(self, v):
+        return self._adj[v]
+
+    def incident_edges(self, v):
+        """Indices of edges incident to v, in edge-index order."""
+        return self._inc[v]
+
+    def is_regular(self, k):
+        return all(len(inc) == k for inc in self._inc)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, m={self.m})"
+
+
+class Graph(Multigraph):
+    """Immutable simple graph: a multigraph without parallel edges."""
+
+    def __init__(self, n, edges):
+        super().__init__(n, edges)
+        self._index = {}
+        for i, e in enumerate(self.edges):
+            if self._index.setdefault(e, i) != i:
+                raise ValueError(f"duplicate edge {e}")
         self._edge_masks = None
         self.fingerprint = (n, len(self.edges), hash(self.edges))
 
@@ -80,20 +112,6 @@ class Graph:
             self._edge_masks = tuple(
                 vert_mask[u] | vert_mask[v] for u, v in self.edges
             )
-
-    @property
-    def m(self):
-        return len(self.edges)
-
-    def degree(self, v):
-        return len(self._adj[v])
-
-    def neighbors(self, v):
-        return self._adj[v]
-
-    def incident_edges(self, v):
-        """Indices of edges incident to v, in edge-index order."""
-        return self._inc[v]
 
     def edge_index(self, u, v):
         e = (u, v) if u < v else (v, u)
@@ -114,59 +132,16 @@ class Graph:
         self._ensure_masks()
         return self._edge_masks
 
-    def __repr__(self):
-        return f"Graph(n={self.n}, m={self.m})"
-
-
-class Multigraph:
-    """Loopless multigraph: parallel edges allowed, used as subdivision input."""
-
-    def __init__(self, n, edges):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        self.n = n
-        norm = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            norm.append((u, v) if u < v else (v, u))
-        self.edges = tuple(norm)
-        deg = [0] * n
-        inc = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(self.edges):
-            deg[u] += 1
-            deg[v] += 1
-            inc[u].append(i)
-            inc[v].append(i)
-        self._deg = tuple(deg)
-        self._inc = tuple(tuple(a) for a in inc)
-
-    @property
-    def m(self):
-        return len(self.edges)
-
-    def degree(self, v):
-        return self._deg[v]
-
-    def incident_edges(self, v):
-        return self._inc[v]
-
-    def is_regular(self, k):
-        return all(d == k for d in self._deg)
-
-    def __repr__(self):
-        return f"Multigraph(n={self.n}, m={self.m})"
-
 
 class GraphBuilder:
-    """Mutable helper for assembling a Graph vertex by vertex."""
+    """Mutable helper for assembling a Graph vertex by vertex.
+
+    Edges are checked only when ``to_graph`` hands them to ``Graph``.
+    """
 
     def __init__(self):
         self.n = 0
         self.edges = []
-        self._seen = set()
 
     def add_vertex(self):
         v = self.n
@@ -180,15 +155,7 @@ class GraphBuilder:
 
     def add_edge(self, u, v):
         """Add edge u-v, returning its index in the final graph."""
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u},{v}) references unknown vertex")
-        e = (u, v) if u < v else (v, u)
-        if e in self._seen:
-            raise ValueError(f"duplicate edge {e}")
-        self._seen.add(e)
-        self.edges.append(e)
+        self.edges.append((u, v))
         return len(self.edges) - 1
 
     def to_graph(self):
@@ -577,6 +544,26 @@ def isomorphic(g1, g2):
     return extend(0)
 
 
+def _data_lines(text):
+    """``(lineno, fields)`` of each line with data; ``#`` starts a comment."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split()
+        if parts:
+            yield lineno, parts
+
+
+def _code_index(lineno, parts):
+    """The edge index of a ``c <edge index>`` line split into ``parts``."""
+    if parts[0] != "c" or len(parts) != 2:
+        raise FormatError(f"line {lineno}: expected 'c <edge index>'")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise FormatError(f"line {lineno}: bad code index") from None
+
+
 def _parse_edge_list(text):
     """Parse the edge-list format into ``(n, edges, code, k)``.
 
@@ -589,13 +576,7 @@ def _parse_edge_list(text):
     edges = []
     code = []
     kval = None
-    saw_code = False
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        parts = line.split()
-        if not parts:
-            continue
+    for lineno, parts in _data_lines(text):
         if header is None:
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: expected 'n m' header")
@@ -605,13 +586,7 @@ def _parse_edge_list(text):
                 raise FormatError(f"line {lineno}: non-integer header") from None
             continue
         if parts[0] == "c":
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: expected 'c <edge index>'")
-            try:
-                code.append(int(parts[1]))
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad code index") from None
-            saw_code = True
+            code.append(_code_index(lineno, parts))
             continue
         if parts[0] == "k":
             if len(parts) != 2 or kval is not None:
@@ -638,7 +613,7 @@ def _parse_edge_list(text):
     for i in code:
         if not 0 <= i < m:
             raise FormatError(f"code index {i} out of range")
-    return n, edges, (code if saw_code else None), kval
+    return n, edges, code or None, kval
 
 
 def read_edge_list(text):
@@ -681,19 +656,10 @@ def write_edge_list(g, code=None, k=None, comments=()):
 
 
 def read_code_file(text, m):
-    """Parse a code file: one ``c <edge index>`` line per code edge."""
+    """Parse a code file of ``c <edge index>`` lines and ``#`` comments."""
     indices = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] != "c" or len(parts) != 2:
-            raise FormatError(f"line {lineno}: expected 'c <edge index>'")
-        try:
-            i = int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad code index") from None
+    for lineno, parts in _data_lines(text):
+        i = _code_index(lineno, parts)
         if not 0 <= i < m:
             raise FormatError(f"line {lineno}: code index {i} out of range")
         indices.append(i)

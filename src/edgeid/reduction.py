@@ -35,7 +35,7 @@ codes, are unaffected, while the totals and labels stay exact:
 
 from dataclasses import dataclass
 
-from .graph_core import EdgeSet, FormatError, Graph, GraphBuilder
+from .graph_core import EdgeSet, FormatError, Graph, GraphBuilder, RejectedInput
 from .identify import verify_edge_code
 
 
@@ -219,10 +219,10 @@ def assignment_to_code(inst, asg):
     f = inst.formula
     asg = tuple(bool(b) for b in asg)
     if len(asg) != f.num_vars:
-        raise ValueError(f"assignment length {len(asg)}, want {f.num_vars}")
+        raise RejectedInput(f"assignment length {len(asg)}, want {f.num_vars}")
     for i, clause in enumerate(f.clauses):
         if not any(asg[v] == s for v, s in clause):
-            raise ValueError(f"assignment does not satisfy clause {i}")
+            raise RejectedInput(f"assignment does not satisfy clause {i}")
     lam, mu = _shape(inst)
     labels = inst.labels
     chosen = set()

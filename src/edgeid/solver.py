@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from ._search import ConstraintSystem, search_exact_size
 from .bounds import log_lower, solver_lower_bound
-from .graph_core import EdgeSet, bits, mask_of, pendant_pairs, vertex_closed_masks
+from .graph_core import (EdgeSet, RejectedInput, bits, mask_of, pendant_pairs,
+                         vertex_closed_masks)
 from .identify import verify_edge_code, verify_vertex_code
 
 DEFAULT_BUDGET = 10**8
@@ -133,7 +134,7 @@ def min_edge_code(g, options=None):
             hint = EdgeSet.from_indices(g, hint)
         hint.check_owner(g)
         if not verify_edge_code(g, hint).is_code:
-            raise ValueError("upper_hint is not an edge-identifying code")
+            raise RejectedInput("upper_hint is not an edge-identifying code")
         hint_mask = hint.mask
         hint_len = len(hint)
     status, mask, size, bound_used, nodes = _solve_masks(
@@ -162,7 +163,7 @@ def min_vertex_code(g, options=None):
     if opts.upper_hint is not None:
         hint_mask = mask_of(opts.upper_hint, g.n)
         if not verify_vertex_code(g, bits(hint_mask)).is_code:
-            raise ValueError("upper_hint is not an identifying code")
+            raise RejectedInput("upper_hint is not an identifying code")
         hint_len = hint_mask.bit_count()
     status, mask, size, bound_used, nodes = _solve_masks(
         g.n, masks, (log_lower(g.n), "log-universe"), opts.budget,
@@ -210,8 +211,8 @@ def approx_edge_code(g):
     On pendant-free graphs the result is at most four times optimal: each
     component holds at least half its order as a lower bound, while a
     minimal code never exceeds twice the order less three.  Raises
-    ValueError when no code exists.
+    RejectedInput when no code exists.
     """
     if pendant_pairs(g):
-        raise ValueError("graph has a pendant pair, no edge-identifying code exists")
+        raise RejectedInput("graph has a pendant pair, no edge-identifying code exists")
     return shrink_to_minimal(g, EdgeSet.full(g))

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import pendant_free_unions, random_connected_pendant_free
 from edgeid.bounds import (
-    _line_graph_exceptions,
     bounds_report,
     conjecture_check,
     connected_code_max_edges,
@@ -151,11 +150,19 @@ def test_identified_universe_entries_match_line_graph():
     graphs = pendant_free_unions(8) + [
         random_connected_pendant_free(rng, 14) for _ in range(30)
     ]
+    # the six identified graphs that escape the order-minus-2 bound
+    exceptions = [
+        Graph(3, [(0, 1), (1, 2)]),
+        Graph(4, [(0, 1), (1, 2), (2, 3)]),
+        Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        Graph(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)]),
+        Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 0), (4, 1), (4, 2), (4, 3)]),
+        line_graph(complete(4))[0],
+    ]
     for g in graphs:
         lg, _ = line_graph(g)
         if lg.m >= 2:
-            exceptional = lg.n <= 6 and any(
-                isomorphic(lg, h) for h in _line_graph_exceptions())
+            exceptional = lg.n <= 6 and any(isomorphic(lg, h) for h in exceptions)
             reason = "line graph is one of the six extremal exceptions"
             expect = [
                 ("identified-universe-minus-1", g.m - 1, "upper", True, ""),

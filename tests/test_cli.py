@@ -149,6 +149,23 @@ class TestSolve:
         assert out == ""
         assert err.splitlines()[-1] == "internal error: RuntimeError: kernel fault"
 
+    @pytest.mark.parametrize("command, target", [
+        ("solve", "edgeid.solver._constraints_from_masks"),
+        ("approx", "edgeid.solver.shrink_to_minimal"),
+    ])
+    def test_internal_value_error_is_internal(self, run_cli, tmp_path, monkeypatch,
+                                              command, target):
+        # a ValueError raised inside edgeid is a fault, not a rejected input
+        def broken(*args):
+            raise ValueError("kernel fault")
+
+        monkeypatch.setattr(target, broken)
+        gpath = graph_file(tmp_path, standard_graph("cycle", 5))
+        status, out, err = run_cli([command, gpath])
+        assert status == EXIT_INTERNAL
+        assert out == ""
+        assert err.splitlines()[-1] == "internal error: ValueError: kernel fault"
+
 
 class TestApprox:
     def test_petersen(self, run_cli, tmp_path):
@@ -258,6 +275,11 @@ class TestFamily:
     def test_no_code_for_kind(self, run_cli):
         status, _, err = run_cli(["family", "path", "5", "--with-code"])
         assert status == 2
+
+    def test_bad_family_parameter_is_usage_error(self, run_cli):
+        status, out, err = run_cli(["family", "cycle", "2"])
+        assert status == 2 and out == ""
+        assert err == "usage error: cycle needs n >= 3\n"
 
     def test_missing_params(self, run_cli):
         status, _, _ = run_cli(["family", "matching"])

@@ -166,6 +166,74 @@ def test_multigraph_allows_parallel_edges():
         read_edge_list(text)  # a simple graph has no parallel edges
 
 
+@st.composite
+def edge_lists(draw):
+    """``(n, edges, fault)``: a random simple edge list, in either endpoint
+    order, with at most one injected fault at a random position."""
+    n = draw(st.integers(1, 7))
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=10)) if pool else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    fault = draw(st.sampled_from([None, "out of range for n=", "self-loop at vertex",
+                                  "duplicate edge"]))
+    if fault == "duplicate edge" and not edges:
+        fault = None
+    if fault is not None:
+        if fault == "out of range for n=":
+            bad = (draw(st.sampled_from([-1, n])), draw(st.integers(-1, n)))
+            bad = bad[::-1] if draw(st.booleans()) else bad
+        elif fault == "self-loop at vertex":
+            v = draw(st.integers(0, n - 1))
+            bad = (v, v)
+        else:
+            bad = draw(st.sampled_from(edges))[::-1]
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges, fault
+
+
+def _built(make):
+    try:
+        return make(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _via_builder(n, edges):
+    b = GraphBuilder()
+    b.add_vertices(n)
+    assert [b.add_edge(u, v) for u, v in edges] == list(range(len(edges)))
+    return b.to_graph()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_graph_builder_and_multigraph_check_edges_alike(case):
+    n, edges, fault = case
+    g, err = _built(lambda: Graph(n, edges))
+    assert _built(lambda: _via_builder(n, edges))[1] == err
+    mg, mg_err = _built(lambda: Multigraph(n, edges))
+    if fault is None:
+        assert err is None
+    else:
+        assert fault in err
+    if fault == "duplicate edge":
+        assert mg_err is None
+    else:
+        assert mg_err == err
+    if g is None:
+        return
+    h = _via_builder(n, edges)
+    for simple in (g, h):
+        assert simple.edges == mg.edges
+        assert simple.m == mg.m
+        for v in range(n):
+            assert simple.degree(v) == mg.degree(v)
+            assert simple.incident_edges(v) == mg.incident_edges(v)
+            assert simple.neighbors(v) == mg.neighbors(v)
+    assert repr(g) == f"Graph(n={n}, m={g.m})"
+    assert repr(mg) == f"Multigraph(n={n}, m={g.m})"
+
+
 def test_graph_builder_tracks_indices():
     b = GraphBuilder()
     u = b.add_vertex()
@@ -402,6 +470,24 @@ def test_read_code_file():
         read_code_file("c 7\n", 3)
     with pytest.raises(FormatError):
         read_code_file("0\n", 3)
+
+
+def test_code_lines_parse_alike_in_both_readers():
+    # The same c line at line 5 of a code file and of an edge list gives
+    # the same index or the same error.
+    shape = "line 5: expected 'c <edge index>'"
+    bad_index = "line 5: bad code index"
+    for line, expect in [("c 1", [1]), ("c 2 # first", [2]), ("\tc 0\t#", [0]),
+                         ("c 1#x", [1]), ("c", shape), ("c 1 2", shape),
+                         ("c # 1", shape), ("c x", bad_index), ("c 1.5", bad_index)]:
+        results = []
+        for read, head in [(lambda t: read_code_file(t, 3), "# code\n\n#\n  # x\n"),
+                           (lambda t: read_edge_list(t)[1], "3 3\n0 1\n1 2\n0 2\n")]:
+            try:
+                results.append(read(head + line + "\n"))
+            except FormatError as exc:
+                results.append(str(exc))
+        assert results == [expect, expect], line
 
 
 @settings(max_examples=60, deadline=None)
