@@ -40,6 +40,7 @@ from .reduction import (
     assignment_to_code,
     build_reduction,
     build_reduction_girth,
+    check_girth_params,
     labels_to_text,
     read_dimacs,
     validate_formula,
@@ -222,9 +223,10 @@ def cmd_reduce(args):
     if args.girth is not None:
         lam, mu = args.girth
         try:
-            inst = build_reduction_girth(formula, lam, mu)
+            check_girth_params(lam, mu)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
+        inst = build_reduction_girth(formula, lam, mu)
     else:
         inst = build_reduction(formula)
     code = None

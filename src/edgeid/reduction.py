@@ -196,10 +196,15 @@ def build_reduction(f):
     return _build(f, 1, 2, "base")
 
 
-def build_reduction_girth(f, lam, mu):
-    """Stretched instance with girth at least min(4*mu, 8*(lambda+1))."""
+def check_girth_params(lam, mu):
+    """Raise ValueError unless ``(lam, mu)`` is a valid stretch."""
     if lam < 1 or mu < 2:
         raise ValueError("need lambda >= 1 and mu >= 2")
+
+
+def build_reduction_girth(f, lam, mu):
+    """Stretched instance with girth at least min(4*mu, 8*(lambda+1))."""
+    check_girth_params(lam, mu)
     return _build(f, lam, mu, (lam, mu))
 
 

@@ -7,11 +7,18 @@ difference of every pair of closed neighborhoods (separation).  Pairs
 with disjoint neighborhoods are separated by domination alone, so only
 intersecting pairs contribute constraints.
 
-Search runs at a fixed size k, starting from an analytic lower bound and
-growing k until a hit.  The first success is therefore an optimum, and
-within each size the kernel returns the lexicographically least code.
-A node budget caps the total work; runs that exhaust it fall back to a
-verified hint when one was supplied.
+The search is a Russian-doll search over the edge indices.  A suffix
+pass first computes, from the right, the exact optimum of each suffix
+subproblem: the fewest positions in ``[p, m)`` that hit every constraint
+lying inside that range.  Suffix optima grow by at most one per step,
+so each is settled by a lower bound, by a witness of its right
+neighbour, or by one kernel search at the neighbour's value, which the
+optima already found prune.  The optimum of the whole instance is then the optimum ``f`` of
+the suffix from 1, or ``f + 1``: the sweep searches at most these two
+sizes, starting from the larger of ``f`` and an analytic lower bound.
+Within a size the kernel returns the lexicographically least code.  A
+node budget caps the total work over both phases; runs that exhaust it
+fall back to a verified hint when one was supplied.
 """
 
 from dataclasses import dataclass
@@ -74,43 +81,120 @@ def _constraints_from_masks(masks):
     return sorted(cons)
 
 
-def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
-    """Shared size sweep.  Returns ``(status, mask, size, bound_used, nodes)``.
+def _suffix_pass(system, lower, cap, budget):
+    """Raise ``system.floor[p]`` to the exact suffix optimum for ``p >= 1``.
 
-    The sweep starts at ``lower``, a ``(value, name)`` analytic bound.  The
-    caller has excluded twins and verified the hint.  Without a hint the
-    sweep is capped at the full universe, which is always a code here, so
-    it cannot fall through.  Constraints are built and prepared for the
-    kernel on the first search, once for every size, so a hint that the
-    lower bound already certifies costs no build.
+    Write ``h[p]`` for the fewest positions in ``[p, universe)`` hitting
+    every constraint whose lowest bit is at least ``p``.  Then ``h[p+1] <=
+    h[p] <= h[p+1] + 1``, the packing seed is at most ``h[p]``, and
+    ``h[p] >= lower - p`` since any suffix solution plus the positions
+    below ``p`` is a code.  So ``h[p]`` is ``h[p+1] + 1`` when a seed
+    says so, ``h[p+1]`` when the witness of ``h[p+1]`` hits the
+    constraints with lowest bit ``p``, and otherwise the outcome of one
+    suffix search at ``h[p+1]``.  The pass stops early once a floor
+    exceeds ``cap``, since every size up to ``cap`` is then refuted, and
+    leaves that floor at ``floor[1]``.
+
+    Returns ``(first, nodes, exhausted)``.  ``first`` is the subset the
+    search at ``p = 1`` found, the lex-least of size ``h[1]`` in
+    ``[1, universe)``, or None when that value needed no search.
+    """
+    floor = system.floor
+    hits = system.hits
+    lows = system.lows
+    above = 0  # constraints whose lowest bit is at least p
+    covered = 0  # the constraints that a witness of floor[p + 1] hits
+    first = None
+    nodes = 0
+    for p in range(system.universe - 1, 0, -1):
+        low = lows[p]
+        above |= low
+        k = floor[p + 1]
+        if max(floor[p], lower - p) > k:
+            k += 1  # the witness plus p
+            covered |= hits[p]
+        elif covered & low != low:
+            if nodes >= budget:
+                return None, nodes, True
+            found, mask, used, exhausted = search_exact_size(
+                system.universe, system, k, budget - nodes, p,
+                system.full ^ above
+            )
+            nodes += used
+            if exhausted:
+                return None, nodes, True
+            if found:
+                covered = 0
+                for q in bits(mask):
+                    covered |= hits[q]
+                if p == 1:
+                    first = mask
+            else:
+                k += 1
+                covered |= hits[p]
+        floor[p] = k
+        if k > cap:
+            # h never shrinks leftwards, so this floor holds at 1 too
+            floor[1] = max(floor[1], k)
+            break
+    return first, nodes, False
+
+
+def _sweep(system, lower, cap, budget):
+    """Lex-least minimum hitting set of ``system`` of size at most ``cap``.
+
+    ``lower`` is a lower bound on the optimum.  Returns ``(mask, nodes,
+    exhausted)``; ``mask`` is None when every size up to ``cap`` was
+    refuted or the budget ran out first.
+    """
+    first, nodes, exhausted = _suffix_pass(system, lower, cap, budget)
+    if exhausted:
+        return None, nodes, True
+    floor = system.floor
+    least = max(lower, floor[0], floor[1])
+    for k in (least, least + 1):
+        if k > cap:
+            break
+        if k == floor[1] + 1 and first is not None:
+            # the include-0 subtree of the search at k is the p = 1 search
+            return 1 | first, nodes, False
+        if nodes >= budget:
+            return None, nodes, True
+        found, mask, used, exhausted = search_exact_size(
+            system.universe, system, k, budget - nodes
+        )
+        nodes += used
+        if found or exhausted:
+            return (mask if found else None), nodes, exhausted
+    return None, nodes, False
+
+
+def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
+    """Shared exact solve.  Returns ``(status, mask, size, bound_used, nodes)``.
+
+    ``lower`` is a ``(value, name)`` analytic bound.  The caller has
+    excluded twins and verified the hint.  Without a hint the sweep is
+    capped at the full universe, which is always a code here, so it
+    cannot come back empty.  Constraints are built and prepared for the
+    kernel only when a search is due, so a hint that the lower bound
+    already certifies costs no build.
     """
     start, name = lower
     bound_used = (name, start)
-    system = None
     cap = hint_len - 1 if hint_mask is not None else universe
-    nodes_total = 0
-    for k in range(start, cap + 1):
-        remaining = budget - nodes_total
-        if remaining <= 0:
-            break
-        if system is None:
-            system = ConstraintSystem(universe, _constraints_from_masks(masks))
-        found, mask, nodes, exhausted = search_exact_size(
-            universe, system, k, remaining
-        )
-        nodes_total += nodes
-        if found:
-            return STATUS_OPTIMAL, mask, k, bound_used, nodes_total
-        if exhausted:
-            break
-    else:
-        if hint_mask is not None:
-            return STATUS_OPTIMAL, hint_mask, hint_len, bound_used, nodes_total
-        raise RuntimeError("size sweep fell through without a code")
-    # the budget ran out before the sweep finished
+    mask, nodes, exhausted = None, 0, False
+    if start <= cap:
+        system = ConstraintSystem(universe, _constraints_from_masks(masks))
+        mask, nodes, exhausted = _sweep(system, start, cap, budget)
+    if mask is not None:
+        return STATUS_OPTIMAL, mask, mask.bit_count(), bound_used, nodes
+    if not exhausted:
+        if hint_mask is None:
+            raise RuntimeError("size sweep fell through without a code")
+        return STATUS_OPTIMAL, hint_mask, hint_len, bound_used, nodes
     if hint_mask is not None:
-        return STATUS_FEASIBLE, hint_mask, hint_len, None, nodes_total
-    return STATUS_BUDGET, None, None, None, nodes_total
+        return STATUS_FEASIBLE, hint_mask, hint_len, None, nodes
+    return STATUS_BUDGET, None, None, None, nodes
 
 
 def min_edge_code(g, options=None):

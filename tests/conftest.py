@@ -93,6 +93,28 @@ def reference_search(universe, constraints, k, budget):
     return ok, found_mask, nodes, False
 
 
+def naive_sweep(universe, constraints, start=0):
+    """``(size, mask)`` of the lex-least minimum hitting set: the first size
+    from ``start`` up at which ``reference_search`` finds a subset."""
+    for k in range(start, universe + 1):
+        found, mask, _, _ = reference_search(universe, constraints, k, 10**9)
+        if found:
+            return k, mask
+    return None
+
+
+def brute_force_suffix_optimum(universe, constraints, p):
+    """Fewest positions in ``[p, universe)`` hitting every constraint whose
+    lowest bit is at least ``p``, by enumeration."""
+    inside = [c for c in constraints if c >> p << p == c]
+    for k in range(universe - p + 1):
+        for combo in itertools.combinations(range(p, universe), k):
+            mask = sum(1 << i for i in combo)
+            if all(mask & c for c in inside):
+                return k
+    raise AssertionError("the whole suffix hits every constraint inside it")
+
+
 def brute_force_pack(universe, constraints):
     """``pack[p]``: the most constraints inside ``[p, universe)`` whose
     [lowest bit, top bit] spans are pairwise disjoint, by enumerating every

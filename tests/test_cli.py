@@ -321,6 +321,18 @@ class TestReduce:
         status, _, _ = run_cli(["reduce", "--girth", "0", "2"], stdin=CNF)
         assert status == 2
 
+    def test_internal_value_error_in_girth_build_is_internal(self, run_cli,
+                                                             monkeypatch):
+        # only the lambda/mu check is a usage error
+        def broken(*args):
+            raise ValueError("gadget fault")
+
+        monkeypatch.setattr("edgeid.reduction.attach_p_gadget", broken)
+        status, out, err = run_cli(["reduce", "--girth", "1", "2"], stdin=CNF)
+        assert status == EXIT_INTERNAL
+        assert out == ""
+        assert err.splitlines()[-1] == "internal error: ValueError: gadget fault"
+
     def test_labels_sidecar(self, run_cli, tmp_path):
         side = tmp_path / "labels.txt"
         status, _, _ = run_cli(["reduce", "--labels", str(side)], stdin=CNF)

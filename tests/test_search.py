@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import _group_by_top_bit, reference_pruned_search, reference_search
 from edgeid._search import ConstraintSystem, search_exact_size
 from edgeid.families import standard_graph
+from edgeid.identify import verify_edge_code
 from edgeid.solver import SolveOptions, _constraints_from_masks, min_edge_code
 
 
@@ -63,6 +64,29 @@ def test_python_kernel_finds_lex_least():
         assert nodes >= 1
 
 
+def test_suffix_search_finds_lex_least():
+    # from start p, with the constraints whose lowest bit lies below p
+    # pre-marked, the kernel finds the lex-least k-subset of [p, universe)
+    # hitting the constraints inside that range
+    rng = random.Random(11)
+    for _ in range(300):
+        universe, constraints, k = random_instance(rng)
+        system = ConstraintSystem(universe, constraints)
+        p = rng.randint(0, universe)
+        marked = 0
+        for q in range(p):
+            marked |= system.lows[q]
+        found, mask, _, exhausted = search_exact_size(
+            universe, system, k, 10**7, p, marked
+        )
+        assert not exhausted
+        inside = [c >> p for c in constraints if c >> p << p == c]
+        expect = brute_force(universe - p, inside, k)
+        assert found == (expect is not None)
+        if found:
+            assert mask == expect << p
+
+
 BUDGETS = (1, 2, 3, 5, 10, 50, 10**6)
 
 
@@ -101,10 +125,13 @@ def test_deep_universe_does_not_recurse():
     )
     assert found and not exhausted
     assert mask == (1 << universe) - 1 and nodes == universe + 1
-    # through the solver on a large instance: C_1200 starts at its
-    # half-order bound 600 and runs out of budget there
-    res = min_edge_code(standard_graph("cycle", 1200), SolveOptions(budget=10**4))
-    assert res.status == "BudgetExhausted" and res.nodes_used == 10**4 + 1
+    # through the solver on a large instance: the suffix pass walks all
+    # 1200 positions of C_1200, and the sweep proves the half-order bound
+    g = standard_graph("cycle", 1200)
+    res = min_edge_code(g, SolveOptions(budget=10**4))
+    assert res.status == "Optimal" and res.size == 600
+    assert verify_edge_code(g, res.code).is_code
+    assert res.nodes_used <= 10**4
 
 
 def test_budget_exhaustion_reported():
@@ -152,6 +179,8 @@ def test_trivial_cases():
         search_exact_size(5, [], -1, 100)
     with pytest.raises(ValueError):
         search_exact_size(5, [], 1, 0)
+    with pytest.raises(ValueError, match="outside the universe"):
+        search_exact_size(5, [], 1, 100, 6)
 
 
 def test_python_kernel_handles_wide_universe():
