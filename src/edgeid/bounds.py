@@ -7,25 +7,23 @@ edge-identifying code number.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graph_core import connected_components, pendant_pairs
 
 
-@dataclass
-class BoundEntry:
-    """One bound with a stable key, its value and its applicability."""
+class BoundEntry(namedtuple("BoundEntry", "name value direction applicable reason",
+                             defaults=("",))):
+    """One bound with a stable key, its value and its applicability.
 
-    name: str
-    value: int
-    direction: str  # "lower" or "upper"
-    applicable: bool
-    reason: str = ""
+    ``direction`` is "lower" or "upper".
+    """
+
+    __slots__ = ()
 
 
-@dataclass
-class BoundsReport:
-    entries: list
+class BoundsReport(namedtuple("BoundsReport", "entries")):
+    __slots__ = ()
 
     def applicable(self, direction):
         return [e for e in self.entries

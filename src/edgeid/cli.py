@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 
-from .bounds import bounds_report
 from .graph_core import (
     EdgeSet,
     FormatError,
@@ -24,33 +23,14 @@ from .graph_core import (
     read_multigraph,
     write_edge_list,
 )
-from .families import (
-    STANDARD_KINDS,
-    FamilyInstance,
-    claw_free_example,
-    extremal_low1,
-    hypercube_matching,
-    jk_graph,
-    known_code,
-    standard_graph,
-    subdivided_regular_code,
-)
-from .identify import verify_edge_code
-from .reduction import (
-    assignment_to_code,
-    build_reduction,
-    build_reduction_girth,
-    check_girth_params,
-    labels_to_text,
-    read_dimacs,
-    validate_formula,
-)
-from .solver import (
-    DEFAULT_BUDGET,
-    STATUS_OPTIMAL,
-    SolveOptions,
-    approx_edge_code,
-    min_edge_code,
+
+# Each subcommand imports the modules it calls inside its cmd_* function,
+# so a call loads only what it runs.  For the same reason the parser's
+# family kinds are restated here rather than read from families:
+# families.STANDARD_KINDS plus the kinds _family_instance builds itself.
+FAMILY_KINDS = (
+    "clawfree", "complete", "complete_bipartite", "cycle", "extremal1",
+    "hypercube", "jk", "matching", "path", "petersen", "subdivided",
 )
 
 EXIT_OK = 0
@@ -77,6 +57,8 @@ def _read_text(path):
 def _default_budget():
     raw = os.environ.get("EDGEID_BUDGET")
     if raw is None:
+        from .solver import DEFAULT_BUDGET
+
         return DEFAULT_BUDGET
     try:
         budget = int(raw)
@@ -94,6 +76,8 @@ def _emit(text):
 
 
 def cmd_verify(args):
+    from .identify import verify_edge_code
+
     g, embedded, _ = read_edge_list(_read_text(args.graph))
     if args.code is not None:
         listed = read_code_file(_read_text(args.code), g.m)
@@ -109,6 +93,8 @@ def cmd_verify(args):
 
 
 def cmd_solve(args):
+    from .solver import STATUS_OPTIMAL, SolveOptions, min_edge_code
+
     g, _, _ = read_edge_list(_read_text(args.graph))
     hint = None
     if args.hint is not None:
@@ -129,6 +115,8 @@ def cmd_solve(args):
 
 
 def cmd_approx(args):
+    from .solver import approx_edge_code
+
     g, _, _ = read_edge_list(_read_text(args.graph))
     code = approx_edge_code(g)
     print(f"size {len(code)}")
@@ -138,6 +126,8 @@ def cmd_approx(args):
 
 
 def cmd_bounds(args):
+    from .bounds import bounds_report
+
     g, _, _ = read_edge_list(_read_text(args.graph))
     report = bounds_report(g)
     _emit(report.to_text())
@@ -146,38 +136,40 @@ def cmd_bounds(args):
 
 
 def _family_instance(args):
+    from . import families
+
     kind = args.kind
     params = args.params
-    if kind in STANDARD_KINDS:
+    if kind in families.STANDARD_KINDS:
         if args.with_code:
-            return known_code(kind, params)
-        return FamilyInstance(graph=standard_graph(kind, params))
+            return families.known_code(kind, params)
+        return families.FamilyInstance(graph=families.standard_graph(kind, params))
     if kind == "matching":
         if len(params) != 1:
             raise _UsageError("matching takes one parameter d")
-        matching = hypercube_matching(params[0])
-        return FamilyInstance(
-            graph=standard_graph("hypercube", params[0]),
+        matching = families.hypercube_matching(params[0])
+        return families.FamilyInstance(
+            graph=families.standard_graph("hypercube", params[0]),
             claimed_code=matching,
             claimed_gamma=len(matching),
         )
     if kind == "jk":
         if len(params) != 1:
             raise _UsageError("jk takes one parameter k")
-        return jk_graph(params[0])
+        return families.jk_graph(params[0])
     if kind == "extremal1":
         if len(params) != 1:
             raise _UsageError("extremal1 takes one parameter k")
-        return extremal_low1(params[0])
+        return families.extremal_low1(params[0])
     if kind == "clawfree":
         if len(params) != 1:
             raise _UsageError("clawfree takes one parameter k")
-        return claw_free_example(params[0])
+        return families.claw_free_example(params[0])
     if kind == "subdivided":
         if len(params) != 1 or args.multigraph is None:
             raise _UsageError("subdivided takes one parameter k and --multigraph FILE")
         mg = read_multigraph(_read_text(args.multigraph))
-        return subdivided_regular_code(mg, params[0])
+        return families.subdivided_regular_code(mg, params[0])
     raise _UsageError(f"unknown family kind {kind!r}")
 
 
@@ -214,8 +206,10 @@ def cmd_linegraph(args):
 
 
 def cmd_reduce(args):
-    formula = read_dimacs(_read_text(args.cnf))
-    problems = validate_formula(formula)
+    from . import reduction
+
+    formula = reduction.read_dimacs(_read_text(args.cnf))
+    problems = reduction.validate_formula(formula)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
@@ -223,12 +217,12 @@ def cmd_reduce(args):
     if args.girth is not None:
         lam, mu = args.girth
         try:
-            check_girth_params(lam, mu)
+            reduction.check_girth_params(lam, mu)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        inst = build_reduction_girth(formula, lam, mu)
+        inst = reduction.build_reduction_girth(formula, lam, mu)
     else:
-        inst = build_reduction(formula)
+        inst = reduction.build_reduction(formula)
     code = None
     if args.assignment is not None:
         tokens = _read_text(args.assignment).split()
@@ -238,10 +232,10 @@ def cmd_reduce(args):
             raise FormatError(
                 f"{args.assignment}: assignment entries must be 0 or 1"
             ) from None
-        code = sorted(assignment_to_code(inst, asg).indices())
+        code = sorted(reduction.assignment_to_code(inst, asg).indices())
     if args.labels is not None:
         with open(args.labels, "w", encoding="utf-8") as fh:
-            fh.write(labels_to_text(inst.labels))
+            fh.write(reduction.labels_to_text(inst.labels))
     _emit(write_edge_list(inst.graph, code=code, k=inst.k))
     return EXIT_OK
 
@@ -273,11 +267,8 @@ def build_parser():
     p.add_argument("graph", nargs="?", default="-")
     p.set_defaults(func=cmd_bounds)
 
-    kinds = sorted(
-        STANDARD_KINDS + ("matching", "jk", "extremal1", "clawfree", "subdivided")
-    )
     p = sub.add_parser("family", help="emit a named graph family member")
-    p.add_argument("kind", choices=kinds)
+    p.add_argument("kind", choices=FAMILY_KINDS)
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--with-code", action="store_true", help="embed the known code")
     p.add_argument("--multigraph", help="input multigraph for kind 'subdivided'")

@@ -21,7 +21,7 @@ square-root lower bound fails.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .graph_core import (
@@ -44,8 +44,9 @@ STANDARD_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(namedtuple(
+        "FamilyInstance", "graph claimed_code claimed_gamma provenance code_kind",
+        defaults=(None, None, "", "edge"))):
     """A constructed graph with the code and optimum claimed for it.
 
     ``claimed_code`` is an EdgeSet for edge codes and a sorted vertex
@@ -54,11 +55,7 @@ class FamilyInstance:
     code has exactly that size.
     """
 
-    graph: Graph
-    claimed_code: object = None
-    claimed_gamma: object = None
-    provenance: str = ""
-    code_kind: str = "edge"
+    __slots__ = ()
 
 
 def _int_params(kind, params, count):

@@ -7,7 +7,7 @@ for vertex codes they are vertices.  Verification groups elements by their
 neighborhood trace N[.] & C, so it runs in one pass over the elements.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .graph_core import (bits, girth, induced_by_edges, mask_of, pendant_pairs,
                          vertex_closed_masks)
@@ -17,8 +17,8 @@ TRIANGLE_FREE_NO_C4 = "TriangleFreeNoC4"
 NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(namedtuple(
+        "VerifyReport", "is_dominating is_separating undominated unseparated truncated")):
     """Outcome of a code verification.
 
     ``undominated`` lists elements whose neighborhood misses the code.
@@ -28,11 +28,15 @@ class VerifyReport:
     exhaustively in lexicographic order up to ``truncated``-marked cap.
     """
 
-    is_dominating: bool
-    is_separating: bool
-    undominated: list = field(default_factory=list)
-    unseparated: list = field(default_factory=list)
-    truncated: bool = False
+    __slots__ = ()
+
+    def __new__(cls, is_dominating, is_separating, undominated=None,
+                unseparated=None, truncated=False):
+        # a fresh list per report: a default list would be shared by all
+        return super().__new__(
+            cls, is_dominating, is_separating,
+            [] if undominated is None else undominated,
+            [] if unseparated is None else unseparated, truncated)
 
     @property
     def is_code(self):

@@ -33,28 +33,29 @@ codes, are unaffected, while the totals and labels stay exact:
 (17*mu-12)*n over m clauses and n variables.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .graph_core import EdgeSet, FormatError, Graph, GraphBuilder, RejectedInput
+from .graph_core import EdgeSet, FormatError, GraphBuilder, RejectedInput
 from .identify import verify_edge_code
 
 
-@dataclass(frozen=True)
-class SatFormula:
+class SatFormula(namedtuple("SatFormula", "num_vars clauses")):
     """CNF with clauses as tuples of (variable, is_positive) literals."""
 
-    num_vars: int
-    clauses: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        norm = tuple(
-            tuple((int(v), bool(s)) for v, s in clause) for clause in self.clauses
-        )
-        object.__setattr__(self, "clauses", norm)
+    def __new__(cls, num_vars, clauses):
+        norm = tuple(tuple((int(v), bool(s)) for v, s in clause) for clause in clauses)
+        return super().__new__(cls, num_vars, norm)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, skip __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(namedtuple(
+        "ReductionInstance", "graph k labels params formula slot_literals")):
     """Built graph with target size, named edges, and source metadata.
 
     ``labels`` maps gadget edge names to edge indices.  Clause i uses
@@ -67,12 +68,7 @@ class ReductionInstance:
     (None for the unused slot of a two-literal clause).
     """
 
-    graph: Graph
-    k: int
-    labels: dict
-    params: object
-    formula: SatFormula
-    slot_literals: tuple
+    __slots__ = ()
 
 
 def validate_formula(f):

@@ -21,7 +21,7 @@ node budget caps the total work over both phases; runs that exhaust it
 fall back to a verified hint when one was supplied.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._search import ConstraintSystem, search_exact_size
 from .bounds import log_lower, solver_lower_bound
@@ -37,27 +37,24 @@ STATUS_INFEASIBLE = "Infeasible"
 STATUS_BUDGET = "BudgetExhausted"
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(namedtuple("SolveOptions", "budget upper_hint",
+                               defaults=(DEFAULT_BUDGET, None))):
     """Knobs for the exact solvers.
 
     ``upper_hint`` is a known code (edge indices for ``min_edge_code``,
-    vertex indices for ``min_vertex_code``).  It caps the search: sizes
-    below it are refuted one by one, and if all are refuted the hint is
-    returned as optimal.
+    vertex indices for ``min_vertex_code``).  It caps the search: the
+    suffix pass stops once a suffix optimum exceeds every size below the
+    hint, the sweep tries at most two sizes below it, and if every such
+    size is refuted the hint is returned as optimal.
     """
 
-    budget: int = DEFAULT_BUDGET
-    upper_hint: object = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    status: str
-    code: object = None
-    size: object = None
-    lower_bound_used: object = None
-    nodes_used: int = 0
+class SolveResult(namedtuple("SolveResult",
+                             "status code size lower_bound_used nodes_used",
+                             defaults=(None, None, None, 0))):
+    __slots__ = ()
 
 
 def _constraints_from_masks(masks):

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from edgeid.cli import EXIT_INTERNAL, main
-from edgeid.families import known_code, standard_graph
+from edgeid.cli import EXIT_INTERNAL, FAMILY_KINDS, main
+from edgeid.families import STANDARD_KINDS, known_code, standard_graph
 from edgeid.graph_core import EdgeSet, read_edge_list, write_edge_list
 from edgeid.identify import verify_edge_code
 
@@ -142,7 +142,7 @@ class TestSolve:
         def broken(g, opts):
             raise RuntimeError("kernel fault")
 
-        monkeypatch.setattr("edgeid.cli.min_edge_code", broken)
+        monkeypatch.setattr("edgeid.solver.min_edge_code", broken)
         gpath = graph_file(tmp_path, standard_graph("petersen"))
         status, out, err = run_cli(["solve", gpath])
         assert status == EXIT_INTERNAL == 4
@@ -289,6 +289,15 @@ class TestFamily:
         with pytest.raises(SystemExit) as exc:
             main(["family", "moebius", "3"])
         assert exc.value.code == 2
+
+    def test_parser_kinds_are_the_kinds_built(self, run_cli):
+        # the parser restates the kinds so that it need not import families
+        assert list(FAMILY_KINDS) == sorted(FAMILY_KINDS)
+        assert set(STANDARD_KINDS) <= set(FAMILY_KINDS)
+        for kind in FAMILY_KINDS:
+            status, _, err = run_cli(["family", kind])
+            assert "unknown family kind" not in err
+            assert status in (0, 2)
 
 
 class TestLinegraph:
