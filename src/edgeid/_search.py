@@ -5,9 +5,10 @@ positions, is there a k-subset whose bitmask intersects every constraint
 mask?  The kernel answers it by depth-first search over positions in
 ascending index order, trying "include" before "exclude", so the first
 subset found is the lexicographically least one of size k.  A search may
-also start at a position ``start`` with some constraints already marked
-hit: it then looks for a k-subset of ``[start, universe)`` that hits the
-rest.  The solver uses such suffix searches to raise the bound below.
+also start at a position ``start``.  It then counts every constraint whose
+lowest bit is below ``start`` as hit, and looks for a k-subset of
+``[start, universe)`` that hits the constraints lying inside that range.
+The solver uses such suffix searches to raise the bound below.
 
 The search is iterative and works on arbitrary-width integer masks, so
 its depth is bounded by memory, not by the interpreter's recursion limit.
@@ -22,9 +23,9 @@ their transpose: for each position ``p``, ``hits[p]`` is the set of
 constraints that contain ``p``, and ``tops[p]`` and ``lows[p]`` the sets
 of constraints whose top and lowest bit is ``p``, all as bitmasks over
 the constraint numbers.  The search keeps a stack ``hit`` in which
-``hit[c]`` is the set of constraints that the pre-marked ones and the
-lowest ``c`` included positions hit; the unhit constraints are the ones
-missing from it.  Every check is then one or two integer operations:
+``hit[c]`` is the set of constraints that count as hit from the start
+or that the lowest ``c`` included positions hit; the unhit constraints
+are the ones missing from it.  Every check is then one or two integer operations:
 
 - including ``pos`` pushes ``hit[count] | hits[pos]``;
 - a full k-subset is a solution iff ``hit[k]`` holds every constraint;
@@ -57,6 +58,31 @@ own.  One right-to-left scan over the positions computes it for every
 position at a time from the right, before it searches the whole
 universe.
 
+Searches on one system also share a table of refuted states.  At a node
+at ``pos`` with ``count`` positions included, what is left to decide
+depends only on ``pos``, on the size ``k - count`` still needed, and on
+which *open* constraints (lowest bit below ``pos``, top bit at or above
+it) are hit: every constraint that tops out below ``pos`` is hit, and no
+constraint that starts at or after it is.  A constraint that contains
+another is left out of this key, since the smaller one must be hit
+anyway.  A node whose exclude branch is allowed is recorded once both of
+its subtrees are refuted, as ``(pos, hit & key) -> k - count``; a later
+node with the same key and a need no larger is a dead end, since a
+solution with fewer positions could be padded to the recorded need.  Like
+the bound, the table cuts only subtrees without a solution, so the
+returned subset stays the lex-least one.  It is shared by every search
+of a solve, at every size and start, which is sound because a suffix
+search counts exactly the constraints below its start as hit.
+
+Two limits keep the table cheap.  It is kept only at positions with at
+most ``KEY_LIMIT`` open constraints.  Complete graphs, complete
+bipartite graphs and hypercubes have hundreds at every position; there
+wide keys rarely repeat, and the lookups made K_9 and Q_5 over twice as
+slow.  A system with no position under the limit runs the plain loop,
+so those graphs pay nothing.  And the table holds at most
+``TABLE_CAP`` states and is cleared when full, which bounds its memory
+whatever the node budget.
+
 One search node is counted per visited DFS state, and the search stops
 once the node budget is exceeded, reporting exhaustion.  A run that
 returns not-found without exhaustion is a proof that no k-subset hits
@@ -65,15 +91,25 @@ every constraint.
 
 from .graph_core import bits
 
+# The refuted-state table is kept at positions with at most this many
+# open constraints; see the module docstring.
+KEY_LIMIT = 64
+# States the refuted-state table may hold; a new one then clears it.
+TABLE_CAP = 1 << 14
+
 
 class ConstraintSystem:
     """Constraint masks over ``range(universe)`` in the form the kernel
-    searches, built once and shared by searches at every size k."""
+    searches, built once and shared by searches at every size k and from
+    every start.  ``keys`` is None when no position ``p >= 1`` has at most
+    ``KEY_LIMIT`` open constraints; the kernel then keeps no table."""
 
-    __slots__ = ("universe", "full", "hits", "tops", "lows", "floor")
+    __slots__ = ("universe", "full", "hits", "tops", "lows", "floor", "keys",
+                 "tables", "stored", "_below")
 
     def __init__(self, universe, constraints):
-        masks = sorted(constraints)
+        # equal constraints would each count as containing the other
+        masks = sorted(set(constraints))
         if masks and masks[0] <= 0:
             raise ValueError("constraint masks must be nonzero")
         if masks and masks[-1].bit_length() > universe:
@@ -102,16 +138,75 @@ class ConstraintSystem:
             if shortest[p] < universe:
                 floor[p] = max(floor[p], 1 + floor[shortest[p] + 1])
         self.floor = floor
+        self.keys = keys = _state_keys(masks, lows, tops)
+        # the refuted-state table: one dict per keyed position, and the
+        # number of states they hold together
+        self.tables = None if keys is None else [
+            key if key is None else {} for key in keys
+        ]
+        self.stored = 0
+        self._below = (0, 0)
+
+    def below(self, start):
+        """The constraints whose lowest bit is below ``start``, as a mask.
+
+        The lowest bits partition the constraints, so the mask moves from
+        one start to the next by one operation per position in between;
+        the suffix pass asks for descending starts.
+        """
+        p, marked = self._below
+        lows = self.lows
+        while p < start:
+            marked |= lows[p]
+            p += 1
+        while p > start:
+            p -= 1
+            marked ^= lows[p]
+        self._below = (p, marked)
+        return marked
 
 
-def _search(system, k, budget, start, marked):
+def _state_keys(masks, lows, tops):
+    """``keys[p]``, the constraints whose hits decide a search state at ``p``.
+
+    They are the constraints open at ``p`` (lowest bit below ``p``, top
+    bit at or above it) that contain no other constraint.  A constraint
+    that contains another is hit whenever the smaller one is, and the
+    smaller one must be hit too, so its own state decides nothing.
+    ``keys[p]`` is None at ``p = 0`` and where more than ``KEY_LIMIT``
+    constraints are open; the result is None when that holds everywhere.
+    """
+    keys = [None] * len(lows)
+    opened = 0
+    keyed = 0
+    for p, (low, top) in enumerate(zip(lows, tops)):
+        if p and opened.bit_count() <= KEY_LIMIT:
+            keys[p] = opened
+            keyed |= opened
+        # a constraint topping out at p was open at p or starts there
+        opened = (opened | low) ^ top
+    if all(key is None for key in keys):
+        return None
+    by_low = [[] for _ in lows]
+    for c in masks:
+        by_low[(c & -c).bit_length() - 1].append(c)
+    supersets = 0
+    for i in bits(keyed):
+        c = masks[i]
+        # a constraint inside c has its lowest bit in c
+        if any(d | c == c and d != c for q in bits(c) for d in by_low[q]):
+            supersets |= 1 << i
+    return [key if key is None else key & ~supersets for key in keys]
+
+
+def _search(system, k, budget, start):
     universe = system.universe
     full = system.full
     hits = system.hits
     tops = system.tops
     floor = system.floor
     hit = [0] * (min(k, universe - start) + 1)
-    hit[0] = marked
+    hit[0] = system.below(start)
     chosen = 0
     count = 0
     pos = start
@@ -143,20 +238,88 @@ def _search(system, k, budget, start, marked):
             return False, 0, nodes, False
 
 
-def search_exact_size(universe, constraints, k, budget, start=0, marked=0):
+def _table_search(system, k, budget, start):
+    """``_search`` with lookups in and records to ``system.tables``."""
+    universe = system.universe
+    full = system.full
+    hits = system.hits
+    tops = system.tops
+    floor = system.floor
+    keys = system.keys
+    tables = system.tables
+    stored = system.stored
+    cap = TABLE_CAP
+    hit = [0] * (min(k, universe - start) + 1)
+    hit[0] = system.below(start)
+    chosen = 0
+    count = 0
+    pos = start
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > budget:
+            system.stored = stored
+            return False, 0, nodes, True
+        if count == k:
+            if hit[k] == full:
+                system.stored = stored
+                return True, chosen, nodes, False
+        elif count + universe - pos >= k and count + floor[pos] <= k:
+            key = keys[pos]
+            if key is None or tables[pos].get(hit[count] & key, -1) < k - count:
+                hit[count + 1] = hit[count] | hits[pos]
+                chosen |= 1 << pos
+                count += 1
+                pos += 1
+                continue
+        # Dead end at (pos, count).  Each state (q, count) that the search
+        # left by its exclude branch since the last include now has both
+        # subtrees refuted: record it, deepest first, then unwind.
+        while True:
+            p = chosen.bit_length() - 1 if chosen else start - 1
+            if pos - 1 > p:
+                h = hit[count]
+                need = k - count
+                for q in range(pos - 1, p, -1):
+                    key = keys[q]
+                    if key is not None:
+                        table = tables[q]
+                        state = h & key
+                        if state not in table:
+                            if stored == cap:
+                                for other in tables:
+                                    if other:
+                                        other.clear()
+                                stored = 0
+                            stored += 1
+                        table[state] = need
+            if not chosen:
+                system.stored = stored
+                return False, 0, nodes, False
+            chosen ^= 1 << p
+            count -= 1
+            top = tops[p]
+            if hit[count] & top == top:
+                pos = p + 1
+                break
+            pos = p
+
+
+def search_exact_size(universe, constraints, k, budget, start=0):
     """Find the lex-least k-subset of ``range(universe)`` hitting every mask.
 
     ``constraints`` is a list of nonzero masks, or a ``ConstraintSystem``
-    over the same universe, which lets searches at several sizes share
-    one preparation.  Returns ``(found, mask, nodes, exhausted)``.
-    ``mask`` is the subset as an int bitmask when found, else 0.
-    ``exhausted`` means the node budget ran out before the search space
-    was covered; ``nodes`` is then ``budget + 1``, counting the node that
-    crossed the line.
+    over the same universe, which lets searches at several sizes and
+    starts share one preparation and one refuted-state table.  Returns
+    ``(found, mask, nodes, exhausted)``.  ``mask`` is the subset as an
+    int bitmask when found, else 0.  ``exhausted`` means the node budget
+    ran out before the search space was covered; ``nodes`` is then
+    ``budget + 1``, counting the node that crossed the line.
 
     A suffix search takes the subset from ``[start, universe)`` only and
-    counts the constraints in ``marked``, a mask over the system's
-    constraint numbers, as hit already.
+    counts every constraint whose lowest bit is below ``start`` as hit
+    already, so it looks for the lex-least k-subset of that range hitting
+    the constraints that lie inside it.
     """
     if k < 0:
         raise ValueError("need k >= 0")
@@ -168,4 +331,5 @@ def search_exact_size(universe, constraints, k, budget, start=0, marked=0):
         constraints = ConstraintSystem(universe, constraints)
     elif constraints.universe != universe:
         raise ValueError("constraint system is over another universe")
-    return _search(constraints, k, budget, start, marked)
+    kernel = _search if constraints.keys is None else _table_search
+    return kernel(constraints, k, budget, start)

@@ -7,7 +7,16 @@ difference of every pair of closed neighborhoods (separation).  Pairs
 with disjoint neighborhoods are separated by domination alone, so only
 intersecting pairs contribute constraints.
 
-The search is a Russian-doll search over the edge indices.  A suffix
+Every code holds the position of a singleton constraint.  These forced
+positions are split off first: the constraints they hit are dropped, the
+positions left in some constraint are renumbered in order, and the
+search runs on that residual with the bound and the cap lowered by the
+forced count.  Renumbering keeps the order of positions, so the forced
+set plus the residual's lex-least optimum is the lex-least optimum.  On
+reduction instances this removes about a third of the edges and most of
+the constraints; graphs without a singleton are searched as they are.
+
+The search is a Russian-doll search over the remaining indices.  A suffix
 pass first computes, from the right, the exact optimum of each suffix
 subproblem: the fewest positions in ``[p, m)`` that hit every constraint
 lying inside that range.  Suffix optima grow by at most one per step,
@@ -16,9 +25,11 @@ neighbour, or by one kernel search at the neighbour's value, which the
 optima already found prune.  The optimum of the whole instance is then the optimum ``f`` of
 the suffix from 1, or ``f + 1``: the sweep searches at most these two
 sizes, starting from the larger of ``f`` and an analytic lower bound.
-Within a size the kernel returns the lexicographically least code.  A
-node budget caps the total work over both phases; runs that exhaust it
-fall back to a verified hint when one was supplied.
+Within a size the kernel returns the lexicographically least code.  All
+searches of a solve share one ``ConstraintSystem`` and with it the
+kernel's table of refuted states.  A node budget caps the total work
+over both phases; runs that exhaust it fall back to a verified hint
+when one was supplied.
 """
 
 from collections import namedtuple
@@ -99,13 +110,11 @@ def _suffix_pass(system, lower, cap, budget):
     floor = system.floor
     hits = system.hits
     lows = system.lows
-    above = 0  # constraints whose lowest bit is at least p
     covered = 0  # the constraints that a witness of floor[p + 1] hits
     first = None
     nodes = 0
     for p in range(system.universe - 1, 0, -1):
         low = lows[p]
-        above |= low
         k = floor[p + 1]
         if max(floor[p], lower - p) > k:
             k += 1  # the witness plus p
@@ -114,8 +123,7 @@ def _suffix_pass(system, lower, cap, budget):
             if nodes >= budget:
                 return None, nodes, True
             found, mask, used, exhausted = search_exact_size(
-                system.universe, system, k, budget - nodes, p,
-                system.full ^ above
+                system.universe, system, k, budget - nodes, p
             )
             nodes += used
             if exhausted:
@@ -166,6 +174,35 @@ def _sweep(system, lower, cap, budget):
     return None, nodes, False
 
 
+def _strip_forced(universe, constraints):
+    """Split off the positions that singleton constraints force.
+
+    Every code holds a singleton's position, so the forced set ``F`` is
+    in every code, and the constraints it hits need nothing more.  The
+    rest is a residual system over the positions still in some
+    constraint, renumbered in ascending order: the codes of size ``k``
+    are ``F`` plus the residual solutions of size ``k - |F|``, and the
+    renumbering keeps their lexicographic order.  Returns ``(forced,
+    residual constraints, positions)``, where ``positions[i]`` is the
+    position that residual position ``i`` stands for.  When nothing is
+    forced, the constraints come back as they are.
+    """
+    forced = 0
+    for c in constraints:
+        if c & (c - 1) == 0:
+            forced |= c
+    if not forced:
+        return 0, constraints, range(universe)
+    rest = [c for c in constraints if not c & forced]
+    live = 0
+    for c in rest:
+        live |= c
+    positions = bits(live)
+    index = {q: i for i, q in enumerate(positions)}
+    rest = [sum(1 << index[q] for q in bits(c)) for c in rest]
+    return forced, rest, positions
+
+
 def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
     """Shared exact solve.  Returns ``(status, mask, size, bound_used, nodes)``.
 
@@ -174,15 +211,26 @@ def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
     capped at the full universe, which is always a code here, so it
     cannot come back empty.  Constraints are built and prepared for the
     kernel only when a search is due, so a hint that the lower bound
-    already certifies costs no build.
+    already certifies costs no build.  The forced positions are split
+    off first, and the sweep runs on the residual with the bound and
+    the cap lowered by their count; an empty residual needs no search.
     """
     start, name = lower
     bound_used = (name, start)
     cap = hint_len - 1 if hint_mask is not None else universe
     mask, nodes, exhausted = None, 0, False
     if start <= cap:
-        system = ConstraintSystem(universe, _constraints_from_masks(masks))
-        mask, nodes, exhausted = _sweep(system, start, cap, budget)
+        forced, rest, positions = _strip_forced(
+            universe, _constraints_from_masks(masks)
+        )
+        size = forced.bit_count()
+        if not rest:
+            mask = forced if size <= cap else None
+        elif size < cap:  # the residual needs at least one more position
+            residual = ConstraintSystem(len(positions), rest)
+            sub, nodes, exhausted = _sweep(residual, start - size, cap - size, budget)
+            if sub is not None:
+                mask = forced | sum(1 << positions[i] for i in bits(sub))
     if mask is not None:
         return STATUS_OPTIMAL, mask, mask.bit_count(), bound_used, nodes
     if not exhausted:

@@ -135,12 +135,53 @@ def brute_force_pack(universe, constraints):
     return [max(best[p:]) for p in range(universe + 1)]
 
 
-def reference_pruned_search(universe, constraints, k, budget):
-    """``reference_search`` with the kernel's suffix packing bound: a node
-    with ``count + pack[pos] > k`` is a dead end.  Same
-    ``(found, mask, nodes, exhausted)`` as the kernel for every input."""
+def reference_keys(universe, constraints, limit=64):
+    """Per position, the constraints whose hits key a search state there,
+    from the definition: those open at ``p`` (lowest bit below ``p``, top
+    bit at or above it) that contain no other constraint.  None at
+    ``p = 0`` and where more than ``limit`` constraints are open; None
+    overall when that holds at every position."""
+    cons = set(constraints)
+    inner = {c for c in cons if not any(d != c and d | c == c for d in cons)}
+    keys = [None] * universe
+    for p in range(1, universe):
+        opened = [c for c in cons if (c & -c).bit_length() - 1 < p < c.bit_length()]
+        if len(opened) <= limit:
+            keys[p] = frozenset(c for c in opened if c in inner)
+    return None if all(key is None for key in keys) else keys
+
+
+class RefutedTable:
+    """The reference's refuted-state table: ``states`` maps a keyed state
+    to the largest need refuted there.  A new state arriving when it
+    holds ``cap`` of them clears it first."""
+
+    def __init__(self, cap=1 << 14):
+        self.states = {}
+        self.cap = cap
+
+    def store(self, state, need):
+        if state not in self.states and len(self.states) >= self.cap:
+            self.states.clear()
+        self.states[state] = need
+
+
+def reference_pruned_search(universe, constraints, k, budget, table=None):
+    """``reference_search`` with the kernel's suffix packing bound and
+    refuted-state table.  Same ``(found, mask, nodes, exhausted)`` as the
+    kernel for every input.
+
+    A node with ``count + pack[pos] > k`` is a dead end.  Where
+    ``reference_keys`` gives a key at ``pos``, a node is also a dead end
+    when ``table``, a ``RefutedTable``, holds its state (``pos`` and the
+    key constraints that the included positions hit) with a need of at
+    least ``k - count``.  A node whose exclude branch is allowed is stored
+    with that need once both branches are refuted.  Pass one ``table`` to
+    several calls to mirror searches that share a ``ConstraintSystem``."""
     groups = _group_by_top_bit(universe, constraints)
     pack = brute_force_pack(universe, constraints)
+    keys = reference_keys(universe, constraints)
+    table = RefutedTable() if table is None else table
     nodes = 0
     found_mask = 0
 
@@ -159,11 +200,21 @@ def reference_pruned_search(universe, constraints, k, budget):
             return True
         if count + (universe - pos) < k or count + pack[pos] > k:
             return False
+        need = k - count
+        state = None
+        if keys is not None and keys[pos] is not None:
+            state = (pos, frozenset(c for c in keys[pos] if c & chosen))
+            if table.states.get(state, -1) >= need:
+                return False
         if walk(pos + 1, chosen | (1 << pos), count + 1):
             return True
         if any(not c & chosen for c in groups[pos]):
             return False
-        return walk(pos + 1, chosen, count)
+        if walk(pos + 1, chosen, count):
+            return True
+        if state is not None:
+            table.store(state, need)
+        return False
 
     try:
         ok = walk(0, 0, 0)

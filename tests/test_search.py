@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _group_by_top_bit, reference_pruned_search, reference_search
+from conftest import (RefutedTable, _group_by_top_bit, reference_pruned_search,
+                      reference_search)
+from edgeid import _search, solver
 from edgeid._search import ConstraintSystem, search_exact_size
 from edgeid.families import standard_graph
 from edgeid.identify import verify_edge_code
+from edgeid.reduction import SatFormula, build_reduction
 from edgeid.solver import SolveOptions, _constraints_from_masks, min_edge_code
 
 
@@ -65,20 +68,15 @@ def test_python_kernel_finds_lex_least():
 
 
 def test_suffix_search_finds_lex_least():
-    # from start p, with the constraints whose lowest bit lies below p
-    # pre-marked, the kernel finds the lex-least k-subset of [p, universe)
-    # hitting the constraints inside that range
+    # from start p, which counts the constraints whose lowest bit lies
+    # below p as hit, the kernel finds the lex-least k-subset of
+    # [p, universe) hitting the constraints inside that range
     rng = random.Random(11)
     for _ in range(300):
         universe, constraints, k = random_instance(rng)
         system = ConstraintSystem(universe, constraints)
         p = rng.randint(0, universe)
-        marked = 0
-        for q in range(p):
-            marked |= system.lows[q]
-        found, mask, _, exhausted = search_exact_size(
-            universe, system, k, 10**7, p, marked
-        )
+        found, mask, _, exhausted = search_exact_size(universe, system, k, 10**7, p)
         assert not exhausted
         inside = [c >> p for c in constraints if c >> p << p == c]
         expect = brute_force(universe - p, inside, k)
@@ -104,17 +102,97 @@ def constraint_systems(draw):
 def test_kernel_matches_recursive_reference(system):
     universe, constraints = system
     prepared = ConstraintSystem(universe, constraints)
+    shared = RefutedTable()
+    churned = ConstraintSystem(universe, constraints)
+    churning = RefutedTable(cap=2)
     for k in range(universe + 2):
         for budget in BUDGETS:
             got = search_exact_size(universe, constraints, k, budget)
             # the recursive restatement of the pruned search, node for node
             assert got == reference_pruned_search(universe, constraints, k, budget), (
                 k, budget)
-            assert search_exact_size(universe, prepared, k, budget) == got
+            # a prepared system keeps its table from one search to the next
+            again = search_exact_size(universe, prepared, k, budget)
+            assert again == reference_pruned_search(
+                universe, constraints, k, budget, shared), (k, budget)
+            if not got[3] and not again[3]:
+                assert again[:2] == got[:2] and again[2] <= got[2], (k, budget)
+            # a table that holds at most two states, node for node
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_search, "TABLE_CAP", 2)
+                tight = search_exact_size(universe, churned, k, budget)
+            assert tight == reference_pruned_search(
+                universe, constraints, k, budget, churning), (k, budget)
             # pruning keeps the answer of the unpruned search, in fewer nodes
             plain = reference_search(universe, constraints, k, budget)
             if not got[3] and not plain[3]:
                 assert got[:2] == plain[:2] and got[2] <= plain[2], (k, budget)
+
+
+@st.composite
+def suffix_queries(draw):
+    universe = draw(st.integers(1, 12))
+    # narrow constraints make the searches long enough to revisit states
+    narrow = st.sets(st.integers(0, universe - 1), min_size=1, max_size=3).map(
+        lambda positions: sum(1 << i for i in positions))
+    mask = st.one_of(narrow, st.integers(1, (1 << universe) - 1))
+    constraints = draw(st.lists(mask, max_size=2 * universe))
+    query = st.tuples(st.integers(0, universe), st.integers(0, universe + 1))
+    return universe, constraints, draw(st.lists(query, min_size=1, max_size=12))
+
+
+@pytest.mark.parametrize("cap", [_search.TABLE_CAP, 2])
+@settings(max_examples=150, deadline=None)
+@given(suffix_queries())
+def test_shared_table_keeps_suffix_answers(cap, case):
+    # suffix searches in any order on one system share its table; each
+    # still returns the lex-least subset of its range, in no more nodes
+    # than the search without a table
+    universe, constraints, queries = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_search, "TABLE_CAP", cap)
+        system = ConstraintSystem(universe, constraints)
+        for start, k in queries:
+            got = search_exact_size(universe, system, k, 10**6, start)
+            inside = [c >> start for c in constraints if c >> start << start == c]
+            found, mask, _, _ = reference_search(universe - start, inside, k, 10**6)
+            assert got[:2] == (found, mask << start), (start, k)
+            assert not got[3] and got[2] <= _search._search(system, k, 10**6, start)[2]
+
+
+def test_table_holds_at_most_cap_entries(monkeypatch):
+    # a 2-variable reduction instance that records over 50,000 refuted
+    # states before it reaches the optimum; the table is cleared whenever
+    # it is full, so it never holds more than TABLE_CAP of them
+    formula = SatFormula(2, (((0, True), (1, False)), ((0, False), (1, True)),
+                             ((1, True), (0, True))))
+    g = build_reduction(formula).graph
+    held = [0]
+    most = [0]
+    clears = [0]
+
+    class Counted(dict):
+        def __setitem__(self, key, value):
+            held[0] += key not in self
+            most[0] = max(most[0], held[0])
+            super().__setitem__(key, value)
+
+        def clear(self):
+            held[0] -= len(self)
+            clears[0] += 1
+            super().clear()
+
+    class Watched(ConstraintSystem):
+        def __init__(self, universe, constraints):
+            super().__init__(universe, constraints)
+            self.tables = [t if t is None else Counted() for t in self.tables]
+
+    monkeypatch.setattr(solver, "ConstraintSystem", Watched)
+    for budget in (10**3, 10**4, 10**5, 10**6):
+        held[0] = most[0] = clears[0] = 0
+        res = min_edge_code(g, SolveOptions(budget=budget))
+        assert most[0] <= _search.TABLE_CAP, budget
+    assert res.status == "Optimal" and clears[0] > 0
 
 
 def test_deep_universe_does_not_recurse():

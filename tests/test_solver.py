@@ -1,5 +1,6 @@
 """Exact solver, approximation, and minimalization."""
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from edgeid._search import ConstraintSystem
 from edgeid.families import standard_graph
 from edgeid.graph_core import EdgeSet, Graph, line_graph, pendant_pairs
 from edgeid.identify import verify_edge_code, verify_vertex_code, vertex_closed_masks
+from edgeid.reduction import SatFormula, build_reduction
 from edgeid.solver import (
     SolveOptions,
     _constraints_from_masks,
@@ -103,6 +105,73 @@ def test_node_counts_are_pinned(kind, params, size, nodes):
     # update the pin and say why
     res = min_edge_code(standard_graph(kind, params))
     assert (res.status, res.size, res.nodes_used) == ("Optimal", size, nodes)
+
+
+# the seed-0 reduction instances of perfbench's solve_budget workload:
+# planted_formula(random.Random("0/sat2"), 2, 0) and ("0/sat3", 3, 3)
+SEED0_SAT2 = SatFormula(2, (((1, True), (0, True)), ((0, False), (1, True)),
+                            ((0, True), (1, False))))
+SEED0_SAT3 = SatFormula(3, (((2, True), (1, True), (0, True)),
+                            ((2, False), (1, True), (0, False)),
+                            ((1, False), (2, True), (0, True))))
+
+
+@pytest.mark.parametrize("formula, nodes", [(SEED0_SAT2, 6513), (SEED0_SAT3, 49290)])
+def test_reduction_node_counts_are_pinned(formula, nodes):
+    # forced edges are split off and the table cuts revisited states, so
+    # these reach their optimum k inside solve_budget's node budget
+    inst = build_reduction(formula)
+    res = min_edge_code(inst.graph, SolveOptions(budget=300_000))
+    assert (res.status, res.size, res.nodes_used) == ("Optimal", inst.k, nodes)
+    assert verify_edge_code(inst.graph, res.code).is_code
+
+
+def test_forced_edges_are_split_off():
+    # K_2: its one edge is forced and nothing is left to search
+    res = min_edge_code(Graph(2, [(0, 1)]))
+    assert (res.status, res.size, res.code.indices(), res.nodes_used) == (
+        "Optimal", 1, [0], 0)
+    # K_4 less an edge: the four forced edges already form a code, one
+    # above the lower bound
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    forced, rest, _ = solver._strip_forced(g.m, _constraints_from_masks(g.all_edge_masks()))
+    assert forced.bit_count() == 4 and rest == []
+    res = min_edge_code(g)
+    assert (res.status, res.size, res.lower_bound_used[1]) == ("Optimal", 4, 3)
+    assert tuple(res.code.indices()) == naive_min_edge_code(g)
+    # a hint of the forced size leaves the residual a cap below zero, so
+    # the hint is optimal at once
+    hinted = min_edge_code(g, SolveOptions(upper_hint=res.code))
+    assert (hinted.status, hinted.code, hinted.nodes_used) == ("Optimal", res.code, 0)
+
+
+def naive_min_vertex_code(g):
+    """Lex-least minimum identifying code on vertices, by enumeration."""
+    closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
+    for k in range(g.n + 1):
+        for combo in itertools.combinations(range(g.n), k):
+            traces = [nb & set(combo) for nb in closed]
+            if all(traces) and len(set(traces)) == g.n:
+                return combo
+    return None
+
+
+def test_min_vertex_code_with_forced_vertices():
+    # on paths, separating an end from its neighbour takes one vertex
+    rng = random.Random(5)
+    graphs = [Graph(n, [(i, i + 1) for i in range(n - 1)]) for n in range(3, 9)]
+    graphs += [random_connected_pendant_free(rng, 8) for _ in range(30)]
+    forcing = 0
+    for g in graphs:
+        masks = vertex_closed_masks(g)
+        if len(set(masks)) < g.n:
+            continue
+        forcing += bool(solver._strip_forced(g.n, _constraints_from_masks(masks))[0])
+        res = min_vertex_code(g)
+        assert res.status == "Optimal" and res.code == naive_min_vertex_code(g), g.edges
+        hinted = min_vertex_code(g, SolveOptions(upper_hint=res.code))
+        assert (hinted.status, hinted.code) == ("Optimal", res.code)
+    assert forcing >= 6
 
 
 @pytest.mark.parametrize(
