@@ -13,9 +13,12 @@ The solver uses such suffix searches to raise the bound below.
 The search is iterative and works on arbitrary-width integer masks, so
 its depth is bounded by memory, not by the interpreter's recursion limit.
 The exclude branch is the last thing a node tries, so it needs no frame
-of its own: the only state to remember is which positions are included,
-and that is the chosen mask itself.  Backtracking drops the highest
-included position and tries its exclude branch.
+of its own: the only state to remember is which positions are included.
+They sit in ascending order on a stack of positions, allocated once per
+search and indexed by their number ``count``; backtracking decrements
+``count``, reads the position on top and tries its exclude branch.  The
+subset's mask is built from the stack only when a search finds one, so
+no step of the search touches a mask as wide as the universe.
 
 The search does not look at the constraint masks themselves.  A
 ``ConstraintSystem`` sorts and numbers the constraints once and stores
@@ -138,7 +141,7 @@ class ConstraintSystem:
             if shortest[p] < universe:
                 floor[p] = max(floor[p], 1 + floor[shortest[p] + 1])
         self.floor = floor
-        self.keys = keys = _state_keys(masks, lows, tops)
+        self.keys = keys = _state_keys(masks, hits, lows, tops)
         # the refuted-state table: one dict per keyed position, and the
         # number of states they hold together
         self.tables = None if keys is None else [
@@ -166,7 +169,7 @@ class ConstraintSystem:
         return marked
 
 
-def _state_keys(masks, lows, tops):
+def _state_keys(masks, hits, lows, tops):
     """``keys[p]``, the constraints whose hits decide a search state at ``p``.
 
     They are the constraints open at ``p`` (lowest bit below ``p``, top
@@ -187,15 +190,21 @@ def _state_keys(masks, lows, tops):
         opened = (opened | low) ^ top
     if all(key is None for key in keys):
         return None
-    by_low = [[] for _ in lows]
-    for c in masks:
-        by_low[(c & -c).bit_length() - 1].append(c)
-    supersets = 0
+    # a constraint inside a keyed one has its lowest bit in it
+    reach = 0
     for i in bits(keyed):
-        c = masks[i]
-        # a constraint inside c has its lowest bit in c
-        if any(d | c == c and d != c for q in bits(c) for d in by_low[q]):
-            supersets |= 1 << i
+        reach |= masks[i]
+    near = 0
+    for q in bits(reach):
+        near |= lows[q]
+    # the keyed constraints containing constraint j are the ones that
+    # every position of j hits
+    supersets = 0
+    for j in bits(near):
+        containing = keyed
+        for q in bits(masks[j]):
+            containing &= hits[q]
+        supersets |= containing & ~(1 << j)
     return [key if key is None else key & ~supersets for key in keys]
 
 
@@ -205,37 +214,34 @@ def _search(system, k, budget, start):
     hits = system.hits
     tops = system.tops
     floor = system.floor
-    hit = [0] * (min(k, universe - start) + 1)
+    depth = min(k, universe - start)
+    hit = [0] * (depth + 1)
     hit[0] = system.below(start)
-    chosen = 0
+    stack = [0] * depth
     count = 0
     pos = start
-    nodes = 0
-    while True:
-        nodes += 1
-        if nodes > budget:
-            return False, 0, nodes, True
+    for nodes in range(1, budget + 1):
         if count == k:
             if hit[k] == full:
-                return True, chosen, nodes, False
-        elif count + universe - pos >= k and count + floor[pos] <= k:
+                return True, sum(1 << p for p in stack), nodes, False
+        elif floor[pos] <= k - count <= universe - pos:
             hit[count + 1] = hit[count] | hits[pos]
-            chosen |= 1 << pos
+            stack[count] = pos
             count += 1
             pos += 1
             continue
         # Dead end: unwind to the highest included position whose exclude
         # branch leaves every constraint topping out there hit.
-        while chosen:
-            p = chosen.bit_length() - 1
-            chosen ^= 1 << p
+        while count:
             count -= 1
+            p = stack[count]
             top = tops[p]
             if hit[count] & top == top:
                 pos = p + 1
                 break
         else:
             return False, 0, nodes, False
+    return False, 0, budget + 1, True
 
 
 def _table_search(system, k, budget, start):
@@ -249,26 +255,22 @@ def _table_search(system, k, budget, start):
     tables = system.tables
     stored = system.stored
     cap = TABLE_CAP
-    hit = [0] * (min(k, universe - start) + 1)
+    depth = min(k, universe - start)
+    hit = [0] * (depth + 1)
     hit[0] = system.below(start)
-    chosen = 0
+    stack = [0] * depth
     count = 0
     pos = start
-    nodes = 0
-    while True:
-        nodes += 1
-        if nodes > budget:
-            system.stored = stored
-            return False, 0, nodes, True
+    for nodes in range(1, budget + 1):
         if count == k:
             if hit[k] == full:
                 system.stored = stored
-                return True, chosen, nodes, False
-        elif count + universe - pos >= k and count + floor[pos] <= k:
+                return True, sum(1 << p for p in stack), nodes, False
+        elif floor[pos] <= k - count <= universe - pos:
             key = keys[pos]
             if key is None or tables[pos].get(hit[count] & key, -1) < k - count:
                 hit[count + 1] = hit[count] | hits[pos]
-                chosen |= 1 << pos
+                stack[count] = pos
                 count += 1
                 pos += 1
                 continue
@@ -276,7 +278,7 @@ def _table_search(system, k, budget, start):
         # left by its exclude branch since the last include now has both
         # subtrees refuted: record it, deepest first, then unwind.
         while True:
-            p = chosen.bit_length() - 1 if chosen else start - 1
+            p = stack[count - 1] if count else start - 1
             if pos - 1 > p:
                 h = hit[count]
                 need = k - count
@@ -293,16 +295,17 @@ def _table_search(system, k, budget, start):
                                 stored = 0
                             stored += 1
                         table[state] = need
-            if not chosen:
+            if not count:
                 system.stored = stored
                 return False, 0, nodes, False
-            chosen ^= 1 << p
             count -= 1
             top = tops[p]
             if hit[count] & top == top:
                 pos = p + 1
                 break
             pos = p
+    system.stored = stored
+    return False, 0, budget + 1, True
 
 
 def search_exact_size(universe, constraints, k, budget, start=0):

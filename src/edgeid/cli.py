@@ -234,8 +234,11 @@ def cmd_reduce(args):
             ) from None
         code = sorted(reduction.assignment_to_code(inst, asg).indices())
     if args.labels is not None:
-        with open(args.labels, "w", encoding="utf-8") as fh:
-            fh.write(reduction.labels_to_text(inst.labels))
+        try:
+            with open(args.labels, "w", encoding="utf-8") as fh:
+                fh.write(reduction.labels_to_text(inst.labels))
+        except OSError as exc:
+            raise _UsageError(f"{args.labels}: {exc.strerror or exc}") from None
     _emit(write_edge_list(inst.graph, code=code, k=inst.k))
     return EXIT_OK
 

@@ -166,7 +166,8 @@ class RefutedTable:
         self.states[state] = need
 
 
-def reference_pruned_search(universe, constraints, k, budget, table=None):
+def reference_pruned_search(universe, constraints, k, budget, table=None,
+                            keyed=True):
     """``reference_search`` with the kernel's suffix packing bound and
     refuted-state table.  Same ``(found, mask, nodes, exhausted)`` as the
     kernel for every input.
@@ -177,10 +178,12 @@ def reference_pruned_search(universe, constraints, k, budget, table=None):
     key constraints that the included positions hit) with a need of at
     least ``k - count``.  A node whose exclude branch is allowed is stored
     with that need once both branches are refuted.  Pass one ``table`` to
-    several calls to mirror searches that share a ``ConstraintSystem``."""
+    several calls to mirror searches that share a ``ConstraintSystem``.
+    With ``keyed`` false no position is keyed and the table is never
+    used: that is the kernel's plain loop."""
     groups = _group_by_top_bit(universe, constraints)
     pack = brute_force_pack(universe, constraints)
-    keys = reference_keys(universe, constraints)
+    keys = reference_keys(universe, constraints) if keyed else None
     table = RefutedTable() if table is None else table
     nodes = 0
     found_mask = 0
@@ -396,6 +399,15 @@ def random_connected_pendant_free(rng, max_n=12):
                 g = Graph(n, sorted(edges))
         if not pendant_pairs(g):
             return g
+
+
+# the seed-0 reduction instances of perfbench's solve_budget workload:
+# planted_formula(random.Random("0/sat2"), 2, 0) and ("0/sat3", 3, 3)
+SEED0_SAT2 = SatFormula(2, (((1, True), (0, True)), ((0, False), (1, True)),
+                            ((0, True), (1, False))))
+SEED0_SAT3 = SatFormula(3, (((2, True), (1, True), (0, True)),
+                            ((2, False), (1, True), (0, False)),
+                            ((1, False), (2, True), (0, True))))
 
 
 def random_formula(rng, num_vars):

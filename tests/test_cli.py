@@ -352,6 +352,12 @@ class TestReduce:
         assert any(l.endswith("Q0.c1") for l in lines)
         assert any(l.endswith("x1.tbar2") for l in lines)
 
+    def test_unwritable_labels_path_is_usage_error(self, run_cli, tmp_path):
+        side = tmp_path / "no" / "such" / "labels.txt"
+        status, out, err = run_cli(["reduce", "--labels", str(side)], stdin=CNF)
+        assert status == 2 and out == ""
+        assert err.strip() == f"usage error: {side}: No such file or directory"
+
     def test_assignment_embeds_code(self, run_cli, tmp_path):
         apath = tmp_path / "asg.txt"
         apath.write_text("1 1\n")

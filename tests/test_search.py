@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (RefutedTable, _group_by_top_bit, reference_pruned_search,
-                      reference_search)
+from conftest import (SEED0_SAT2, RefutedTable, _group_by_top_bit,
+                      reference_keys, reference_pruned_search, reference_search)
 from edgeid import _search, solver
 from edgeid._search import ConstraintSystem, search_exact_size
 from edgeid.families import standard_graph
+from edgeid.graph_core import bits
 from edgeid.identify import verify_edge_code
 from edgeid.reduction import SatFormula, build_reduction
 from edgeid.solver import SolveOptions, _constraints_from_masks, min_edge_code
@@ -129,14 +130,38 @@ def test_kernel_matches_recursive_reference(system):
                 assert got[:2] == plain[:2] and got[2] <= plain[2], (k, budget)
 
 
+@settings(max_examples=200, deadline=None)
+@given(constraint_systems(), st.data())
+def test_plain_loop_matches_recursive_reference(system, data):
+    # universes this small always have a keyed position, so
+    # search_exact_size runs the table loop on them; call the plain loop
+    # directly.  From a start p it searches like the reference on the
+    # constraints inside [p, universe) shifted down by p, node for node.
+    universe, constraints = system
+    start = data.draw(st.integers(0, universe), label="start")
+    prepared = ConstraintSystem(universe, constraints)
+    inside = [c >> start for c in constraints if c >> start << start == c]
+    for k in range(universe + 2):
+        for budget in BUDGETS:
+            got = _search._search(prepared, k, budget, start)
+            found, mask, nodes, exhausted = reference_pruned_search(
+                universe - start, inside, k, budget, keyed=False)
+            assert got == (found, mask << start, nodes, exhausted), (k, budget)
+
+
+def masks_over(universe):
+    """Constraint masks over ``range(universe)``, half of them with at most
+    three positions: narrow constraints make searches long enough to
+    revisit states and make one constraint inside another common."""
+    narrow = st.sets(st.integers(0, universe - 1), min_size=1, max_size=3).map(
+        lambda positions: sum(1 << i for i in positions))
+    return st.one_of(narrow, st.integers(1, (1 << universe) - 1))
+
+
 @st.composite
 def suffix_queries(draw):
     universe = draw(st.integers(1, 12))
-    # narrow constraints make the searches long enough to revisit states
-    narrow = st.sets(st.integers(0, universe - 1), min_size=1, max_size=3).map(
-        lambda positions: sum(1 << i for i in positions))
-    mask = st.one_of(narrow, st.integers(1, (1 << universe) - 1))
-    constraints = draw(st.lists(mask, max_size=2 * universe))
+    constraints = draw(st.lists(masks_over(universe), max_size=2 * universe))
     query = st.tuples(st.integers(0, universe), st.integers(0, universe + 1))
     return universe, constraints, draw(st.lists(query, min_size=1, max_size=12))
 
@@ -158,6 +183,33 @@ def test_shared_table_keeps_suffix_answers(cap, case):
             found, mask, _, _ = reference_search(universe - start, inside, k, 10**6)
             assert got[:2] == (found, mask << start), (start, k)
             assert not got[3] and got[2] <= _search._search(system, k, 10**6, start)[2]
+
+
+@st.composite
+def keyed_systems(draw):
+    universe = draw(st.integers(0, 16))
+    if universe == 0:
+        return 0, []
+    return universe, draw(st.lists(masks_over(universe), max_size=2 * universe))
+
+
+@pytest.mark.parametrize("limit", [_search.KEY_LIMIT, 3])
+@settings(max_examples=200, deadline=None)
+@given(keyed_systems())
+def test_state_keys_match_reference(limit, system):
+    # per position, the numbered constraints of a key are the ones the
+    # definition gives: open there and containing no other constraint
+    universe, constraints = system
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_search, "KEY_LIMIT", limit)
+        keys = ConstraintSystem(universe, constraints).keys
+    expect = reference_keys(universe, constraints, limit)
+    if expect is None:
+        assert keys is None
+        return
+    numbered = sorted(set(constraints))
+    assert [key if key is None else frozenset(numbered[i] for i in bits(key))
+            for key in keys] == expect
 
 
 def test_table_holds_at_most_cap_entries(monkeypatch):
@@ -227,6 +279,36 @@ def test_budget_exhaustion_reported():
     # with room to finish, the proof of absence is exact
     found, _, nodes, exhausted = search_exact_size(q4.m, q4_constraints, 7, 10**6)
     assert not found and not exhausted and nodes > 6
+
+
+@pytest.mark.parametrize("kernel", ["plain", "table"])
+def test_budget_boundary_is_exact(kernel):
+    # a search that takes N nodes finishes at budget N and exhausts at
+    # N - 1, reporting N nodes; each call gets a fresh system, so no
+    # table carries over from one call to the next
+    if kernel == "plain":
+        g = standard_graph("complete", 8)  # no keyed position
+        universe = g.m
+        constraints = _constraints_from_masks(g.all_edge_masks())
+        searches = ((6, 0), (7, 0))  # (k, start): refuted, then found
+    else:
+        g = build_reduction(SEED0_SAT2).graph  # residual k = 41
+        _, constraints, positions = solver._strip_forced(
+            g.m, _constraints_from_masks(g.all_edge_masks()))
+        universe = len(positions)
+        searches = ((16, 72), (17, 72))
+    for k, start in searches:
+        system = ConstraintSystem(universe, constraints)
+        assert (system.keys is None) == (kernel == "plain")
+        found, mask, nodes, exhausted = search_exact_size(
+            universe, system, k, 10**7, start)
+        assert not exhausted and nodes > 100 and found == ((k, start) == searches[1])
+        assert search_exact_size(universe, ConstraintSystem(universe, constraints),
+                                 k, nodes, start) == (found, mask, nodes, False)
+        assert search_exact_size(universe, ConstraintSystem(universe, constraints),
+                                 k, nodes - 1, start) == (False, 0, nodes, True)
+        if kernel == "table":
+            assert system.stored > 0
 
 
 def test_node_budget_monotone_python():

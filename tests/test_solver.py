@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SEED0_SAT2,
+    SEED0_SAT3,
     brute_force_suffix_optimum,
     naive_constraints_from_masks,
     naive_is_code,
@@ -22,7 +24,7 @@ from edgeid._search import ConstraintSystem
 from edgeid.families import standard_graph
 from edgeid.graph_core import EdgeSet, Graph, line_graph, pendant_pairs
 from edgeid.identify import verify_edge_code, verify_vertex_code, vertex_closed_masks
-from edgeid.reduction import SatFormula, build_reduction
+from edgeid.reduction import build_reduction
 from edgeid.solver import (
     SolveOptions,
     _constraints_from_masks,
@@ -105,15 +107,6 @@ def test_node_counts_are_pinned(kind, params, size, nodes):
     # update the pin and say why
     res = min_edge_code(standard_graph(kind, params))
     assert (res.status, res.size, res.nodes_used) == ("Optimal", size, nodes)
-
-
-# the seed-0 reduction instances of perfbench's solve_budget workload:
-# planted_formula(random.Random("0/sat2"), 2, 0) and ("0/sat3", 3, 3)
-SEED0_SAT2 = SatFormula(2, (((1, True), (0, True)), ((0, False), (1, True)),
-                            ((0, True), (1, False))))
-SEED0_SAT3 = SatFormula(3, (((2, True), (1, True), (0, True)),
-                            ((2, False), (1, True), (0, False)),
-                            ((1, False), (2, True), (0, True))))
 
 
 @pytest.mark.parametrize("formula, nodes", [(SEED0_SAT2, 6513), (SEED0_SAT3, 49290)])
