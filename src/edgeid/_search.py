@@ -86,6 +86,25 @@ so those graphs pay nothing.  And the table holds at most
 ``TABLE_CAP`` states and is cleared when full, which bounds its memory
 whatever the node budget.
 
+The plain loop prunes by symmetry instead.  Write ``orbits[q]`` for the
+positions above ``q`` that the automorphisms of the system fixing every
+position below ``q`` map ``q`` to (the solver computes them with
+``symmetry``).  When the search takes the exclude branch of ``q``, no
+position of ``orbits[q]`` may be included anywhere in that branch.  For
+suppose a solution ``S`` there contained ``r = g(q)``: then ``g⁻¹(S)``
+would be a solution that agrees with ``S`` below ``q`` and contains
+``q``, in the include branch just refuted, or cut as holding none.  So
+bans, like the bound, cut only subtrees without a solution, and the
+first subset found stays the lex-least one.  They hold for a suffix
+search from any ``start <= q`` too, since such a ``g`` fixes the
+positions below ``start`` and so maps the suffix problem onto itself.
+The loop keeps, for each position, the number of bans on it, folded
+into the room left above it so that the include test catches them
+unchanged, and a log of the excludes that banned, each lifted when the
+search backtracks out of its branch.  Only positions below ``base``, one
+past the last nontrivial orbit, ban anything, so a system without
+symmetry runs the loop at its old cost.
+
 One search node is counted per visited DFS state, and the search stops
 once the node budget is exceeded, reporting exhaustion.  A run that
 returns not-found without exhaustion is a proof that no k-subset hits
@@ -108,7 +127,7 @@ class ConstraintSystem:
     ``KEY_LIMIT`` open constraints; the kernel then keeps no table."""
 
     __slots__ = ("universe", "full", "hits", "tops", "lows", "floor", "keys",
-                 "tables", "stored", "_below")
+                 "tables", "stored", "orbits", "base", "guard", "_below")
 
     def __init__(self, universe, constraints):
         # equal constraints would each count as containing the other
@@ -148,7 +167,27 @@ class ConstraintSystem:
             key if key is None else {} for key in keys
         ]
         self.stored = 0
+        self.orbits = None
+        self.base = 0
+        self.guard = tops
         self._below = (0, 0)
+
+    def set_orbits(self, orbits):
+        """Let the plain loop ban ``orbits[q]`` in the exclude branch of q.
+
+        ``orbits[q]`` lists positions above ``q`` that automorphisms of the
+        system fixing every position below ``q`` map ``q`` to.  ``base``
+        becomes one past the last position with a nonempty orbit, and
+        ``guard`` is ``tops`` with a bit that no constraint number uses
+        added below ``base``, so that the loop's exclude test fails there
+        and only those positions reach the ban bookkeeping.
+        """
+        self.orbits = orbits
+        self.base = base = max((q + 1 for q, orbit in enumerate(orbits) if orbit),
+                               default=0)
+        mark = self.full + 1
+        self.guard = [top | mark if p < base else top
+                      for p, top in enumerate(self.tops)]
 
     def below(self, start):
         """The constraints whose lowest bit is below ``start``, as a mask.
@@ -213,34 +252,63 @@ def _search(system, k, budget, start):
     full = system.full
     hits = system.hits
     tops = system.tops
+    guard = system.guard
     floor = system.floor
+    orbits = system.orbits
+    base = system.base
     depth = min(k, universe - start)
     hit = [0] * (depth + 1)
     hit[0] = system.below(start)
     stack = [0] * depth
+    # room[p] is universe - p, less `shift` per ban on p: the include
+    # test fails at a banned position; log holds (count, q) for each
+    # exclude of a position q whose orbit it banned
+    room = list(range(universe, -1, -1))
+    shift = universe + 1
+    log = []
     count = 0
     pos = start
     for nodes in range(1, budget + 1):
         if count == k:
             if hit[k] == full:
                 return True, sum(1 << p for p in stack), nodes, False
-        elif floor[pos] <= k - count <= universe - pos:
+        elif floor[pos] <= k - count <= room[pos]:
             hit[count + 1] = hit[count] | hits[pos]
             stack[count] = pos
             count += 1
             pos += 1
             continue
+        elif room[pos] < 0 and floor[pos] <= k - count <= universe - pos:
+            # A banned position goes straight to its exclude branch.  Its
+            # own orbit needs no ban: it lies in the orbit that banned it.
+            top = tops[pos]
+            if hit[count] & top == top:
+                pos += 1
+                continue
         # Dead end: unwind to the highest included position whose exclude
-        # branch leaves every constraint topping out there hit.
+        # branch leaves every constraint topping out there hit.  Below
+        # base, guard fails that test, and the exclude also bans.
         while count:
             count -= 1
             p = stack[count]
-            top = tops[p]
+            top = guard[p]
             if hit[count] & top == top:
-                pos = p + 1
                 break
+            if p < base:
+                top = tops[p]
+                if hit[count] & top == top:
+                    # lift the bans made inside p's include subtree, all
+                    # by positions above p, then ban p's orbit
+                    while log and log[-1][0] > count:
+                        for r in orbits[log.pop()[1]]:
+                            room[r] += shift
+                    for r in orbits[p]:
+                        room[r] -= shift
+                    log.append((count, p))
+                    break
         else:
             return False, 0, nodes, False
+        pos = p + 1
     return False, 0, budget + 1, True
 
 

@@ -25,9 +25,12 @@ neighbour, or by one kernel search at the neighbour's value, which the
 optima already found prune.  The optimum of the whole instance is then the optimum ``f`` of
 the suffix from 1, or ``f + 1``: the sweep searches at most these two
 sizes, starting from the larger of ``f`` and an analytic lower bound.
-Within a size the kernel returns the lexicographically least code.  All
-searches of a solve share one ``ConstraintSystem`` and with it the
-kernel's table of refuted states.  A node budget caps the total work
+Within a size the kernel returns the lexicographically least code; a
+size whose answer a suffix search already found needs no search (see
+``_sweep``).  All searches of a solve share one ``ConstraintSystem`` and
+with it the kernel's table of refuted states, or, for a system that
+runs the plain loop, the orbits of its positions under the automorphisms
+of the position graph, which the kernel bans.  A node budget caps the total work
 over both phases; runs that exhaust it fall back to a verified hint
 when one was supplied.
 """
@@ -89,7 +92,16 @@ def _constraints_from_masks(masks):
     return sorted(cons)
 
 
-def _suffix_pass(system, lower, cap, budget):
+def _search_from(system, k, budget, start, group):
+    """``search_exact_size`` on ``system``, first giving the plain loop the
+    orbits from ``group``, a ``symmetry.BaseOrbits`` or None, at every
+    level the search can exclude."""
+    if group is not None:
+        system.set_orbits(group.down_to(start))
+    return search_exact_size(system.universe, system, k, budget, start)
+
+
+def _suffix_pass(system, lower, cap, budget, group=None):
     """Raise ``system.floor[p]`` to the exact suffix optimum for ``p >= 1``.
 
     Write ``h[p]`` for the fewest positions in ``[p, universe)`` hitting
@@ -103,15 +115,15 @@ def _suffix_pass(system, lower, cap, budget):
     exceeds ``cap``, since every size up to ``cap`` is then refuted, and
     leaves that floor at ``floor[1]``.
 
-    Returns ``(first, nodes, exhausted)``.  ``first`` is the subset the
-    search at ``p = 1`` found, the lex-least of size ``h[1]`` in
-    ``[1, universe)``, or None when that value needed no search.
+    Returns ``(witnesses, nodes, exhausted)``.  ``witnesses`` maps each
+    start ``p`` whose search found a subset to that subset, the
+    lex-least of size ``h[p]`` in ``[p, universe)``.
     """
     floor = system.floor
     hits = system.hits
     lows = system.lows
     covered = 0  # the constraints that a witness of floor[p + 1] hits
-    first = None
+    witnesses = {}
     nodes = 0
     for p in range(system.universe - 1, 0, -1):
         low = lows[p]
@@ -121,19 +133,17 @@ def _suffix_pass(system, lower, cap, budget):
             covered |= hits[p]
         elif covered & low != low:
             if nodes >= budget:
-                return None, nodes, True
-            found, mask, used, exhausted = search_exact_size(
-                system.universe, system, k, budget - nodes, p
-            )
+                return witnesses, nodes, True
+            found, mask, used, exhausted = _search_from(
+                system, k, budget - nodes, p, group)
             nodes += used
             if exhausted:
-                return None, nodes, True
+                return witnesses, nodes, True
             if found:
                 covered = 0
                 for q in bits(mask):
                     covered |= hits[q]
-                if p == 1:
-                    first = mask
+                witnesses[p] = mask
             else:
                 k += 1
                 covered |= hits[p]
@@ -142,17 +152,26 @@ def _suffix_pass(system, lower, cap, budget):
             # h never shrinks leftwards, so this floor holds at 1 too
             floor[1] = max(floor[1], k)
             break
-    return first, nodes, False
+    return witnesses, nodes, False
 
 
-def _sweep(system, lower, cap, budget):
+def _sweep(system, lower, cap, budget, group=None):
     """Lex-least minimum hitting set of ``system`` of size at most ``cap``.
 
-    ``lower`` is a lower bound on the optimum.  Returns ``(mask, nodes,
-    exhausted)``; ``mask`` is None when every size up to ``cap`` was
-    refuted or the budget ran out first.
+    ``lower`` is a lower bound on the optimum, and ``group`` the
+    ``symmetry.BaseOrbits`` that the plain loop bans, or None.  Returns
+    ``(mask, nodes, exhausted)``; ``mask`` is None when every size up to
+    ``cap`` was refuted or the budget ran out first.
+
+    A size ``k`` with ``floor[j] = k - j`` for a start ``j >= 1`` whose
+    search found the witness ``W`` needs no search: the search at ``k``
+    includes ``0, ..., j - 1`` first, which the floors allow since they
+    grow by at most one per position leftwards, and those positions hit
+    every constraint whose lowest bit lies below ``j``.  Its first
+    solution is then the lex-least one of the suffix problem from ``j``
+    at size ``k - j``, which is ``W``.
     """
-    first, nodes, exhausted = _suffix_pass(system, lower, cap, budget)
+    witnesses, nodes, exhausted = _suffix_pass(system, lower, cap, budget, group)
     if exhausted:
         return None, nodes, True
     floor = system.floor
@@ -160,14 +179,12 @@ def _sweep(system, lower, cap, budget):
     for k in (least, least + 1):
         if k > cap:
             break
-        if k == floor[1] + 1 and first is not None:
-            # the include-0 subtree of the search at k is the p = 1 search
-            return 1 | first, nodes, False
+        for j, mask in witnesses.items():
+            if floor[j] == k - j:
+                return (1 << j) - 1 | mask, nodes, False
         if nodes >= budget:
             return None, nodes, True
-        found, mask, used, exhausted = search_exact_size(
-            system.universe, system, k, budget - nodes
-        )
+        found, mask, used, exhausted = _search_from(system, k, budget - nodes, 0, group)
         nodes += used
         if found or exhausted:
             return (mask if found else None), nodes, exhausted
@@ -214,6 +231,10 @@ def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
     already certifies costs no build.  The forced positions are split
     off first, and the sweep runs on the residual with the bound and
     the cap lowered by their count; an empty residual needs no search.
+    A residual that runs the plain loop is searched with the orbits of
+    the automorphisms of ``masks``, taken along the residual's positions:
+    an automorphism maps the forced positions, and so the residual, onto
+    themselves.
     """
     start, name = lower
     bound_used = (name, start)
@@ -228,7 +249,14 @@ def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
             mask = forced if size <= cap else None
         elif size < cap:  # the residual needs at least one more position
             residual = ConstraintSystem(len(positions), rest)
-            sub, nodes, exhausted = _sweep(residual, start - size, cap - size, budget)
+            group = None
+            if residual.keys is None:
+                # the plain loop bans orbits; symmetry loads only for it
+                from .symmetry import BaseOrbits
+
+                group = BaseOrbits(masks, positions)
+            sub, nodes, exhausted = _sweep(residual, start - size, cap - size,
+                                           budget, group)
             if sub is not None:
                 mask = forced | sum(1 << positions[i] for i in bits(sub))
     if mask is not None:

@@ -42,6 +42,17 @@ def naive_min_edge_code(g):
     return None
 
 
+def naive_min_vertex_code(g):
+    """Lex-least minimum identifying code on vertices, by enumeration."""
+    closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
+    for k in range(g.n + 1):
+        for combo in itertools.combinations(range(g.n), k):
+            traces = [nb & set(combo) for nb in closed]
+            if all(traces) and len(set(traces)) == g.n:
+                return combo
+    return None
+
+
 def _group_by_top_bit(universe, constraints):
     groups = [[] for _ in range(universe)]
     for c in constraints:

@@ -108,6 +108,23 @@ def test_each_subcommand_loads_only_its_modules(inputs, argv, modules):
     assert loaded_by(body, inputs) == {"edgeid", "edgeid.cli", "edgeid.graph_core"} | modules
 
 
+@pytest.mark.parametrize("body, loads", [
+    ("import edgeid", False),
+    # the half-order bound certifies the hint: no constraint is built
+    ("from edgeid.families import hypercube_matching, standard_graph\n"
+     "from edgeid.solver import SolveOptions, min_edge_code\n"
+     "g = standard_graph('hypercube', 4)\n"
+     "res = min_edge_code(g, SolveOptions(upper_hint=hypercube_matching(4)))\n"
+     "assert (res.status, res.nodes_used) == ('Optimal', 0)", False),
+    # K_7 runs the plain loop, which bans the orbits of its line graph
+    ("from edgeid.families import standard_graph\n"
+     "from edgeid.solver import min_edge_code\n"
+     "assert min_edge_code(standard_graph('complete', 7)).size == 6", True),
+], ids=["import", "certified-hint", "plain-loop-search"])
+def test_symmetry_loads_only_for_a_plain_loop_search(tmp_path, body, loads):
+    assert ("edgeid.symmetry" in loaded_by(body, tmp_path)) == loads
+
+
 def test_lazy_names_are_the_submodule_objects():
     every = [name for names in PUBLIC.values() for name in names]
     assert len(every) == len(set(every)) == 56

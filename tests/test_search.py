@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (SEED0_SAT2, RefutedTable, _group_by_top_bit,
-                      reference_keys, reference_pruned_search, reference_search)
+                      pendant_free_unions, reference_keys, reference_pruned_search,
+                      reference_search)
 from edgeid import _search, solver
 from edgeid._search import ConstraintSystem, search_exact_size
 from edgeid.families import standard_graph
@@ -17,6 +18,7 @@ from edgeid.graph_core import bits
 from edgeid.identify import verify_edge_code
 from edgeid.reduction import SatFormula, build_reduction
 from edgeid.solver import SolveOptions, _constraints_from_masks, min_edge_code
+from edgeid.symmetry import BaseOrbits
 
 
 def brute_force(universe, constraints, k):
@@ -147,6 +149,37 @@ def test_plain_loop_matches_recursive_reference(system, data):
             found, mask, nodes, exhausted = reference_pruned_search(
                 universe - start, inside, k, budget, keyed=False)
             assert got == (found, mask << start, nodes, exhausted), (k, budget)
+
+
+def test_bans_keep_the_lex_least_subset():
+    # each edge-code residual runs the plain loop with the orbits of its
+    # position graph; from every start and at every size it returns the
+    # reference's subset, found without bans, in no more nodes
+    graphs = pendant_free_unions(8) + [
+        standard_graph(kind, params) for kind, params in (
+            ("complete", 4), ("complete", 5), ("complete", 6),
+            ("complete_bipartite", (3, 3)), ("complete_bipartite", (3, 4)),
+            ("hypercube", 3), ("petersen", None))
+    ]
+    saved = 0
+    for g in graphs:
+        masks = g.all_edge_masks()
+        _, constraints, positions = solver._strip_forced(
+            g.m, _constraints_from_masks(masks))
+        universe = len(positions)
+        system = ConstraintSystem(universe, constraints)
+        system.set_orbits(BaseOrbits(masks, positions).down_to(0))
+        for start in range(universe + 1):
+            inside = [c >> start for c in constraints if c >> start << start == c]
+            for k in range(universe - start + 2):
+                found, mask, nodes, _ = reference_pruned_search(
+                    universe - start, inside, k, 10**9, keyed=False)
+                got = _search._search(system, k, 10**9, start)
+                assert got[:2] + got[3:] == (found, mask << start, False), (
+                    g.edges, start, k)
+                assert got[2] <= nodes, (g.edges, start, k)
+                saved += nodes - got[2]
+    assert saved > 0
 
 
 def masks_over(universe):

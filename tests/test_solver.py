@@ -1,6 +1,5 @@
 """Exact solver, approximation, and minimalization."""
 
-import itertools
 import random
 
 import pytest
@@ -14,12 +13,13 @@ from conftest import (
     naive_constraints_from_masks,
     naive_is_code,
     naive_min_edge_code,
+    naive_min_vertex_code,
     naive_shrink,
     naive_sweep,
     pendant_free_unions,
     random_connected_pendant_free,
 )
-from edgeid import solver
+from edgeid import _search, solver
 from edgeid._search import ConstraintSystem
 from edgeid.families import standard_graph
 from edgeid.graph_core import EdgeSet, Graph, line_graph, pendant_pairs
@@ -95,8 +95,9 @@ def test_lower_bound_is_reported_on_optimal():
     "kind, params, size, nodes",
     [
         ("petersen", None, 5, 192),
-        ("complete", 7, 6, 1887),
-        ("complete_bipartite", (4, 5), 7, 19309),
+        ("complete", 7, 6, 1402),
+        ("complete_bipartite", (4, 5), 7, 2272),
+        ("complete", 8, 7, 19615),
         ("cycle", 30, 15, 141),
         ("cycle", 60, 30, 291),
         ("cycle", 100, 50, 491),
@@ -107,6 +108,13 @@ def test_node_counts_are_pinned(kind, params, size, nodes):
     # update the pin and say why
     res = min_edge_code(standard_graph(kind, params))
     assert (res.status, res.size, res.nodes_used) == ("Optimal", size, nodes)
+
+
+def test_k9_is_optimal_within_the_benchmark_budget():
+    # solve_budget's cap: bans from the line graph's orbits and the
+    # reused suffix witness bring K_9 under it
+    res = min_edge_code(standard_graph("complete", 9), SolveOptions(budget=300_000))
+    assert (res.status, res.size, res.nodes_used) == ("Optimal", 8, 294556)
 
 
 @pytest.mark.parametrize("formula, nodes", [(SEED0_SAT2, 6513), (SEED0_SAT3, 49290)])
@@ -136,17 +144,6 @@ def test_forced_edges_are_split_off():
     # the hint is optimal at once
     hinted = min_edge_code(g, SolveOptions(upper_hint=res.code))
     assert (hinted.status, hinted.code, hinted.nodes_used) == ("Optimal", res.code, 0)
-
-
-def naive_min_vertex_code(g):
-    """Lex-least minimum identifying code on vertices, by enumeration."""
-    closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
-    for k in range(g.n + 1):
-        for combo in itertools.combinations(range(g.n), k):
-            traces = [nb & set(combo) for nb in closed]
-            if all(traces) and len(set(traces)) == g.n:
-                return combo
-    return None
 
 
 def test_min_vertex_code_with_forced_vertices():
@@ -256,6 +253,24 @@ def test_solver_matches_naive_sweep_on_graphs():
         assert res.status == "Optimal"
         naive = naive_sweep(g.m, naive_constraints_from_masks(g.all_edge_masks()))
         assert (res.size, res.code.mask) == naive, g.edges
+
+
+def test_solver_with_orbits_matches_naive_sweep(monkeypatch):
+    # with no keyed position allowed, every residual runs the plain loop
+    # with the orbits of its positions, also where forced edges leave a
+    # residual numbered apart from the graph's edges
+    monkeypatch.setattr(_search, "KEY_LIMIT", -1)
+    graphs = pendant_free_unions(8) + [standard_graph("complete", 5),
+                                       standard_graph("petersen"),
+                                       standard_graph("complete_bipartite", (3, 4))]
+    forcing = 0
+    for g in graphs:
+        constraints = naive_constraints_from_masks(g.all_edge_masks())
+        forcing += bool(solver._strip_forced(g.m, constraints)[0])
+        res = min_edge_code(g)
+        assert res.status == "Optimal"
+        assert (res.size, res.code.mask) == naive_sweep(g.m, constraints), g.edges
+    assert forcing >= 10
 
 
 def test_budget_exhaustion_and_hint_fallback():

@@ -1,0 +1,175 @@
+"""Automorphism orbits along a base: checked generators, orbits against
+brute force, and the solves that ban them."""
+
+import itertools
+
+import pytest
+
+from conftest import naive_min_vertex_code
+from edgeid import _search, solver, symmetry
+from edgeid.families import standard_graph
+from edgeid.graph_core import Graph, bits
+from edgeid.identify import vertex_closed_masks
+from edgeid.solver import min_vertex_code
+
+# (kind, params) of edge-transitive families small enough to enumerate
+# every vertex permutation; K_4 is left out, since its line graph has
+# more automorphisms than K_4 itself
+BRUTE = [("complete", 5), ("complete", 6), ("complete", 7),
+         ("complete_bipartite", (3, 3)), ("complete_bipartite", (3, 4)),
+         ("hypercube", 3)]
+
+
+def brute_force_orbits(g):
+    """``orbits[q]``: the edges ``r > q`` that a vertex permutation mapping
+    edges to edges and fixing the edges below ``q`` maps edge ``q`` to."""
+    index = {frozenset(e): i for i, e in enumerate(g.edges)}
+    lifted = []
+    for perm in itertools.permutations(range(g.n)):
+        images = [index.get(frozenset((perm[u], perm[v]))) for u, v in g.edges]
+        if None not in images:
+            lifted.append(images)
+    return [
+        tuple(sorted({s[q] for s in lifted if s[:q] == list(range(q))} - {q}))
+        for q in range(g.m)
+    ]
+
+
+def full_orbits(masks, base):
+    """``(orbits, generators)`` with every level found."""
+    group = symmetry.BaseOrbits(masks, base)
+    return group.down_to(0), group.generators
+
+
+def maps_masks(sigma, masks):
+    for i, m in enumerate(masks):
+        if masks[sigma[i]] != sum(1 << sigma[j] for j in bits(m)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind, params", BRUTE + [("complete", 4), ("petersen", None),
+                                                  ("hypercube", 4)])
+def test_generators_are_automorphisms(kind, params):
+    g = standard_graph(kind, params)
+    masks = g.all_edge_masks()
+    orbits, gens = full_orbits(masks, range(g.m))
+    assert gens and orbits[0]
+    for sigma in gens:
+        assert sorted(sigma) == list(range(g.m)) and maps_masks(sigma, masks)
+
+
+@pytest.mark.parametrize("kind, params", BRUTE)
+def test_orbits_match_brute_force(kind, params):
+    g = standard_graph(kind, params)
+    orbits, _ = full_orbits(g.all_edge_masks(), range(g.m))
+    assert orbits == brute_force_orbits(g)
+
+
+def test_orbits_follow_the_base():
+    # along a base that is not 0, 1, 2, ..., orbits hold base indices:
+    # reversing the base of K_5's line graph mirrors its stabiliser chain
+    g = standard_graph("complete", 5)
+    masks = g.all_edge_masks()
+    flipped = [g.m - 1 - i for i in range(g.m)]
+    orbits, _ = full_orbits(masks, flipped)
+    relabelled = [masks[i] for i in flipped]
+    relabelled = [sum(1 << flipped[j] for j in bits(m)) for m in relabelled]
+    assert orbits == full_orbits(relabelled, range(g.m))[0]
+    assert [len(o) for o in orbits if o] == [9, 5, 1]
+
+
+def test_levels_are_found_as_deep_as_asked():
+    # a search from start excludes no position below it, so down_to(start)
+    # finds the levels at or above start only; each answer agrees with the
+    # full computation there, and a deeper ask adds the rest
+    g = standard_graph("complete", 6)
+    masks = g.all_edge_masks()
+    full, gens = full_orbits(masks, range(g.m))
+    group = symmetry.BaseOrbits(masks, range(g.m))
+    spent = [group.budget]
+    for start in range(g.m, -1, -1):
+        orbits = group.down_to(start)
+        assert orbits[start:] == full[start:] and not any(orbits[:start]), start
+        spent.append(group.budget)
+    assert spent == sorted(spent, reverse=True) and spent[0] > spent[-1]
+    assert group.generators == gens
+
+
+def test_discrete_refinement_gives_trivial_orbits():
+    # degrees alone tell every edge of this line graph apart
+    g = Graph(6, [(0, 1), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4), (4, 5)])
+    masks = g.all_edge_masks()
+    adj = [[u for u in bits(m) if u != v] for v, m in enumerate(masks)]
+    order, cell, end = list(range(g.m)), [0] * g.m, [g.m] * g.m
+    symmetry._refine(order, cell, end, [0], adj)
+    assert len(set(cell)) == g.m
+    assert full_orbits(masks, range(g.m)) == ([()] * g.m, [])
+
+
+def test_leaf_check_rejects_what_refinement_cannot(monkeypatch):
+    # the Frucht graph is cubic and has no automorphism but the identity,
+    # yet refinement follows one other vertex exactly like vertex 0 down
+    # to a discrete partition; only the check of the leaf's permutation
+    # tells that it is no image of vertex 0
+    edges = [(i, (i + 1) % 7) for i in range(7)] + [
+        (0, 7), (1, 7), (2, 8), (3, 9), (4, 9), (5, 10), (6, 10), (7, 11),
+        (8, 11), (8, 9), (10, 11)]
+    masks = [1 << v for v in range(12)]
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    checked = []
+    is_automorphism = symmetry._is_automorphism
+
+    def spy(sigma, masks, closed):
+        checked.append(is_automorphism(sigma, masks, closed))
+        return checked[-1]
+
+    monkeypatch.setattr(symmetry, "_is_automorphism", spy)
+    assert full_orbits(masks, range(12)) == ([()] * 12, [])
+    assert checked == [False]
+
+
+def test_spent_budget_keeps_orbits_sound(monkeypatch):
+    # with no refinement to spend, no generator is found and every orbit
+    # is trivial, which bans nothing
+    monkeypatch.setattr(symmetry, "REFINE_LIMIT", 0)
+    g = standard_graph("complete", 6)
+    assert full_orbits(g.all_edge_masks(), range(g.m)) == ([()] * g.m, [])
+
+
+def test_min_vertex_code_with_orbits(monkeypatch):
+    # with no keyed position allowed, every residual runs the plain loop
+    # with its orbits; vertex-transitive graphs have large ones
+    monkeypatch.setattr(_search, "KEY_LIMIT", -1)
+    bases = []
+    set_orbits = _search.ConstraintSystem.set_orbits
+
+    def spy(system, orbits):
+        set_orbits(system, orbits)
+        bases.append(system.base)
+
+    monkeypatch.setattr(_search.ConstraintSystem, "set_orbits", spy)
+    graphs = [Graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(6, 10)]
+    graphs += [standard_graph("petersen"), standard_graph("hypercube", 3),
+               standard_graph("hypercube", 4),
+               Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                         (0, 3), (1, 4), (2, 5)])]
+    for g in graphs:
+        assert len(set(vertex_closed_masks(g))) == g.n
+        bases.clear()
+        res = min_vertex_code(g)
+        assert res.status == "Optimal" and res.code == naive_min_vertex_code(g), g.edges
+        assert max(bases) > 0, g.edges
+
+
+def test_orbit_build_is_skipped_by_the_table_loop(monkeypatch):
+    # Petersen and cycles run the table loop, which bans nothing, so their
+    # solves compute no group
+    def fail(masks, base):
+        raise AssertionError("group computed for a table-loop system")
+
+    monkeypatch.setattr(symmetry, "BaseOrbits", fail)
+    for g in (standard_graph("petersen"), standard_graph("cycle", 30)):
+        assert solver.min_edge_code(g).status == "Optimal"
