@@ -504,44 +504,11 @@ def induced_by_edges(g, s):
 
 
 def isomorphic(g1, g2):
-    """Brute-force isomorphism test for graphs with at most 10 vertices."""
-    if g1.n > 10 or g2.n > 10:
-        raise ValueError("isomorphism test limited to 10 vertices")
+    """Whether g1 and g2 are isomorphic (see ``symmetry.isomorphic``)."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
-    if sorted(g1.degree(v) for v in range(g1.n)) != \
-       sorted(g2.degree(v) for v in range(g2.n)):
-        return False
-    adj2 = [set(g2.neighbors(v)) for v in range(g2.n)]
-    mapping = [-1] * g1.n
-    used = [False] * g2.n
-
-    def extend(v):
-        if v == g1.n:
-            return True
-        for w in range(g2.n):
-            if used[w] or g1.degree(v) != g2.degree(w):
-                continue
-            ok = True
-            for u in g1.neighbors(v):
-                if u < v and mapping[u] not in adj2[w]:
-                    ok = False
-                    break
-            if ok:
-                for u in range(v):
-                    if u not in g1.neighbors(v) and mapping[u] in adj2[w]:
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return extend(0)
+    from .symmetry import isomorphic
+    return isomorphic(vertex_closed_masks(g1), vertex_closed_masks(g2))
 
 
 def _data_lines(text):

@@ -74,6 +74,8 @@ class ReductionInstance(namedtuple(
 def validate_formula(f):
     """List of constraint violations, empty when the formula qualifies."""
     problems = []
+    if f.num_vars < 0:
+        problems.append(f"negative variable count {f.num_vars}")
     pos = [0] * f.num_vars
     neg = [0] * f.num_vars
     for i, clause in enumerate(f.clauses):
@@ -301,6 +303,8 @@ def read_dimacs(text):
                 num_vars, declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise FormatError(f"line {lineno}: bad DIMACS header") from None
+            if num_vars < 0:
+                raise FormatError(f"line {lineno}: bad DIMACS header")
             continue
         if num_vars is None:
             raise FormatError(f"line {lineno}: clause before the header")

@@ -40,6 +40,11 @@ automorphism.  A search from a start excludes no position below it, so
 suffix pass asks for descending starts, and a solve whose searches all
 start to the right of the nontrivial levels pays for the first path
 alone.
+
+``isomorphic`` runs the same search between two graphs.  Their unit
+partitions must refine with the same trace; then the search follows the
+first graph's first path in the second graph from level 0, with no
+budget, so a miss proves that the graphs differ.
 """
 
 from collections import Counter
@@ -192,8 +197,7 @@ class BaseOrbits:
         order = list(range(n))
         cell = [0] * n
         end = [n] * n
-        if n:
-            _refine(order, cell, end, [0], adj)
+        self.trace = _refine(order, cell, end, [0], adj)
         # the first path: (base index or None, partition before, start of
         # the individualised cell, trace of the refinement after)
         self.path = path = []
@@ -239,7 +243,8 @@ class BaseOrbits:
             for r in order[s:end[s]]:
                 if r in orbit or r in refuted:
                     continue
-                sigma = self._find(self.level, r)
+                sigma = self._find(self.level, path[self.level][1], [r],
+                                   self.adj, self.masks)
                 if sigma is None:
                     refuted |= _closure([r], gens)
                 else:
@@ -248,11 +253,13 @@ class BaseOrbits:
             self.orbits[q] = tuple(sorted(index[v] for v in orbit if index[v] > q))
         return self.orbits
 
-    def _find(self, t, r):
-        """A checked automorphism taking path[t]'s vertex to ``r``."""
+    def _find(self, t, partition, candidates, adj, masks):
+        """A checked map onto the graph with neighbours ``adj`` and closed
+        neighbourhoods ``masks``, found below ``partition`` (shaped as
+        the first path's before ``path[t]``) by individualising one of
+        ``candidates`` in place of ``path[t]``'s vertex."""
         path = self.path
-        adj = self.adj
-        frames = [(t, path[t][1], [r])]
+        frames = [(t, partition, candidates)]
         while frames:
             j, (order, cell, end), candidates = frames[-1]
             if not candidates:
@@ -272,6 +279,22 @@ class BaseOrbits:
             sigma = [0] * len(order)
             for v, w in zip(self.leaf, order):
                 sigma[v] = w
-            if _is_automorphism(sigma, self.masks, self.closed):
+            if _is_automorphism(sigma, masks, self.closed):
                 return sigma
         return None
+
+
+def isomorphic(masks1, masks2):
+    """Whether the graphs with closed neighbourhoods ``masks1`` and
+    ``masks2`` are isomorphic."""
+    if len(masks1) != len(masks2):
+        return False
+    first, second = BaseOrbits(masks1, ()), BaseOrbits(masks2, ())
+    if first.trace != second.trace:
+        return False
+    if not first.path:
+        return _is_automorphism(dict(zip(first.leaf, second.leaf)), masks2, first.closed)
+    first.budget = float("inf")
+    order, _, end = partition = second.path[0][1]
+    s = first.path[0][2]
+    return first._find(0, partition, order[s:end[s]], second.adj, masks2) is not None

@@ -277,6 +277,17 @@ def reference_perfect_matching(mg, left):
     return sorted(matched_left.values())
 
 
+def naive_isomorphic(g1, g2):
+    """Whether some vertex permutation maps the edges of g1 onto g2's."""
+    if g1.n != g2.n or g1.m != g2.m:
+        return False
+    target = {frozenset(e) for e in g2.edges}
+    return any(
+        all(frozenset((p[u], p[v])) in target for u, v in g1.edges)
+        for p in itertools.permutations(range(g1.n))
+    )
+
+
 def naive_constraints_from_masks(masks):
     """Every pair of intersecting masks gives its symmetric difference."""
     cons = set(masks)

@@ -108,6 +108,9 @@ class TestSolve:
         status, out, _ = run_cli(["solve", gpath, "--budget", "100000"])
         assert status == 0
         assert "size 5 status Optimal" in out
+        status, out, err = run_cli(["solve", gpath, "--budget", "0"])
+        assert status == 2 and out == ""
+        assert "budget must be positive" in err
 
     def test_budget_env(self, run_cli, tmp_path, monkeypatch):
         gpath = graph_file(tmp_path, standard_graph("complete", 4))
@@ -193,6 +196,22 @@ class TestBounds:
         assert "best_lower 3" in out
         assert "best_upper 5" in out
         assert any(l.startswith("lower ") for l in out.splitlines())
+
+    def test_pendant_pair_report(self, run_cli, tmp_path):
+        # P_3's two edges form a pendant pair, so no upper bound applies
+        gpath = tmp_path / "p3.el"
+        gpath.write_text("3 2\n0 1\n1 2\n")
+        status, out, _ = run_cli(["bounds", str(gpath)])
+        assert status == 0
+        assert out.splitlines() == [
+            "log-universe        lower  2",
+            "half-order          lower  n/a (pendant pair present)",
+            "edge-count-inverse  lower  2",
+            "upper-bounds        upper  n/a (pendant pair present)",
+            "lower log-universe 2",
+            "lower edge-count-inverse 2",
+            "best_lower 2",
+        ]
 
 
 class TestFamily:
@@ -318,6 +337,11 @@ class TestReduce:
         assert out.splitlines()[-1] == "k 119"
         g, code, k = read_edge_list(out)
         assert g.n == 45 * 3 + 42 * 2 and code is None and k == 119
+
+    def test_negative_variable_count_is_bad_header(self, run_cli):
+        status, out, err = run_cli(["reduce"], stdin="p cnf -1 0\n")
+        assert status == 3 and out == ""
+        assert "bad DIMACS header" in err
 
     def test_girth_variant(self, run_cli):
         status, out, _ = run_cli(["reduce", "--girth", "1", "3"], stdin=CNF)

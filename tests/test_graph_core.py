@@ -1,6 +1,8 @@
 """Graph container, derived structure, and file format tests."""
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,11 @@ from hypothesis import strategies as st
 from conftest import (
     connected_graphs,
     naive_edge_neighborhoods,
+    naive_isomorphic,
     reference_perfect_matching,
 )
+from edgeid import symmetry
+from edgeid.families import standard_graph
 from edgeid.graph_core import (
     EdgeSet,
     FormatError,
@@ -386,8 +391,57 @@ def test_isomorphic_positive_and_negative():
     assert not isomorphic(c4, path)
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert not isomorphic(path, star)
-    with pytest.raises(ValueError):
-        isomorphic(Graph(11, []), Graph(11, []))
+    # no size cap: strongly regular graphs that refinement cannot tell
+    # apart, the 4-cube against a relabelled C_4 x C_4, and edgeless graphs
+    assert isomorphic(Graph(11, []), Graph(11, []))
+    assert not isomorphic(shrikhande(), rook_4x4())
+    torus = relabelled(torus_4x4([(0, 1), (1, 0)]), random.Random(4))
+    assert isomorphic(standard_graph("hypercube", 4), torus)
+
+
+def relabelled(g, rng):
+    """g with its vertices shuffled by ``rng``."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def torus_4x4(steps):
+    """Cayley graph of Z_4 x Z_4 with the connection set +-``steps``."""
+    edges = set()
+    for a, b in itertools.product(range(4), repeat=2):
+        for x, y in steps:
+            u, v = 4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4
+            edges.add((min(u, v), max(u, v)))
+    return Graph(16, sorted(edges))
+
+
+def shrikhande():
+    return torus_4x4([(0, 1), (1, 0), (1, 1)])
+
+
+def rook_4x4():
+    return torus_4x4([(0, 1), (0, 2), (1, 0), (2, 0)])
+
+
+def test_isomorphic_runs_without_the_orbit_budget(monkeypatch):
+    # with no refinement allowed to the orbit searches, a budgeted test
+    # would find no map between two relabellings of the 4-cube
+    monkeypatch.setattr(symmetry, "REFINE_LIMIT", 0)
+    q4 = standard_graph("hypercube", 4)
+    assert isomorphic(q4, relabelled(q4, random.Random(5)))
+
+
+def test_isomorphic_matches_permutation_oracle():
+    # half the pairs relabel the first graph, half draw a second graph
+    # with as many edges
+    rng = random.Random(12)
+    for i in range(1000):
+        n = rng.randint(0, 7)
+        pairs = list(itertools.combinations(range(n), 2))
+        g1 = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        g2 = relabelled(g1, rng) if i % 2 else Graph(n, rng.sample(pairs, g1.m))
+        assert isomorphic(g1, g2) == naive_isomorphic(g1, g2), (g1.edges, g2.edges)
 
 
 def test_corpus_generator_matches_known_counts():
@@ -411,6 +465,10 @@ def test_read_edge_list_errors():
             read("")
         with pytest.raises(FormatError):
             read("2\n")
+        with pytest.raises(FormatError, match="non-integer header"):
+            read("2 x\n")
+        with pytest.raises(FormatError, match="self-loop"):
+            read("2 1\n1 1\n")
         with pytest.raises(FormatError):
             read("2 1\n0 1\n0 1\n")
         with pytest.raises(FormatError):

@@ -125,6 +125,13 @@ def test_symmetry_loads_only_for_a_plain_loop_search(tmp_path, body, loads):
     assert ("edgeid.symmetry" in loaded_by(body, tmp_path)) == loads
 
 
+def test_graph_core_loads_symmetry_only_to_test_isomorphism(tmp_path):
+    assert loaded_by("import edgeid.graph_core", tmp_path) == {"edgeid", "edgeid.graph_core"}
+    body = ("from edgeid.graph_core import Graph, isomorphic\n"
+            "assert isomorphic(Graph(3, [(0, 1)]), Graph(3, [(1, 2)]))")
+    assert loaded_by(body, tmp_path) == {"edgeid", "edgeid.graph_core", "edgeid.symmetry"}
+
+
 def test_lazy_names_are_the_submodule_objects():
     every = [name for names in PUBLIC.values() for name in names]
     assert len(every) == len(set(every)) == 56

@@ -55,6 +55,9 @@ class TestFormulaValidation:
         f = SatFormula(1, (((0, True), (4, False)),))
         assert any("unknown variable 4" in p for p in validate_formula(f))
 
+    def test_negative_variable_count(self):
+        assert validate_formula(SatFormula(-1, ())) == ["negative variable count -1"]
+
     def test_occurrence_profile(self):
         f = SatFormula(2, (((0, True), (1, True)), ((0, False), (1, False))))
         problems = validate_formula(f)
@@ -245,6 +248,8 @@ class TestDimacs:
             read_dimacs("p cnf 2 1\np cnf 2 1\n")
         with pytest.raises(FormatError, match="header"):
             read_dimacs("p cnf two 1\n")
+        with pytest.raises(FormatError, match="line 1: bad DIMACS header"):
+            read_dimacs("p cnf -1 0\n")
         with pytest.raises(FormatError, match="before the header"):
             read_dimacs("1 2 0\n")
 

@@ -22,7 +22,7 @@ from conftest import (
 from edgeid import _search, solver
 from edgeid._search import ConstraintSystem
 from edgeid.families import standard_graph
-from edgeid.graph_core import EdgeSet, Graph, line_graph, pendant_pairs
+from edgeid.graph_core import EdgeSet, Graph, RejectedInput, line_graph, pendant_pairs
 from edgeid.identify import verify_edge_code, verify_vertex_code, vertex_closed_masks
 from edgeid.reduction import build_reduction
 from edgeid.solver import (
@@ -191,6 +191,27 @@ def test_every_search_goes_through_search_exact_size(monkeypatch, kind, params,
         assert res.nodes_used == budget + 1
 
 
+@pytest.mark.parametrize("kind, params", [("complete", 5), ("cycle", 12),
+                                           ("petersen", None), ("hypercube", 3)])
+def test_budget_sweep(kind, params):
+    # below the full node count N every budget runs out, counting at most
+    # the node that crossed it; budget N is just enough
+    g = standard_graph(kind, params)
+    full = min_edge_code(g)
+    exact = []
+    for budget in range(1, full.nodes_used):
+        res = min_edge_code(g, SolveOptions(budget=budget))
+        assert res.status == "BudgetExhausted", budget
+        assert budget <= res.nodes_used <= budget + 1, budget
+        if res.nodes_used == budget:
+            exact.append(budget)
+    res = min_edge_code(g, SolveOptions(budget=full.nodes_used))
+    assert res == full and full.status == "Optimal"
+    if kind == "cycle":
+        # these budgets run out between two searches of the suffix pass
+        assert exact == [6, 13, 20, 27, 34]
+
+
 @st.composite
 def swept_systems(draw):
     universe = draw(st.integers(1, 12))
@@ -341,6 +362,8 @@ def test_min_vertex_code_hint_and_result_shape():
     assert hinted.status == "Optimal" and hinted.size == 3
     with pytest.raises(ValueError):
         min_vertex_code(c4, SolveOptions(upper_hint=[0, 9]))
+    with pytest.raises(RejectedInput, match="not an identifying code"):
+        min_vertex_code(c4, SolveOptions(upper_hint=[0]))
 
 
 def test_shrink_to_minimal():
