@@ -88,9 +88,12 @@ whatever the node budget.
 
 The plain loop prunes by symmetry instead.  Write ``orbits[q]`` for the
 positions above ``q`` that the automorphisms of the system fixing every
-position below ``q`` map ``q`` to (the solver computes them with
-``symmetry``).  When the search takes the exclude branch of ``q``, no
-position of ``orbits[q]`` may be included anywhere in that branch.  For
+position below ``q`` map ``q`` to.  The solver stores a
+``symmetry.BaseOrbits`` as the system's ``group``, and
+``search_exact_size`` asks it for the orbits at or above each start
+before it runs the plain loop.  When the search takes the exclude
+branch of ``q``, no position of ``orbits[q]`` may be included anywhere
+in that branch.  For
 suppose a solution ``S`` there contained ``r = g(q)``: then ``g⁻¹(S)``
 would be a solution that agrees with ``S`` below ``q`` and contains
 ``q``, in the include branch just refuted, or cut as holding none.  So
@@ -124,10 +127,12 @@ class ConstraintSystem:
     """Constraint masks over ``range(universe)`` in the form the kernel
     searches, built once and shared by searches at every size k and from
     every start.  ``keys`` is None when no position ``p >= 1`` has at most
-    ``KEY_LIMIT`` open constraints; the kernel then keeps no table."""
+    ``KEY_LIMIT`` open constraints; the kernel then keeps no table.
+    ``group`` is None or a ``symmetry.BaseOrbits`` along the positions,
+    whose orbits ``search_exact_size`` hands the plain loop at each start."""
 
     __slots__ = ("universe", "full", "hits", "tops", "lows", "floor", "keys",
-                 "tables", "stored", "orbits", "base", "guard", "_below")
+                 "tables", "stored", "group", "orbits", "base", "guard", "_below")
 
     def __init__(self, universe, constraints):
         # equal constraints would each count as containing the other
@@ -167,6 +172,7 @@ class ConstraintSystem:
             key if key is None else {} for key in keys
         ]
         self.stored = 0
+        self.group = None
         self.orbits = None
         self.base = 0
         self.guard = tops
@@ -402,5 +408,8 @@ def search_exact_size(universe, constraints, k, budget, start=0):
         constraints = ConstraintSystem(universe, constraints)
     elif constraints.universe != universe:
         raise ValueError("constraint system is over another universe")
-    kernel = _search if constraints.keys is None else _table_search
-    return kernel(constraints, k, budget, start)
+    if constraints.keys is not None:
+        return _table_search(constraints, k, budget, start)
+    if constraints.group is not None:
+        constraints.set_orbits(constraints.group.down_to(start))
+    return _search(constraints, k, budget, start)

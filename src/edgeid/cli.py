@@ -69,12 +69,6 @@ def _default_budget():
     return budget
 
 
-def _emit(text):
-    sys.stdout.write(text)
-    if text and not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 def cmd_verify(args):
     from .identify import verify_edge_code
 
@@ -87,7 +81,7 @@ def cmd_verify(args):
         raise _UsageError("no code to verify: pass a code file or embed c lines")
     code = EdgeSet.from_indices(g, listed)
     report = verify_edge_code(g, code)
-    _emit(report.to_text())
+    sys.stdout.write(report.to_text())
     print(f"size {len(code)}")
     return EXIT_OK if report.is_code else EXIT_FAIL
 
@@ -130,8 +124,8 @@ def cmd_bounds(args):
 
     g, _, _ = read_edge_list(_read_text(args.graph))
     report = bounds_report(g)
-    _emit(report.to_text())
-    _emit(report.to_key_values())
+    sys.stdout.write(report.to_text())
+    sys.stdout.write(report.to_key_values())
     return EXIT_OK
 
 
@@ -184,14 +178,12 @@ def cmd_family(args):
     code = None
     comments = []
     if args.with_code:
-        if inst.claimed_code is None:
-            raise _UsageError(f"no code available for {args.kind}")
         if inst.code_kind == "vertex":
             listed = " ".join(str(v) for v in inst.claimed_code)
             comments.append(f"vertex-code {listed}")
         else:
             code = sorted(inst.claimed_code.indices())
-    _emit(write_edge_list(inst.graph, code=code, comments=comments))
+    sys.stdout.write(write_edge_list(inst.graph, code=code, comments=comments))
     return EXIT_OK
 
 
@@ -201,7 +193,7 @@ def cmd_linegraph(args):
     comments = [
         f"vertex {mapping[i]} = edge {u} {v}" for i, (u, v) in enumerate(g.edges)
     ]
-    _emit(write_edge_list(lg, comments=comments))
+    sys.stdout.write(write_edge_list(lg, comments=comments))
     return EXIT_OK
 
 
@@ -239,7 +231,7 @@ def cmd_reduce(args):
                 fh.write(reduction.labels_to_text(inst.labels))
         except OSError as exc:
             raise _UsageError(f"{args.labels}: {exc.strerror or exc}") from None
-    _emit(write_edge_list(inst.graph, code=code, k=inst.k))
+    sys.stdout.write(write_edge_list(inst.graph, code=code, k=inst.k))
     return EXIT_OK
 
 

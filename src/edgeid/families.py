@@ -363,7 +363,7 @@ def subdivided_regular_code(mg, k):
     assert matching is not None  # regular bipartite multigraphs always have one
     dropped = set()
     for h in matching:
-        x, y = cover.edges[h]
+        _, y = cover.edges[h]
         partner = y - n
         e = h // 2
         dropped.add(g1.edge_index(partner, n + e))

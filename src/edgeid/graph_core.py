@@ -387,7 +387,7 @@ def is_bipartite(g):
                     while x != -1:
                         pb.append(x)
                         x = parent[x]
-                    sa, sb = set(pa), set(pb)
+                    sb = set(pb)
                     meet = next(x for x in pa if x in sb)
                     cyc = pa[:pa.index(meet) + 1] + pb[:pb.index(meet)][::-1]
                     return False, cyc

@@ -148,8 +148,6 @@ def cover_lemma_applicability(g, c):
         x, y = isolated[i]
         for j in range(i + 1, len(isolated)):
             u, v = isolated[j]
-            if len({x, y, u, v}) != 4:
-                continue
             straight = g.has_edge(x, u) and g.has_edge(y, v)
             crossed = g.has_edge(x, v) and g.has_edge(y, u)
             # In a triangle-free graph at most one of the two pairings can

@@ -29,8 +29,8 @@ Within a size the kernel returns the lexicographically least code; a
 size whose answer a suffix search already found needs no search (see
 ``_sweep``).  All searches of a solve share one ``ConstraintSystem`` and
 with it the kernel's table of refuted states, or, for a system that
-runs the plain loop, the orbits of its positions under the automorphisms
-of the position graph, which the kernel bans.  A node budget caps the total work
+runs the plain loop, the automorphism group of the position graph, whose
+orbits the kernel bans.  A node budget caps the total work
 over both phases; runs that exhaust it fall back to a verified hint
 when one was supplied.
 """
@@ -92,16 +92,7 @@ def _constraints_from_masks(masks):
     return sorted(cons)
 
 
-def _search_from(system, k, budget, start, group):
-    """``search_exact_size`` on ``system``, first giving the plain loop the
-    orbits from ``group``, a ``symmetry.BaseOrbits`` or None, at every
-    level the search can exclude."""
-    if group is not None:
-        system.set_orbits(group.down_to(start))
-    return search_exact_size(system.universe, system, k, budget, start)
-
-
-def _suffix_pass(system, lower, cap, budget, group=None):
+def _suffix_pass(system, lower, cap, budget):
     """Raise ``system.floor[p]`` to the exact suffix optimum for ``p >= 1``.
 
     Write ``h[p]`` for the fewest positions in ``[p, universe)`` hitting
@@ -134,8 +125,8 @@ def _suffix_pass(system, lower, cap, budget, group=None):
         elif covered & low != low:
             if nodes >= budget:
                 return witnesses, nodes, True
-            found, mask, used, exhausted = _search_from(
-                system, k, budget - nodes, p, group)
+            found, mask, used, exhausted = search_exact_size(
+                system.universe, system, k, budget - nodes, p)
             nodes += used
             if exhausted:
                 return witnesses, nodes, True
@@ -155,11 +146,10 @@ def _suffix_pass(system, lower, cap, budget, group=None):
     return witnesses, nodes, False
 
 
-def _sweep(system, lower, cap, budget, group=None):
+def _sweep(system, lower, cap, budget):
     """Lex-least minimum hitting set of ``system`` of size at most ``cap``.
 
-    ``lower`` is a lower bound on the optimum, and ``group`` the
-    ``symmetry.BaseOrbits`` that the plain loop bans, or None.  Returns
+    ``lower`` is a lower bound on the optimum.  Returns
     ``(mask, nodes, exhausted)``; ``mask`` is None when every size up to
     ``cap`` was refuted or the budget ran out first.
 
@@ -171,7 +161,7 @@ def _sweep(system, lower, cap, budget, group=None):
     solution is then the lex-least one of the suffix problem from ``j``
     at size ``k - j``, which is ``W``.
     """
-    witnesses, nodes, exhausted = _suffix_pass(system, lower, cap, budget, group)
+    witnesses, nodes, exhausted = _suffix_pass(system, lower, cap, budget)
     if exhausted:
         return None, nodes, True
     floor = system.floor
@@ -184,7 +174,8 @@ def _sweep(system, lower, cap, budget, group=None):
                 return (1 << j) - 1 | mask, nodes, False
         if nodes >= budget:
             return None, nodes, True
-        found, mask, used, exhausted = _search_from(system, k, budget - nodes, 0, group)
+        found, mask, used, exhausted = search_exact_size(
+            system.universe, system, k, budget - nodes)
         nodes += used
         if found or exhausted:
             return (mask if found else None), nodes, exhausted
@@ -220,7 +211,7 @@ def _strip_forced(universe, constraints):
     return forced, rest, positions
 
 
-def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
+def _solve_masks(universe, masks, lower, budget, hint_mask):
     """Shared exact solve.  Returns ``(status, mask, size, bound_used, nodes)``.
 
     ``lower`` is a ``(value, name)`` analytic bound.  The caller has
@@ -231,14 +222,14 @@ def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
     already certifies costs no build.  The forced positions are split
     off first, and the sweep runs on the residual with the bound and
     the cap lowered by their count; an empty residual needs no search.
-    A residual that runs the plain loop is searched with the orbits of
-    the automorphisms of ``masks``, taken along the residual's positions:
-    an automorphism maps the forced positions, and so the residual, onto
+    A residual that runs the plain loop carries the automorphisms of
+    ``masks`` as its ``group``, taken along the residual's positions: an
+    automorphism maps the forced positions, and so the residual, onto
     themselves.
     """
     start, name = lower
     bound_used = (name, start)
-    cap = hint_len - 1 if hint_mask is not None else universe
+    cap = hint_mask.bit_count() - 1 if hint_mask is not None else universe
     mask, nodes, exhausted = None, 0, False
     if start <= cap:
         forced, rest, positions = _strip_forced(
@@ -249,14 +240,12 @@ def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
             mask = forced if size <= cap else None
         elif size < cap:  # the residual needs at least one more position
             residual = ConstraintSystem(len(positions), rest)
-            group = None
             if residual.keys is None:
                 # the plain loop bans orbits; symmetry loads only for it
                 from .symmetry import BaseOrbits
 
-                group = BaseOrbits(masks, positions)
-            sub, nodes, exhausted = _sweep(residual, start - size, cap - size,
-                                           budget, group)
+                residual.group = BaseOrbits(masks, positions)
+            sub, nodes, exhausted = _sweep(residual, start - size, cap - size, budget)
             if sub is not None:
                 mask = forced | sum(1 << positions[i] for i in bits(sub))
     if mask is not None:
@@ -264,9 +253,9 @@ def _solve_masks(universe, masks, lower, budget, hint_mask, hint_len):
     if not exhausted:
         if hint_mask is None:
             raise RuntimeError("size sweep fell through without a code")
-        return STATUS_OPTIMAL, hint_mask, hint_len, bound_used, nodes
+        return STATUS_OPTIMAL, hint_mask, hint_mask.bit_count(), bound_used, nodes
     if hint_mask is not None:
-        return STATUS_FEASIBLE, hint_mask, hint_len, None, nodes
+        return STATUS_FEASIBLE, hint_mask, hint_mask.bit_count(), None, nodes
     return STATUS_BUDGET, None, None, None, nodes
 
 
@@ -284,7 +273,6 @@ def min_edge_code(g, options=None):
     if pendant_pairs(g):
         return SolveResult(STATUS_INFEASIBLE)
     hint_mask = None
-    hint_len = 0
     if opts.upper_hint is not None:
         hint = opts.upper_hint
         if not isinstance(hint, EdgeSet):
@@ -293,10 +281,8 @@ def min_edge_code(g, options=None):
         if not verify_edge_code(g, hint).is_code:
             raise RejectedInput("upper_hint is not an edge-identifying code")
         hint_mask = hint.mask
-        hint_len = len(hint)
     status, mask, size, bound_used, nodes = _solve_masks(
-        g.m, g.all_edge_masks(), solver_lower_bound(g), opts.budget,
-        hint_mask, hint_len
+        g.m, g.all_edge_masks(), solver_lower_bound(g), opts.budget, hint_mask
     )
     code = EdgeSet(g.fingerprint, mask) if mask is not None else None
     return SolveResult(status, code, size, bound_used, nodes)
@@ -316,15 +302,12 @@ def min_vertex_code(g, options=None):
     if len(set(masks)) < g.n:
         return SolveResult(STATUS_INFEASIBLE)
     hint_mask = None
-    hint_len = 0
     if opts.upper_hint is not None:
         hint_mask = mask_of(opts.upper_hint, g.n)
         if not verify_vertex_code(g, bits(hint_mask)).is_code:
             raise RejectedInput("upper_hint is not an identifying code")
-        hint_len = hint_mask.bit_count()
     status, mask, size, bound_used, nodes = _solve_masks(
-        g.n, masks, (log_lower(g.n), "log-universe"), opts.budget,
-        hint_mask, hint_len
+        g.n, masks, (log_lower(g.n), "log-universe"), opts.budget, hint_mask
     )
     code = tuple(bits(mask)) if mask is not None else None
     return SolveResult(status, code, size, bound_used, nodes)

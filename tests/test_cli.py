@@ -123,6 +123,9 @@ class TestSolve:
         monkeypatch.setenv("EDGEID_BUDGET", "many")
         status, _, err = run_cli(["solve", gpath])
         assert status == 2 and "EDGEID_BUDGET" in err
+        monkeypatch.setenv("EDGEID_BUDGET", "0")
+        status, _, err = run_cli(["solve", gpath])
+        assert status == 2 and "EDGEID_BUDGET must be positive" in err
 
     def test_hint_confirmed_without_search(self, run_cli, tmp_path):
         inst = known_code("complete", 6)
@@ -299,6 +302,12 @@ class TestFamily:
         status, out, err = run_cli(["family", "cycle", "2"])
         assert status == 2 and out == ""
         assert err == "usage error: cycle needs n >= 3\n"
+        for params, message in ((["path", "0"], "path needs n >= 1"),
+                                (["complete", "0"], "complete needs n >= 1"),
+                                (["complete_bipartite", "0", "3"],
+                                 "complete_bipartite needs both sides nonempty")):
+            status, out, err = run_cli(["family", *params])
+            assert (status, out, err) == (2, "", f"usage error: {message}\n")
 
     def test_missing_params(self, run_cli):
         status, _, _ = run_cli(["family", "matching"])

@@ -364,6 +364,9 @@ def test_bipartite_perfect_matching():
     # parallel edges are usable
     mg3 = Multigraph(2, [(0, 1), (0, 1)])
     assert bipartite_perfect_matching(mg3, [0]) is not None
+    # every edge must cross the bipartition
+    with pytest.raises(ValueError, match="does not cross the bipartition"):
+        bipartite_perfect_matching(Multigraph(4, [(0, 2), (0, 1)]), [0, 1])
 
 
 @st.composite

@@ -423,6 +423,8 @@ def test_shrink_matches_one_removal_at_a_time():
             assert verify_edge_code(g, start).is_code
             got = shrink_to_minimal(g, start)
             assert got.indices() == naive_shrink(g, start.indices())
+            # a plain index list gives the same code
+            assert shrink_to_minimal(g, start.indices()) == got
 
 
 def test_approx_edge_code():
