@@ -60,6 +60,12 @@ class SolveOptions(namedtuple("SolveOptions", "budget upper_hint",
     suffix pass stops once a suffix optimum exceeds every size below the
     hint, the sweep tries at most two sizes below it, and if every such
     size is refuted the hint is returned as optimal.
+
+    ``budget`` caps search nodes only, over the suffix pass and the sweep
+    together.  It does not bound the preparation before the first node:
+    the constraint build grows faster than the number of constraints, and
+    K_25's 45,150 take about 2.7 s to build before a 2,000-node search
+    (one core of a 2-core Xeon, Python 3.11).
     """
 
     __slots__ = ()

@@ -178,10 +178,10 @@ class RefutedTable:
 
 
 def reference_pruned_search(universe, constraints, k, budget, table=None,
-                            keyed=True):
+                            keyed=True, orbits=None):
     """``reference_search`` with the kernel's suffix packing bound and
-    refuted-state table.  Same ``(found, mask, nodes, exhausted)`` as the
-    kernel for every input.
+    refuted-state table, or its orbit bans.  Same ``(found, mask, nodes,
+    exhausted)`` as the kernel for every input.
 
     A node with ``count + pack[pos] > k`` is a dead end.  Where
     ``reference_keys`` gives a key at ``pos``, a node is also a dead end
@@ -191,18 +191,24 @@ def reference_pruned_search(universe, constraints, k, budget, table=None,
     with that need once both branches are refuted.  Pass one ``table`` to
     several calls to mirror searches that share a ``ConstraintSystem``.
     With ``keyed`` false no position is keyed and the table is never
-    used: that is the kernel's plain loop."""
+    used: that is the kernel's plain loop.
+
+    ``orbits``, for the plain loop only, lists per position ``q`` the
+    positions above ``q`` that the exclude branch of ``q`` bans: none of
+    them is included anywhere in that branch.  A banned live node goes
+    straight to its exclude branch, banning nothing more."""
     groups = _group_by_top_bit(universe, constraints)
     pack = brute_force_pack(universe, constraints)
     keys = reference_keys(universe, constraints) if keyed else None
     table = RefutedTable() if table is None else table
+    orbits = [()] * universe if orbits is None else orbits
     nodes = 0
     found_mask = 0
 
     class _Exhausted(Exception):
         pass
 
-    def walk(pos, chosen, count):
+    def walk(pos, chosen, count, banned):
         nonlocal nodes, found_mask
         nodes += 1
         if nodes > budget:
@@ -214,24 +220,28 @@ def reference_pruned_search(universe, constraints, k, budget, table=None,
             return True
         if count + (universe - pos) < k or count + pack[pos] > k:
             return False
+        if pos in banned:
+            if any(not c & chosen for c in groups[pos]):
+                return False
+            return walk(pos + 1, chosen, count, banned)
         need = k - count
         state = None
         if keys is not None and keys[pos] is not None:
             state = (pos, frozenset(c for c in keys[pos] if c & chosen))
             if table.states.get(state, -1) >= need:
                 return False
-        if walk(pos + 1, chosen | (1 << pos), count + 1):
+        if walk(pos + 1, chosen | (1 << pos), count + 1, banned):
             return True
         if any(not c & chosen for c in groups[pos]):
             return False
-        if walk(pos + 1, chosen, count):
+        if walk(pos + 1, chosen, count, banned | frozenset(orbits[pos])):
             return True
         if state is not None:
             table.store(state, need)
         return False
 
     try:
-        ok = walk(0, 0, 0)
+        ok = walk(0, 0, 0, frozenset())
     except _Exhausted:
         return False, 0, nodes, True
     return ok, found_mask, nodes, False

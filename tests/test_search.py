@@ -182,6 +182,67 @@ def test_bans_keep_the_lex_least_subset():
     assert saved > 0
 
 
+def residual_of(g):
+    """``(masks, constraints, positions)`` of the edge-code residual of g."""
+    masks = g.all_edge_masks()
+    _, constraints, positions = solver._strip_forced(
+        g.m, _constraints_from_masks(masks))
+    return masks, constraints, positions
+
+
+def test_bans_match_reference_node_for_node():
+    # the plain loop with the orbits of the position graph, against the
+    # recursive reference applying the same bans: the same 4-tuple at
+    # every start, size and budget
+    graphs = [standard_graph(kind, params) for kind, params in (
+        ("complete", 4), ("complete", 5), ("complete", 6),
+        ("complete_bipartite", (3, 3)), ("complete_bipartite", (3, 4)),
+        ("hypercube", 3))]
+    graphs += random.Random(14).sample(pendant_free_unions(8), 24)
+    banned = 0
+    for g in graphs:
+        masks, constraints, positions = residual_of(g)
+        universe = len(positions)
+        system = ConstraintSystem(universe, constraints)
+        group = BaseOrbits(masks, positions)
+        for start in range(universe, -1, -1):
+            orbits = group.down_to(start)
+            system.set_orbits(orbits)
+            shifted = [[r - start for r in orbit] for orbit in orbits[start:]]
+            banned += any(shifted)
+            inside = [c >> start for c in constraints if c >> start << start == c]
+            for k in range(universe - start + 2):
+                for budget in BUDGETS:
+                    found, mask, nodes, exhausted = reference_pruned_search(
+                        universe - start, inside, k, budget, keyed=False,
+                        orbits=shifted)
+                    assert _search._search(system, k, budget, start) == (
+                        found, mask << start, nodes, exhausted), (
+                        g.edges, start, k, budget)
+    assert banned > 0
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("complete", 6), ("complete_bipartite", (3, 4)), ("hypercube", 3)])
+def test_every_budget_through_the_scan(kind, params):
+    # a search of N nodes exhausts at every budget b < N with b + 1 nodes,
+    # also where b falls inside a last-level scan, and finishes at N
+    masks, constraints, positions = residual_of(standard_graph(kind, params))
+    universe = len(positions)
+    group = BaseOrbits(masks, positions)
+    for bans in (False, True):
+        for start in range(4):
+            system = ConstraintSystem(universe, constraints)
+            if bans:
+                system.set_orbits(group.down_to(start))
+            for k in range(1, universe - start + 1):
+                full = _search._search(system, k, 10**9, start)
+                for budget in range(1, full[2]):
+                    assert _search._search(system, k, budget, start) == (
+                        False, 0, budget + 1, True), (bans, start, k, budget)
+                assert _search._search(system, k, full[2], start) == full
+
+
 def masks_over(universe):
     """Constraint masks over ``range(universe)``, half of them with at most
     three positions: narrow constraints make searches long enough to
@@ -342,6 +403,24 @@ def test_budget_boundary_is_exact(kernel):
                                  k, nodes - 1, start) == (False, 0, nodes, True)
         if kernel == "table":
             assert system.stored > 0
+    if kernel == "plain":
+        # the same searches with the system's group set, so that orbit
+        # bans are active up to the boundary and cut the node count
+        group = BaseOrbits(g.all_edge_masks(), range(universe))
+        for k, start in searches:
+            unbanned = search_exact_size(universe, ConstraintSystem(universe, constraints),
+                                         k, 10**7, start)
+            system = ConstraintSystem(universe, constraints)
+            system.group = group
+            found, mask, nodes, exhausted = search_exact_size(
+                universe, system, k, 10**7, start)
+            assert (found, mask, exhausted) == unbanned[:2] + (False,)
+            assert 100 < nodes < unbanned[2]
+            for budget, expect in ((nodes, (found, mask, nodes, False)),
+                                   (nodes - 1, (False, 0, nodes, True))):
+                system = ConstraintSystem(universe, constraints)
+                system.group = group
+                assert search_exact_size(universe, system, k, budget, start) == expect
 
 
 def test_node_budget_monotone_python():
