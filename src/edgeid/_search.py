@@ -43,6 +43,23 @@ constraint number reached so far.  The stack tracks hit rather than
 unhit constraints for that reason: a set of unhit constraints is as wide
 as the whole system from the start.
 
+The transpose is read off binary strings where the system is dense.
+Write a block of constraints as ``universe``-digit binary rows in
+descending number order and join them: position ``q``'s column is then
+every ``universe``-th character from ``universe - 1 - q``, and one
+strided slice and ``int(column, 2)`` give the block's part of
+``hits[q]``, below the part that the blocks of higher numbers gave.
+Blocks of about ``BLOCK`` characters bound the memory of the strings.
+The strings hold a character for every (constraint, position) pair,
+held or not, so they pay only where at least 1/32 of the pairs are
+held, as in the line graphs of complete graphs, complete bipartite
+graphs and hypercubes; a sparser system, such as a long cycle or a
+reduction instance, sets one bit per pair it holds instead.  Then a
+constraint's lowest bit is the first position whose ``hits`` holds it,
+so ``lows`` follows from a running OR of ``hits``, and ``tops[p]`` is
+the run of numbers from the first mask of at least ``2^p`` to the
+first of at least ``2^(p + 1)``.
+
 A bound then prunes subtrees that hold no solution.  ``floor[p]`` is a
 lower bound on the number of positions in ``[p, universe)`` that hit
 every constraint whose lowest bit is at least ``p``.  At a node with
@@ -135,6 +152,8 @@ not-found without exhaustion is a proof that no k-subset hits every
 constraint.
 """
 
+from bisect import bisect_left
+
 from .graph_core import bits
 
 # The refuted-state table is kept at positions with at most this many
@@ -142,6 +161,9 @@ from .graph_core import bits
 KEY_LIMIT = 64
 # States the refuted-state table may hold; a new one then clears it.
 TABLE_CAP = 1 << 14
+# Characters of the binary strings that ``_transpose`` joins and slices at
+# a time; it bounds the build's memory on wide dense systems.
+BLOCK = 1 << 20
 
 
 class ConstraintSystem:
@@ -162,29 +184,35 @@ class ConstraintSystem:
             raise ValueError("constraint masks must be nonzero")
         if masks and masks[-1].bit_length() > universe:
             raise ValueError("constraint mask exceeds the universe")
-        hits = [0] * universe
-        tops = [0] * universe
-        lows = [0] * universe
-        shortest = [universe] * universe  # least top bit per lowest bit
-        for i, c in enumerate(masks):
-            bit = 1 << i
-            top = c.bit_length() - 1
-            tops[top] |= bit
-            low = (c & -c).bit_length() - 1
-            lows[low] |= bit
-            shortest[low] = min(shortest[low], top)
-            for q in bits(c >> low):
-                hits[low + q] |= bit
+        hits = _transpose(masks, universe)
+        # a constraint's lowest bit is the first position that hits it
+        lows = []
+        seen = 0
+        for hit in hits:
+            lows.append((hit | seen) ^ seen)
+            seen |= hit
+        # sorted masks have ascending top bits, so each tops[p] is one run,
+        # ending before the first mask that is at least 2^(p + 1)
+        tops = []
+        first = 0
+        for p in range(universe):
+            last = bisect_left(masks, 2 << p, first)
+            tops.append((1 << last) - (1 << first))
+            first = last
         self.universe = universe
         self.full = (1 << len(masks)) - 1
         self.hits = hits
         self.tops = tops
         self.lows = lows
+        # the constraint with lowest bit p and the least top bit is the
+        # lowest-numbered one
         floor = [0] * (universe + 1)
         for p in range(universe - 1, -1, -1):
             floor[p] = floor[p + 1]
-            if shortest[p] < universe:
-                floor[p] = max(floor[p], 1 + floor[shortest[p] + 1])
+            low = lows[p]
+            if low:
+                top = masks[(low & -low).bit_length() - 1].bit_length() - 1
+                floor[p] = max(floor[p], 1 + floor[top + 1])
         self.floor = floor
         self.keys = keys = _state_keys(masks, hits, lows, tops)
         # the refuted-state table: one dict per keyed position, and the
@@ -233,6 +261,36 @@ class ConstraintSystem:
             marked ^= lows[p]
         self._below = (p, marked)
         return marked
+
+
+def _transpose(masks, universe):
+    """``hits[q]``: the numbers of the constraints in ``masks`` containing q.
+
+    A system holding at least 1/32 of its (constraint, position) pairs is
+    read from binary strings, about ``BLOCK`` characters at a time, and a
+    sparser one pair by pair; see the module docstring.
+    """
+    hits = [0] * universe
+    pairs = sum(c.bit_count() for c in masks)
+    if not masks or 32 * pairs < len(masks) * universe:
+        for i, c in enumerate(masks):
+            bit = 1 << i
+            low = (c & -c).bit_length() - 1
+            for q in bits(c >> low):
+                hits[low + q] |= bit
+        return hits
+    rows = max(1, BLOCK // universe)
+    last = universe - 1
+    end = len(masks)
+    while end:
+        start = max(0, end - rows)
+        block = "".join([bin(c)[2:].zfill(universe)
+                         for c in reversed(masks[start:end])])
+        shift = end - start
+        for q in range(universe):
+            hits[q] = hits[q] << shift | int(block[last - q::universe], 2)
+        end = start
+    return hits
 
 
 def _state_keys(masks, hits, lows, tops):

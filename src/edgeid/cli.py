@@ -218,12 +218,9 @@ def cmd_reduce(args):
     code = None
     if args.assignment is not None:
         tokens = _read_text(args.assignment).split()
-        try:
-            asg = [bool(int(t)) for t in tokens]
-        except ValueError:
-            raise FormatError(
-                f"{args.assignment}: assignment entries must be 0 or 1"
-            ) from None
+        if any(t not in ("0", "1") for t in tokens):
+            raise FormatError(f"{args.assignment}: assignment entries must be 0 or 1")
+        asg = [t == "1" for t in tokens]
         code = sorted(reduction.assignment_to_code(inst, asg).indices())
     if args.labels is not None:
         try:

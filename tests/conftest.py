@@ -9,7 +9,8 @@ import itertools
 
 import pytest
 
-from edgeid.graph_core import Graph, GraphBuilder, isomorphic, pendant_pairs
+from edgeid._search import _state_keys
+from edgeid.graph_core import Graph, GraphBuilder, bits, isomorphic, pendant_pairs
 from edgeid.reduction import SatFormula, attach_p_gadget
 
 
@@ -144,6 +145,33 @@ def brute_force_pack(universe, constraints):
     for lo, hi in spans:
         extend(lo, hi, 1)
     return [max(best[p:]) for p in range(universe + 1)]
+
+
+def reference_build(universe, constraints):
+    """``(hits, tops, lows, floor, keys)`` of ``ConstraintSystem``, built
+    by OR-ing one bit per (constraint, position) pair, the build the
+    string transpose replaced on dense systems.  The floors are the
+    packing seed, and ``keys`` is ``_state_keys`` of these arrays."""
+    masks = sorted(set(constraints))
+    hits = [0] * universe
+    tops = [0] * universe
+    lows = [0] * universe
+    shortest = [universe] * universe  # least top bit per lowest bit
+    for i, c in enumerate(masks):
+        bit = 1 << i
+        top = c.bit_length() - 1
+        tops[top] |= bit
+        low = (c & -c).bit_length() - 1
+        lows[low] |= bit
+        shortest[low] = min(shortest[low], top)
+        for q in bits(c >> low):
+            hits[low + q] |= bit
+    floor = [0] * (universe + 1)
+    for p in range(universe - 1, -1, -1):
+        floor[p] = floor[p + 1]
+        if shortest[p] < universe:
+            floor[p] = max(floor[p], 1 + floor[shortest[p] + 1])
+    return hits, tops, lows, floor, _state_keys(masks, hits, lows, tops)
 
 
 def reference_keys(universe, constraints, limit=64):

@@ -409,9 +409,12 @@ class TestReduce:
 
     def test_non_binary_assignment(self, run_cli, tmp_path):
         apath = tmp_path / "asg.txt"
-        apath.write_text("yes no\n")
-        status, _, _ = run_cli(["reduce", "--assignment", str(apath)], stdin=CNF)
-        assert status == 3
+        # an integer other than 0 or 1 is no truth value either
+        for text in ("yes no\n", "2 1\n", "-1 1\n"):
+            apath.write_text(text)
+            status, out, err = run_cli(["reduce", "--assignment", str(apath)], stdin=CNF)
+            assert (status, out) == (3, "")
+            assert "assignment entries must be 0 or 1" in err
 
     def test_invalid_formula(self, run_cli):
         status, _, err = run_cli(["reduce"], stdin="p cnf 1 1\n1 0\n")

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (SEED0_SAT2, RefutedTable, _group_by_top_bit,
-                      pendant_free_unions, reference_keys, reference_pruned_search,
-                      reference_search)
+                      pendant_free_unions, reference_build, reference_keys,
+                      reference_pruned_search, reference_search)
 from edgeid import _search, solver
 from edgeid._search import ConstraintSystem, search_exact_size
 from edgeid.families import standard_graph
@@ -304,6 +304,55 @@ def test_state_keys_match_reference(limit, system):
     numbered = sorted(set(constraints))
     assert [key if key is None else frozenset(numbered[i] for i in bits(key))
             for key in keys] == expect
+
+
+def test_build_matches_per_pair_reference(monkeypatch):
+    # hits, tops, lows, floor and keys are the per-pair build's, whether
+    # the transpose reads the system from binary strings (fill at least
+    # 1/32) or one pair at a time, and whatever the block size
+    def check(universe, constraints):
+        system = ConstraintSystem(universe, constraints)
+        got = (system.hits, system.tops, system.lows, system.floor, system.keys)
+        assert got == reference_build(universe, constraints)
+        masks = set(constraints)
+        return 32 * sum(c.bit_count() for c in masks) >= len(masks) * universe
+
+    rng = random.Random(15)
+    sides = set()
+    for _ in range(150):
+        universe = rng.randint(1, 80)
+        # constraints of 1 to `width` positions: fills from about 1/80 to 1
+        width = rng.randint(1, max(1, universe // rng.choice((1, 4, 16, 64))))
+        constraints = [sum(1 << q for q in rng.sample(range(universe),
+                                                      rng.randint(1, width)))
+                       for _ in range(rng.randint(1, 3 * universe))]
+        sides.add(check(universe, constraints))
+    assert sides == {False, True}
+    # singletons fill 1/32 exactly at universe 32, the strings' side
+    assert check(32, [1 << q for q in range(32)])
+    assert not check(33, [1 << q for q in range(33)])
+    # K_20: 18,145 constraints over 190 positions span four blocks, whose
+    # columns are longer than the int/str digit limit, which base 2 is
+    # exempt from
+    g = standard_graph("complete", [20])
+    constraints = _constraints_from_masks(g.all_edge_masks())
+    assert len(constraints) * g.m > 3 * _search.BLOCK
+    assert _search.BLOCK // g.m > 4300
+    assert check(g.m, constraints)
+    # no universe, no constraints, one full-width constraint, duplicates
+    check(0, [])
+    check(7, [])
+    assert check(7, [0b1111111])
+    assert check(6, [0b101, 0b110100, 0b101, 0b11, 0b110100])
+    # 24 constraints over 10 positions, in blocks of 1 row, of 5 (the
+    # lowest-numbered block is short), of 6 (every block is full), of 24
+    # (one block ends exactly at the last constraint) and of 25 rows
+    constraints = rng.sample(range(1, 1 << 10), 24)
+    for rows in (1, 5, 6, 24, 25):
+        monkeypatch.setattr(_search, "BLOCK", 10 * rows)
+        assert check(10, constraints)
+    monkeypatch.setattr(_search, "BLOCK", 9)
+    assert check(10, constraints)
 
 
 def test_table_holds_at_most_cap_entries(monkeypatch):
