@@ -551,6 +551,8 @@ def _parse_edge_list(text):
                 header = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer header") from None
+            if min(header) < 0:
+                raise FormatError(f"line {lineno}: negative count in 'n m' header")
             continue
         if parts[0] == "c":
             code.append(_code_index(lineno, parts))

@@ -35,11 +35,11 @@ deeper levels generate the stabiliser of ``b_q``.  The searches share a
 budget of ``REFINE_LIMIT`` refinements per position; once it is spent,
 the orbits stay what the generators found so far give.  That loses
 speed, never correctness, since every generator is a checked
-automorphism.  A search from a start excludes no position below it, so
-``BaseOrbits.down_to`` finds only the levels it is asked for; the
-suffix pass asks for descending starts, and a solve whose searches all
-start to the right of the nontrivial levels pays for the first path
-alone.
+automorphism.  ``BaseOrbits.down_to`` finds only the levels it is asked
+for.  The plain loop of ``_search`` asks for every level at its first
+search, since it bans by the generators of all of them; each generator
+is also kept as a permutation of base indices with two masks, computed
+once when it is found, which the loop reads.
 
 ``isomorphic`` runs the same search between two graphs.  Their unit
 partitions must refine with the same trace; then the search follows the
@@ -173,6 +173,27 @@ def _closure(points, gens):
     return seen
 
 
+def _on_base(sigma, base, index):
+    """``sigma`` as a permutation of base indices: ``(images, prefix, moved)``.
+
+    ``images[i]`` is the index of ``sigma(base[i])``.  Bit ``p`` of
+    ``prefix`` is set iff ``sigma`` maps ``base[:p]`` onto itself, that is
+    iff ``max(images[:p]) == p - 1``, and bit ``p`` of ``moved`` iff it is
+    set in ``prefix`` and ``sigma`` moves ``p``.
+    """
+    images = [index[sigma[v]] for v in base]
+    prefix = moved = 0
+    top = -1
+    for p, r in enumerate(images):
+        if top == p - 1:
+            prefix |= 1 << p
+            if r != p:
+                moved |= 1 << p
+        if r > top:
+            top = r
+    return images, prefix | 1 << len(images), moved
+
+
 class BaseOrbits:
     """Orbits of ``base[q]`` under the automorphisms fixing ``base[:q]``.
 
@@ -185,7 +206,10 @@ class BaseOrbits:
     fixing ``base[:q]`` maps ``base[q]`` to; it may miss such an ``r``
     only when the search budget ran out, and it stays empty for levels
     not reached yet.  ``generators`` lists the automorphisms found, each
-    as the list of images of ``0, ..., len(masks) - 1``.
+    as the list of images of ``0, ..., len(masks) - 1``, and ``moves`` the
+    same automorphisms as ``_on_base`` writes them, in base indices with
+    their ``prefix`` and ``moved`` masks; the plain loop of ``_search``
+    reads ``moves`` from outside the class.
     """
 
     def __init__(self, masks, base):
@@ -221,6 +245,7 @@ class BaseOrbits:
         self.leaf = order
         self.budget = REFINE_LIMIT * n
         self.generators = []
+        self.moves = []
         self.orbits = [()] * len(base)
         self.index = {v: i for i, v in enumerate(base)}
         self.level = len(path)  # path[level:] is done
@@ -249,6 +274,7 @@ class BaseOrbits:
                     refuted |= _closure([r], gens)
                 else:
                     gens.append(sigma)
+                    self.moves.append(_on_base(sigma, base, index))
                     orbit = _closure(orbit, gens)
             self.orbits[q] = tuple(sorted(index[v] for v in orbit if index[v] > q))
         return self.orbits

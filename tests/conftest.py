@@ -206,7 +206,7 @@ class RefutedTable:
 
 
 def reference_pruned_search(universe, constraints, k, budget, table=None,
-                            keyed=True, orbits=None):
+                            keyed=True, orbits=None, generators=None):
     """``reference_search`` with the kernel's suffix packing bound and
     refuted-state table, or its orbit bans.  Same ``(found, mask, nodes,
     exhausted)`` as the kernel for every input.
@@ -224,7 +224,12 @@ def reference_pruned_search(universe, constraints, k, budget, table=None,
     ``orbits``, for the plain loop only, lists per position ``q`` the
     positions above ``q`` that the exclude branch of ``q`` bans: none of
     them is included anywhere in that branch.  A banned live node goes
-    straight to its exclude branch, banning nothing more."""
+    straight to its exclude branch, banning nothing more.  With
+    ``generators``, permutations of ``range(universe)`` that map the
+    constraints onto themselves, an exclude with fewer than ``k - 1``
+    positions included bans instead the orbit of ``pos`` under those of
+    them that map ``range(pos)`` and the included positions onto
+    themselves; the last level still bans ``orbits[pos]``."""
     groups = _group_by_top_bit(universe, constraints)
     pack = brute_force_pack(universe, constraints)
     keys = reference_keys(universe, constraints) if keyed else None
@@ -262,7 +267,20 @@ def reference_pruned_search(universe, constraints, k, budget, table=None,
             return True
         if any(not c & chosen for c in groups[pos]):
             return False
-        if walk(pos + 1, chosen, count, banned | frozenset(orbits[pos])):
+        ban = orbits[pos]
+        if generators is not None and count < k - 1:
+            inside = {q for q in range(pos) if chosen >> q & 1}
+            movers = [g for g in generators if set(g[:pos]) == set(range(pos))
+                      and {g[q] for q in inside} == inside]
+            ban = {pos}
+            todo = [pos]
+            while todo:
+                v = todo.pop()
+                for g in movers:
+                    if g[v] not in ban:
+                        ban.add(g[v])
+                        todo.append(g[v])
+        if walk(pos + 1, chosen, count, banned | frozenset(ban)):
             return True
         if state is not None:
             table.store(state, need)

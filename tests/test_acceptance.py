@@ -69,8 +69,13 @@ EXACT_TABLE = [
     ("complete", 5, 5),
     ("complete", 6, 5),
     ("complete", 7, 6),
+    ("complete", 8, 7),
+    ("complete", 9, 8),
+    ("complete", 10, 9),
     ("complete_bipartite", (3, 3), 4),
     ("complete_bipartite", (4, 4), 6),
+    ("complete_bipartite", (5, 5), 7),
+    ("complete_bipartite", (6, 6), 9),
     ("complete_bipartite", (2, 3), 4),
     ("complete_bipartite", (2, 4), 6),
     ("hypercube", 2, 3),

@@ -94,6 +94,15 @@ class TestSolve:
         g = standard_graph("complete", 6)
         assert verify_edge_code(g, EdgeSet.from_indices(g, code)).is_code
 
+    def test_negative_header_count(self, run_cli, tmp_path):
+        # rejected at the header, not at the first edge past the count
+        path = tmp_path / "g.el"
+        for text, line in (("3 -1\n0 1\n", 1), ("# n m\n-1 0\n", 2)):
+            path.write_text(text)
+            status, out, err = run_cli(["solve", str(path)])
+            assert (status, out) == (3, "")
+            assert f"line {line}: negative count in 'n m' header" in err
+
     def test_infeasible_exit(self, run_cli, tmp_path):
         gpath = graph_file(tmp_path, standard_graph("path", 3))
         status, out, _ = run_cli(["solve", gpath])

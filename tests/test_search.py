@@ -151,37 +151,6 @@ def test_plain_loop_matches_recursive_reference(system, data):
             assert got == (found, mask << start, nodes, exhausted), (k, budget)
 
 
-def test_bans_keep_the_lex_least_subset():
-    # each edge-code residual runs the plain loop with the orbits of its
-    # position graph; from every start and at every size it returns the
-    # reference's subset, found without bans, in no more nodes
-    graphs = pendant_free_unions(8) + [
-        standard_graph(kind, params) for kind, params in (
-            ("complete", 4), ("complete", 5), ("complete", 6),
-            ("complete_bipartite", (3, 3)), ("complete_bipartite", (3, 4)),
-            ("hypercube", 3), ("petersen", None))
-    ]
-    saved = 0
-    for g in graphs:
-        masks = g.all_edge_masks()
-        _, constraints, positions = solver._strip_forced(
-            g.m, _constraints_from_masks(masks))
-        universe = len(positions)
-        system = ConstraintSystem(universe, constraints)
-        system.set_orbits(BaseOrbits(masks, positions).down_to(0))
-        for start in range(universe + 1):
-            inside = [c >> start for c in constraints if c >> start << start == c]
-            for k in range(universe - start + 2):
-                found, mask, nodes, _ = reference_pruned_search(
-                    universe - start, inside, k, 10**9, keyed=False)
-                got = _search._search(system, k, 10**9, start)
-                assert got[:2] + got[3:] == (found, mask << start, False), (
-                    g.edges, start, k)
-                assert got[2] <= nodes, (g.edges, start, k)
-                saved += nodes - got[2]
-    assert saved > 0
-
-
 def residual_of(g):
     """``(masks, constraints, positions)`` of the edge-code residual of g."""
     masks = g.all_edge_masks()
@@ -190,10 +159,72 @@ def residual_of(g):
     return masks, constraints, positions
 
 
+def shifted_bans(group, start):
+    """The bans of ``group`` for a search from ``start``, in the terms of
+    the suffix problem shifted down by ``start``: the orbits, and the
+    generators that map ``range(start)`` onto itself."""
+    orbits = [[r - start for r in orbit] for orbit in group.down_to(0)[start:]]
+    gens = [[r - start for r in images[start:]] for images, _, _ in group.moves
+            if sorted(images[:start]) == list(range(start))]
+    return orbits, gens
+
+
+class Pointwise:
+    """``group`` with the prefix test of each generator made pointwise: it
+    passes at ``p`` only when the generator fixes every position below
+    ``p``.  Those generators generate the pointwise stabiliser of the
+    positions below ``p``, whose orbits ``down_to`` lists, so the plain
+    loop then bans exactly those orbits."""
+
+    def __init__(self, group):
+        self.orbits = group.down_to(0)
+        self.moves = []
+        for images, _, _ in group.moves:
+            first = next(p for p, r in enumerate(images) if r != p)
+            self.moves.append((images, (2 << first) - 1, 1 << first))
+
+    def down_to(self, start):
+        return self.orbits
+
+
+def test_bans_keep_the_lex_least_subset():
+    # each edge-code residual runs the plain loop with the bans of its
+    # position graph's group; from every start and at every size it
+    # returns the subset found without bans, in no more nodes than with
+    # no bans or with the pointwise bans alone (the plain loop without a
+    # group and with a Pointwise one match the reference node for node)
+    graphs = pendant_free_unions(8) + [
+        standard_graph(kind, params) for kind, params in (
+            ("complete", 4), ("complete", 5), ("complete", 6), ("complete", 7),
+            ("complete_bipartite", (3, 3)), ("complete_bipartite", (3, 4)),
+            ("complete_bipartite", (4, 5)), ("hypercube", 3), ("hypercube", 4),
+            ("petersen", None))
+    ]
+    saved = 0
+    for g in graphs:
+        masks, constraints, positions = residual_of(g)
+        universe = len(positions)
+        plain = ConstraintSystem(universe, constraints)
+        pointwise = ConstraintSystem(universe, constraints)
+        system = ConstraintSystem(universe, constraints)
+        system.group = BaseOrbits(masks, positions)
+        pointwise.group = Pointwise(system.group)
+        for start in range(universe + 1):
+            for k in range(universe - start + 2):
+                found, mask, nodes, _ = _search._search(plain, k, 10**9, start)
+                fewer = _search._search(pointwise, k, 10**9, start)[2]
+                got = _search._search(system, k, 10**9, start)
+                assert got[:2] + got[3:] == (found, mask, False), (g.edges, start, k)
+                assert got[2] <= fewer <= nodes, (g.edges, start, k)
+                saved += fewer - got[2]
+    assert saved > 0
+
+
 def test_bans_match_reference_node_for_node():
-    # the plain loop with the orbits of the position graph, against the
-    # recursive reference applying the same bans: the same 4-tuple at
-    # every start, size and budget
+    # the plain loop with the bans of the position graph's group, against
+    # the recursive reference applying the same bans: the same 4-tuple at
+    # every start, size and budget; with the Pointwise group, against the
+    # reference banning the pointwise orbits alone
     graphs = [standard_graph(kind, params) for kind, params in (
         ("complete", 4), ("complete", 5), ("complete", 6),
         ("complete_bipartite", (3, 3)), ("complete_bipartite", (3, 4)),
@@ -203,20 +234,27 @@ def test_bans_match_reference_node_for_node():
     for g in graphs:
         masks, constraints, positions = residual_of(g)
         universe = len(positions)
-        system = ConstraintSystem(universe, constraints)
         group = BaseOrbits(masks, positions)
+        system = ConstraintSystem(universe, constraints)
+        system.group = group
+        pointwise = ConstraintSystem(universe, constraints)
+        pointwise.group = Pointwise(group)
         for start in range(universe, -1, -1):
-            orbits = group.down_to(start)
-            system.set_orbits(orbits)
-            shifted = [[r - start for r in orbit] for orbit in orbits[start:]]
-            banned += any(shifted)
+            orbits, gens = shifted_bans(group, start)
+            banned += any(orbits)
             inside = [c >> start for c in constraints if c >> start << start == c]
             for k in range(universe - start + 2):
                 for budget in BUDGETS:
                     found, mask, nodes, exhausted = reference_pruned_search(
                         universe - start, inside, k, budget, keyed=False,
-                        orbits=shifted)
+                        orbits=orbits, generators=gens)
                     assert _search._search(system, k, budget, start) == (
+                        found, mask << start, nodes, exhausted), (
+                        g.edges, start, k, budget)
+                    found, mask, nodes, exhausted = reference_pruned_search(
+                        universe - start, inside, k, budget, keyed=False,
+                        orbits=orbits)
+                    assert _search._search(pointwise, k, budget, start) == (
                         found, mask << start, nodes, exhausted), (
                         g.edges, start, k, budget)
     assert banned > 0
@@ -234,7 +272,7 @@ def test_every_budget_through_the_scan(kind, params):
         for start in range(4):
             system = ConstraintSystem(universe, constraints)
             if bans:
-                system.set_orbits(group.down_to(start))
+                system.group = group
             for k in range(1, universe - start + 1):
                 full = _search._search(system, k, 10**9, start)
                 for budget in range(1, full[2]):
@@ -304,6 +342,28 @@ def test_state_keys_match_reference(limit, system):
     numbered = sorted(set(constraints))
     assert [key if key is None else frozenset(numbered[i] for i in bits(key))
             for key in keys] == expect
+
+
+def test_build_takes_constraints_in_any_order():
+    # sorted, unique constraints, as the solver hands them over, are used
+    # as they come; shuffled ones and repeated ones build the same system,
+    # and a zero or too wide constraint is refused wherever it stands
+    rng = random.Random(16)
+    for _ in range(60):
+        universe = rng.randint(1, 20)
+        constraints = sorted({rng.randint(1, (1 << universe) - 1)
+                              for _ in range(rng.randint(1, 40))})
+        want = ConstraintSystem(universe, constraints)
+        shuffled = rng.sample(constraints, len(constraints))
+        repeated = shuffled + rng.choices(constraints, k=3)
+        for given in (shuffled, repeated, constraints[::-1], iter(constraints)):
+            got = ConstraintSystem(universe, given)
+            assert (got.full, got.hits, got.tops, got.lows, got.floor, got.keys) == (
+                want.full, want.hits, want.tops, want.lows, want.floor, want.keys)
+        for bad, message in ((0, "nonzero"), (1 << universe, "exceeds")):
+            at = rng.randint(0, len(constraints))
+            with pytest.raises(ValueError, match=message):
+                ConstraintSystem(universe, constraints[:at] + [bad] + constraints[at:])
 
 
 def test_build_matches_per_pair_reference(monkeypatch):

@@ -68,15 +68,26 @@ def test_orbits_match_brute_force(kind, params):
 
 def test_orbits_follow_the_base():
     # along a base that is not 0, 1, 2, ..., orbits hold base indices:
-    # reversing the base of K_5's line graph mirrors its stabiliser chain
+    # reversing the base of K_5's line graph mirrors its stabiliser chain;
+    # so do the moves, each its generator in base indices with the
+    # prefixes it maps onto themselves and the ones whose next index it
+    # moves
     g = standard_graph("complete", 5)
     masks = g.all_edge_masks()
     flipped = [g.m - 1 - i for i in range(g.m)]
-    orbits, _ = full_orbits(masks, flipped)
+    group = symmetry.BaseOrbits(masks, flipped)
+    orbits = group.down_to(0)
     relabelled = [masks[i] for i in flipped]
     relabelled = [sum(1 << flipped[j] for j in bits(m)) for m in relabelled]
     assert orbits == full_orbits(relabelled, range(g.m))[0]
     assert [len(o) for o in orbits if o] == [9, 5, 1]
+    assert len(group.moves) == len(group.generators)
+    for (images, prefix, moved), sigma in zip(group.moves, group.generators):
+        assert images == [flipped.index(sigma[v]) for v in flipped]
+        for p in range(g.m + 1):
+            onto = set(images[:p]) == set(range(p))
+            assert prefix >> p & 1 == onto, p
+            assert moved >> p & 1 == (onto and p < g.m and images[p] != p), p
 
 
 def test_levels_are_found_as_deep_as_asked():
@@ -144,13 +155,14 @@ def test_min_vertex_code_with_orbits(monkeypatch):
     # with its orbits; vertex-transitive graphs have large ones
     monkeypatch.setattr(_search, "KEY_LIMIT", -1)
     bases = []
-    set_orbits = _search.ConstraintSystem.set_orbits
+    bans = _search.ConstraintSystem.bans
 
-    def spy(system, orbits):
-        set_orbits(system, orbits)
+    def spy(system, start):
+        out = bans(system, start)
         bases.append(system.base)
+        return out
 
-    monkeypatch.setattr(_search.ConstraintSystem, "set_orbits", spy)
+    monkeypatch.setattr(_search.ConstraintSystem, "bans", spy)
     graphs = [Graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(6, 10)]
     graphs += [standard_graph("petersen"), standard_graph("hypercube", 3),
                standard_graph("hypercube", 4),
