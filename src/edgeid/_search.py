@@ -103,29 +103,30 @@ so those graphs pay nothing.  And the table holds at most
 ``TABLE_CAP`` states and is cleared when full, which bounds its memory
 whatever the node budget.
 
-The plain loop prunes by symmetry instead.  The solver stores a
-``symmetry.BaseOrbits`` as the system's ``group``; its generators are
-automorphisms of the system, permutations of the positions that map the
-constraints onto themselves.  Take a search from ``start`` that takes
-the exclude branch of ``q`` once the include branch is refuted, and let
-``S`` be the positions included in ``[start, q)``.  Let ``H`` be the
-group generated by the generators that map each of ``[0, start)``,
-``[0, q)`` and ``S`` onto itself.  Then no position of the orbit of
-``q`` under ``H`` may be included anywhere in that branch.  For suppose
-a solution ``T`` there contained ``r = g(q)`` with ``g`` in ``H``:
-``g⁻¹(T)`` agrees with ``T`` on ``[start, q)``, since ``g`` maps ``S``
-and the rest of ``[start, q)`` onto themselves; it contains ``q``; and
-it solves the same suffix problem, since ``g`` maps ``[0, start)`` onto
-itself and with it the constraints lying inside ``[start, universe)``.
-So ``g⁻¹(T)`` would be a solution in the include branch just refuted,
-or cut as holding none.  Bans, like the bound, cut only subtrees
-without a solution, and the first subset found stays the lex-least one.
-This is orbital branching on the subproblem's symmetry group (Ostrowski,
-Linderoth, Rossi and Smriglio, "Orbital branching", 2011), taken in the
-include-first order of the lex search.  A generator that fixes every
-position below ``q`` passes all three tests, so ``H`` contains the
-pointwise stabiliser of ``[0, q)``, and its orbit ``orbits[q]`` (the
-positions above ``q`` that ``down_to`` lists) is banned too.
+The plain loop prunes by symmetry instead.  The solver stores the
+position graph as the system's ``graph``, and the first plain-loop
+search builds from it a ``symmetry.BaseOrbits``, the system's ``group``.
+Its generators are automorphisms of the system, permutations of the
+positions that map the constraints onto themselves.  Take a search from
+``start`` that takes the exclude branch of ``q`` once the include branch
+is refuted, and let ``S`` be the positions included in ``[start, q)``.
+Let ``H`` be the group generated by the generators that map each of
+``[0, start)``, ``[0, q)`` and ``S`` onto itself.  Then no position of
+the orbit of ``q`` under ``H`` may be included anywhere in that branch.
+For suppose a solution ``T`` there contained ``r = g(q)`` with ``g`` in
+``H``: ``g⁻¹(T)`` agrees with ``T`` on ``[start, q)``, since ``g`` maps
+``S`` and the rest of ``[start, q)`` onto themselves; it contains ``q``;
+and it solves the same suffix problem, since ``g`` maps ``[0, start)``
+onto itself and with it the constraints lying inside ``[start,
+universe)``.  So ``g⁻¹(T)`` would be a solution in the include branch
+just refuted, or cut as holding none.  Bans, like the bound, cut only
+subtrees without a solution, and the first subset found stays the
+lex-least one.  This is orbital branching on the subproblem's symmetry
+group (Ostrowski, Linderoth, Rossi and Smriglio, "Orbital branching",
+2011), taken in the include-first order of the lex search.  A generator
+that fixes every position below ``q`` passes all three tests, so ``H``
+contains the pointwise stabiliser of ``[0, q)``, and its orbit, the
+positions above ``q`` that ``orbits[q]`` lists, is banned too.
 
 Each generator comes as its list of images and two masks: bit ``p`` of
 ``prefix`` is set when it maps ``[0, p)`` onto itself, so the first two
@@ -136,8 +137,8 @@ the ``start`` test once per search; ``movable``, the union of their
 ``base`` is one past the last of them.  The ``S`` test looks up the
 images of the included positions; the unwind asks it for one stack
 prefix many times over, so ``_orbit`` keeps the last answer per depth.
-The generators are those of every level of the group, found at the
-first search: the ones of the levels below a start map the positions
+The generators are those of every level of the group, all found when
+it is built: the ones of the levels below a start map the positions
 below it onto themselves without fixing them, and they matter: with
 only the levels at or above each start, K_9 takes 44,428 nodes instead
 of 23,662.
@@ -147,12 +148,12 @@ into the room left above it so that the include test catches them
 unchanged, and a log of ``(count, banned positions)`` for each exclude
 that banned, lifted when the search backtracks out of its branch.  Only
 positions below ``base`` ban anything, so a system without symmetry
-runs the loop at its old cost.  But every one of them stops the unwind,
-not only those that ban: the unwind lifts the bans made inside an
-include subtree when it takes that position's exclude, and a ban that
-outlived its branch would cut solutions.  A banned position goes
-straight to its exclude and bans nothing; banning its orbit too cut no
-node on K_7 to K_10 or the test corpus.
+pays one comparison per exclude.  When the unwind takes the exclude of
+a position ``p < base``, it lifts the bans made inside ``p``'s include
+subtree, whether or not ``p`` bans itself: a ban that outlived its
+branch would cut solutions.  A banned position goes straight to its
+exclude and bans nothing; banning its orbit too cut no node on K_7 to
+K_10 or the test corpus.
 
 Most of the plain loop's nodes lie at the last level and the leaves
 below it: 85-94% of them on K_8, Q_4, K_9 and Q_5, split about evenly.
@@ -166,13 +167,13 @@ at sizes ``k >= floor[p + 1]``, so a scan from ``p`` itself, where ``k =
 walks ``q = pos, pos + 1, ...``: an unbanned ``q`` below the universe is
 included and is a solution iff ``h | hits[q]`` holds every constraint; a
 failed include or a banned ``q`` moves on iff its exclude is allowed,
-the exclude of a failed include banning ``orbits[q]``; anything else is
-a dead end, from which the loop unwinds.  A leaf bans nothing, so the
-scan has no bans to lift.  The scan bans the pointwise orbit, read off
-a list, rather than the orbit under ``H``: ``H`` there cut K_9 to
-19,928 nodes and K_11 from 2,060,916 to 1,687,646, but K_9 to K_11 took
-1.2 to 3.4 times as long, since a failed include at the last level costs
-less than the generator tests.
+the exclude of a failed include below ``base`` banning ``orbits[q]``;
+anything else is a dead end, from which the loop unwinds.  A leaf bans
+nothing, so the scan has no bans to lift.  The scan bans the pointwise
+orbit, read off a list, rather than the orbit under ``H``: ``H`` there
+cut K_9 to 19,928 nodes and K_11 from 2,060,916 to 1,687,646, but K_9
+to K_11 took 1.2 to 3.4 times as long, since a failed include at the
+last level costs less than the generator tests.
 
 The scan counts the nodes that the loop would visit one at a time: two
 per included position, the include and the leaf below it, and one per
@@ -204,11 +205,14 @@ class ConstraintSystem:
     searches, built once and shared by searches at every size k and from
     every start.  ``keys`` is None when no position ``p >= 1`` has at most
     ``KEY_LIMIT`` open constraints; the kernel then keeps no table.
-    ``group`` is None or a ``symmetry.BaseOrbits`` along the positions,
-    which ``bans`` reads for the plain loop at each start."""
+    ``graph`` is None or ``(masks, positions)``: closed neighbourhoods
+    whose automorphisms map the constraints onto themselves, and the
+    vertex each position stands for.  ``group`` is None or a
+    ``symmetry.BaseOrbits`` along the positions, which ``bans`` builds
+    from ``graph`` and reads for the plain loop at each start."""
 
     __slots__ = ("universe", "full", "hits", "tops", "lows", "floor", "keys",
-                 "tables", "stored", "group", "base", "guard", "_below")
+                 "tables", "stored", "graph", "group", "_below")
 
     def __init__(self, universe, constraints):
         # equal constraints would each count as containing the other; the
@@ -257,40 +261,33 @@ class ConstraintSystem:
             key if key is None else {} for key in keys
         ]
         self.stored = 0
+        self.graph = None
         self.group = None
-        self.base = 0
-        self.guard = tops
         self._below = (0, 0)
 
     def bans(self, start):
         """What the plain loop bans with in a search from ``start``.
 
-        Returns ``(orbits, gens, movable, guard)``, all empty but ``guard``
-        when the system has no ``group``.  ``orbits`` are the group's
+        Returns ``(orbits, gens, movable)``, all empty when the system has
+        neither a ``group`` nor a ``graph`` to build one from.  The first
+        call builds ``group`` from ``graph``.  ``orbits`` are the group's
         orbits along the positions, ``gens`` its generators that map
         ``[0, start)`` onto itself, each as ``(images, prefix, moved)``
         (see ``symmetry.BaseOrbits``), and ``movable`` the union of their
         ``moved`` masks: the positions whose ban a generator can make.
-        ``base`` becomes one past the last of them, and ``guard`` is
-        ``tops`` with a bit that no constraint number uses added below
-        ``base``, so that the loop's exclude test fails there and only
-        those positions reach the ban bookkeeping.
         """
         group = self.group
         if group is None:
-            return None, (), 0, self.tops
-        orbits = group.down_to(0)
+            if self.graph is None:
+                return None, (), 0
+            from .symmetry import BaseOrbits
+
+            group = self.group = BaseOrbits(*self.graph)
         gens = [move for move in group.moves if move[1] >> start & 1]
         movable = 0
         for _, _, moved in gens:
             movable |= moved
-        base = movable.bit_length()
-        if base != self.base:
-            self.base = base
-            mark = self.full + 1
-            self.guard = [top | mark if p < base else top
-                          for p, top in enumerate(self.tops)]
-        return orbits, gens, movable, self.guard
+        return group.orbits, gens, movable
 
     def below(self, start):
         """The constraints whose lowest bit is below ``start``, as a mask.
@@ -420,7 +417,7 @@ def _search(system, k, budget, start):
     hits = system.hits
     tops = system.tops
     floor = system.floor
-    orbits, gens, movable, guard = system.bans(start)
+    orbits, gens, movable = system.bans(start)
     base = movable.bit_length()
     depth = min(k, universe - start)
     hit = [0] * (depth + 1)
@@ -455,12 +452,10 @@ def _search(system, k, budget, start):
                 if r > 0:
                     if h | hits[q] == full:
                         break
-                    top = guard[q]
+                    top = tops[q]
                     if h & top != top:
-                        # from base on, guard is tops and this fails too
-                        top = tops[q]
-                        if h & top != top:
-                            break
+                        break
+                    if q < base:
                         # a leaf bans nothing, so there is nothing to lift
                         banned = orbits[q]
                         if banned:
@@ -501,16 +496,13 @@ def _search(system, k, budget, start):
                 continue
         # Dead end: unwind to the highest included position whose exclude
         # branch leaves every constraint topping out there hit.  Below
-        # base, guard fails that test, and the exclude also bans.
+        # base, the exclude also lifts and bans.
         while count:
             count -= 1
             p = stack[count]
-            top = guard[p]
+            top = tops[p]
             if hit[count] & top == top:
-                break
-            if p < base:
-                top = tops[p]
-                if hit[count] & top == top:
+                if p < base:
                     # lift the bans made inside p's include subtree, all
                     # by positions above p, then ban p's orbit under H
                     while log and log[-1][0] > count:
@@ -521,7 +513,7 @@ def _search(system, k, budget, start):
                         for r in banned:
                             room[r] -= shift
                         log.append((count, banned))
-                    break
+                break
         else:
             return False, 0, nodes, False
         pos = p + 1

@@ -232,10 +232,10 @@ class EdgeSet:
         return self.mask & ~other.mask == 0
 
     def add(self, i):
-        return EdgeSet(self.fingerprint, self.mask | 1 << i)
+        return EdgeSet(self.fingerprint, self.mask | mask_of((i,), self.fingerprint[1]))
 
     def remove(self, i):
-        return EdgeSet(self.fingerprint, self.mask & ~(1 << i))
+        return EdgeSet(self.fingerprint, self.mask & ~mask_of((i,), self.fingerprint[1]))
 
     def __repr__(self):
         return f"EdgeSet({self.indices()})"

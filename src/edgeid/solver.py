@@ -29,10 +29,10 @@ Within a size the kernel returns the lexicographically least code; a
 size whose answer a suffix search already found needs no search (see
 ``_sweep``).  All searches of a solve share one ``ConstraintSystem`` and
 with it the kernel's table of refuted states, or, for a system that
-runs the plain loop, the automorphism group of the position graph, whose
-orbits the kernel bans.  A node budget caps the total work
-over both phases; runs that exhaust it fall back to a verified hint
-when one was supplied.
+runs the plain loop, the automorphism group of the position graph,
+which the kernel builds at its first search and whose orbits it bans.
+A node budget caps the total work over both phases; runs that exhaust
+it fall back to a verified hint when one was supplied.
 """
 
 from collections import namedtuple
@@ -230,10 +230,9 @@ def _solve_masks(universe, masks, lower, budget, hint_mask):
     already certifies costs no build.  The forced positions are split
     off first, and the sweep runs on the residual with the bound and
     the cap lowered by their count; an empty residual needs no search.
-    A residual that runs the plain loop carries the automorphisms of
-    ``masks`` as its ``group``, taken along the residual's positions: an
-    automorphism maps the forced positions, and so the residual, onto
-    themselves.
+    The residual carries ``masks`` and its positions as its ``graph``,
+    whose automorphisms the plain loop bans by: an automorphism maps the
+    forced positions, and so the residual, onto themselves.
     """
     start, name = lower
     bound_used = (name, start)
@@ -248,11 +247,7 @@ def _solve_masks(universe, masks, lower, budget, hint_mask):
             mask = forced if size <= cap else None
         elif size < cap:  # the residual needs at least one more position
             residual = ConstraintSystem(len(positions), rest)
-            if residual.keys is None:
-                # the plain loop bans orbits; symmetry loads only for it
-                from .symmetry import BaseOrbits
-
-                residual.group = BaseOrbits(masks, positions)
+            residual.graph = masks, positions
             sub, nodes, exhausted = _sweep(residual, start - size, cap - size, budget)
             if sub is not None:
                 mask = forced | sum(1 << positions[i] for i in bits(sub))

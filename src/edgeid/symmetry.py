@@ -35,11 +35,10 @@ deeper levels generate the stabiliser of ``b_q``.  The searches share a
 budget of ``REFINE_LIMIT`` refinements per position; once it is spent,
 the orbits stay what the generators found so far give.  That loses
 speed, never correctness, since every generator is a checked
-automorphism.  ``BaseOrbits.down_to`` finds only the levels it is asked
-for.  The plain loop of ``_search`` asks for every level at its first
-search, since it bans by the generators of all of them; each generator
-is also kept as a permutation of base indices with two masks, computed
-once when it is found, which the loop reads.
+automorphism.  A new ``BaseOrbits`` finds every level, since the plain
+loop of ``_search`` bans by the generators of all of them; each
+generator is also kept as a permutation of base indices with two masks,
+computed once when it is found, which the loop reads.
 
 ``isomorphic`` runs the same search between two graphs.  Their unit
 partitions must refine with the same trace; then the search follows the
@@ -200,22 +199,19 @@ class BaseOrbits:
     ``masks[v]`` is the closed neighbourhood of position ``v`` as a
     bitmask, and every automorphism of the graph they describe must map
     the positions of ``base`` among themselves.  A new object runs the
-    first path; ``down_to`` then finds the orbits level by level, deepest
-    first, as far as a search needs them.  ``orbits[q]`` is the sorted
-    tuple of the indices ``r > q`` whose ``base[r]`` some automorphism
-    fixing ``base[:q]`` maps ``base[q]`` to; it may miss such an ``r``
-    only when the search budget ran out, and it stays empty for levels
-    not reached yet.  ``generators`` lists the automorphisms found, each
-    as the list of images of ``0, ..., len(masks) - 1``, and ``moves`` the
-    same automorphisms as ``_on_base`` writes them, in base indices with
-    their ``prefix`` and ``moved`` masks; the plain loop of ``_search``
-    reads ``moves`` from outside the class.
+    first path, then finds the orbits level by level, deepest first.
+    ``orbits[q]`` is the sorted tuple of the indices ``r > q`` whose
+    ``base[r]`` some automorphism fixing ``base[:q]`` maps ``base[q]``
+    to; it may miss such an ``r`` only when the search budget ran out.
+    ``generators`` lists the automorphisms found, each as the list of
+    images of ``0, ..., len(masks) - 1``, and ``moves`` the same
+    automorphisms as ``_on_base`` writes them, in base indices with their
+    ``prefix`` and ``moved`` masks; the plain loop of ``_search`` reads
+    ``orbits`` and ``moves`` from outside the class.
     """
 
     def __init__(self, masks, base):
         n = len(masks)
-        self.masks = masks
-        self.base = base
         self.closed = closed = [bits(m) for m in masks]
         self.adj = adj = [[u for u in near if u != v] for v, near in enumerate(closed)]
         order = list(range(n))
@@ -244,40 +240,28 @@ class BaseOrbits:
             individualise(None, order[s])
         self.leaf = order
         self.budget = REFINE_LIMIT * n
-        self.generators = []
+        self.generators = gens = []
         self.moves = []
-        self.orbits = [()] * len(base)
-        self.index = {v: i for i, v in enumerate(base)}
-        self.level = len(path)  # path[level:] is done
-
-    def down_to(self, start):
-        """The orbits, with every level at or above ``start`` found."""
-        base = self.base
-        gens = self.generators
-        index = self.index
-        path = self.path
-        while self.level:
-            q, (order, _, end), s, _ = path[self.level - 1]
-            if q is not None and q < start:
-                break
-            self.level -= 1
+        self.orbits = orbits = [()] * len(base)
+        index = {v: i for i, v in enumerate(base)}
+        for t in range(len(path) - 1, -1, -1):
+            q, before, s, _ = path[t]
             if q is None:
                 continue
+            order, _, end = before
             orbit = _closure([base[q]], gens)
             refuted = set()
             for r in order[s:end[s]]:
                 if r in orbit or r in refuted:
                     continue
-                sigma = self._find(self.level, path[self.level][1], [r],
-                                   self.adj, self.masks)
+                sigma = self._find(t, before, [r], adj, masks)
                 if sigma is None:
                     refuted |= _closure([r], gens)
                 else:
                     gens.append(sigma)
                     self.moves.append(_on_base(sigma, base, index))
                     orbit = _closure(orbit, gens)
-            self.orbits[q] = tuple(sorted(index[v] for v in orbit if index[v] > q))
-        return self.orbits
+            orbits[q] = tuple(sorted(index[v] for v in orbit if index[v] > q))
 
     def _find(self, t, partition, candidates, adj, masks):
         """A checked map onto the graph with neighbours ``adj`` and closed

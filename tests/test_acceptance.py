@@ -72,14 +72,22 @@ EXACT_TABLE = [
     ("complete", 8, 7),
     ("complete", 9, 8),
     ("complete", 10, 9),
+    ("complete", 11, 10),
     ("complete_bipartite", (3, 3), 4),
     ("complete_bipartite", (4, 4), 6),
     ("complete_bipartite", (5, 5), 7),
     ("complete_bipartite", (6, 6), 9),
+    ("complete_bipartite", (7, 7), 10),
     ("complete_bipartite", (2, 3), 4),
     ("complete_bipartite", (2, 4), 6),
+    ("complete_bipartite", (2, 5), 8),
+    ("complete_bipartite", (2, 6), 10),
+    ("complete_bipartite", (2, 7), 12),
+    ("complete_bipartite", (2, 8), 14),
+    ("complete_bipartite", (2, 9), 16),
     ("hypercube", 2, 3),
     ("hypercube", 3, 5),
+    ("hypercube", 4, 8),
     ("petersen", None, 5),
 ]
 

@@ -143,6 +143,13 @@ class TestEdgeSet:
             s.check_owner(h)
         with pytest.raises(ValueError):
             EdgeSet.from_indices(g, [3])
+        # add and remove check the index against the owner's edges too
+        k5 = standard_graph("complete", 5)
+        for op, i in (("add", 99), ("add", 10), ("add", -1), ("remove", -1),
+                      ("remove", 10)):
+            with pytest.raises(ValueError, match="out of range"):
+                getattr(EdgeSet.from_indices(k5, [0]), op)(i)
+        assert EdgeSet.from_indices(k5, [0]).add(9).remove(0) == EdgeSet.from_indices(k5, [9])
 
     def test_hash_and_eq(self):
         g = Graph(3, [(0, 1), (1, 2)])

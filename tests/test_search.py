@@ -163,7 +163,7 @@ def shifted_bans(group, start):
     """The bans of ``group`` for a search from ``start``, in the terms of
     the suffix problem shifted down by ``start``: the orbits, and the
     generators that map ``range(start)`` onto itself."""
-    orbits = [[r - start for r in orbit] for orbit in group.down_to(0)[start:]]
+    orbits = [[r - start for r in orbit] for orbit in group.orbits[start:]]
     gens = [[r - start for r in images[start:]] for images, _, _ in group.moves
             if sorted(images[:start]) == list(range(start))]
     return orbits, gens
@@ -173,18 +173,15 @@ class Pointwise:
     """``group`` with the prefix test of each generator made pointwise: it
     passes at ``p`` only when the generator fixes every position below
     ``p``.  Those generators generate the pointwise stabiliser of the
-    positions below ``p``, whose orbits ``down_to`` lists, so the plain
+    positions below ``p``, whose orbits ``group.orbits`` lists, so the plain
     loop then bans exactly those orbits."""
 
     def __init__(self, group):
-        self.orbits = group.down_to(0)
+        self.orbits = group.orbits
         self.moves = []
         for images, _, _ in group.moves:
             first = next(p for p, r in enumerate(images) if r != p)
             self.moves.append((images, (2 << first) - 1, 1 << first))
-
-    def down_to(self, start):
-        return self.orbits
 
 
 def test_bans_keep_the_lex_least_subset():

@@ -38,7 +38,7 @@ def brute_force_orbits(g):
 def full_orbits(masks, base):
     """``(orbits, generators)`` with every level found."""
     group = symmetry.BaseOrbits(masks, base)
-    return group.down_to(0), group.generators
+    return group.orbits, group.generators
 
 
 def maps_masks(sigma, masks):
@@ -76,7 +76,7 @@ def test_orbits_follow_the_base():
     masks = g.all_edge_masks()
     flipped = [g.m - 1 - i for i in range(g.m)]
     group = symmetry.BaseOrbits(masks, flipped)
-    orbits = group.down_to(0)
+    orbits = group.orbits
     relabelled = [masks[i] for i in flipped]
     relabelled = [sum(1 << flipped[j] for j in bits(m)) for m in relabelled]
     assert orbits == full_orbits(relabelled, range(g.m))[0]
@@ -88,23 +88,6 @@ def test_orbits_follow_the_base():
             onto = set(images[:p]) == set(range(p))
             assert prefix >> p & 1 == onto, p
             assert moved >> p & 1 == (onto and p < g.m and images[p] != p), p
-
-
-def test_levels_are_found_as_deep_as_asked():
-    # a search from start excludes no position below it, so down_to(start)
-    # finds the levels at or above start only; each answer agrees with the
-    # full computation there, and a deeper ask adds the rest
-    g = standard_graph("complete", 6)
-    masks = g.all_edge_masks()
-    full, gens = full_orbits(masks, range(g.m))
-    group = symmetry.BaseOrbits(masks, range(g.m))
-    spent = [group.budget]
-    for start in range(g.m, -1, -1):
-        orbits = group.down_to(start)
-        assert orbits[start:] == full[start:] and not any(orbits[:start]), start
-        spent.append(group.budget)
-    assert spent == sorted(spent, reverse=True) and spent[0] > spent[-1]
-    assert group.generators == gens
 
 
 def test_discrete_refinement_gives_trivial_orbits():
@@ -159,7 +142,7 @@ def test_min_vertex_code_with_orbits(monkeypatch):
 
     def spy(system, start):
         out = bans(system, start)
-        bases.append(system.base)
+        bases.append(out[2].bit_length())
         return out
 
     monkeypatch.setattr(_search.ConstraintSystem, "bans", spy)
@@ -178,10 +161,27 @@ def test_min_vertex_code_with_orbits(monkeypatch):
 
 def test_orbit_build_is_skipped_by_the_table_loop(monkeypatch):
     # Petersen and cycles run the table loop, which bans nothing, so their
-    # solves compute no group
-    def fail(masks, base):
-        raise AssertionError("group computed for a table-loop system")
+    # solves compute no group; K_7 runs the plain loop, whose searches
+    # share the group built at the first of them
+    built = []
+    base_orbits = symmetry.BaseOrbits
 
-    monkeypatch.setattr(symmetry, "BaseOrbits", fail)
+    def spy(masks, base):
+        built.append(len(masks))
+        return base_orbits(masks, base)
+
+    monkeypatch.setattr(symmetry, "BaseOrbits", spy)
     for g in (standard_graph("petersen"), standard_graph("cycle", 30)):
         assert solver.min_edge_code(g).status == "Optimal"
+    assert built == []
+    searches = []
+    search = _search._search
+
+    def count(system, k, budget, start):
+        searches.append(start)
+        return search(system, k, budget, start)
+
+    monkeypatch.setattr(_search, "_search", count)
+    res = solver.min_edge_code(standard_graph("complete", 7))
+    assert res.status == "Optimal" and res.size == 6
+    assert len(searches) > 1 and built == [21]
