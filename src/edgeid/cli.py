@@ -6,7 +6,8 @@ edge-list files; ``-`` (or omitting the argument where noted) reads
 standard input.  Exit codes: 0 success (for ``verify``, a valid code;
 for ``solve``, status Optimal), 1 failed verification / Infeasible /
 unreachable target, 2 usage error, 3 malformed input file, 4 internal
-error (a fault in edgeid itself, reported on stderr).
+error (a fault in edgeid itself, reported on stderr), 141 standard output
+closed early by its reader (as in ``| head``), left without a message.
 """
 
 import argparse
@@ -38,6 +39,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_INTERNAL = 4
+# 128 + SIGPIPE, what a shell reports for a program that a closed pipe ends
+EXIT_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -290,7 +293,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a reader that went away shows here, not at the interpreter's exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # nobody reads the rest: point stdout at devnull, so that the final
+        # flush of what is still buffered stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -201,7 +201,7 @@ class EdgeSet:
         return self.mask.bit_count()
 
     def __contains__(self, i):
-        return bool(self.mask >> i & 1)
+        return 0 <= i < self.fingerprint[1] and bool(self.mask >> i & 1)
 
     def __eq__(self, other):
         return (isinstance(other, EdgeSet)

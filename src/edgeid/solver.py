@@ -21,10 +21,12 @@ pass first computes, from the right, the exact optimum of each suffix
 subproblem: the fewest positions in ``[p, m)`` that hit every constraint
 lying inside that range.  Suffix optima grow by at most one per step,
 so each is settled by a lower bound, by a witness of its right
-neighbour, or by one kernel search at the neighbour's value, which the
-optima already found prune.  The optimum of the whole instance is then the optimum ``f`` of
-the suffix from 1, or ``f + 1``: the sweep searches at most these two
-sizes, starting from the larger of ``f`` and an analytic lower bound.
+neighbour, by the image of a witness under the position graph's
+automorphisms, or by one kernel search at the neighbour's value, which
+the optima already found prune.  The optimum of the whole instance is
+then the optimum ``f`` of the suffix from 1, or ``f + 1``: the sweep
+searches at most these two sizes, starting from the larger of ``f`` and
+an analytic lower bound.
 Within a size the kernel returns the lexicographically least code; a
 size whose answer a suffix search already found needs no search (see
 ``_sweep``).  All searches of a solve share one ``ConstraintSystem`` and
@@ -110,9 +112,14 @@ def _suffix_pass(system, lower, cap, budget):
     below ``p`` is a code.  So ``h[p]`` is ``h[p+1] + 1`` when a seed
     says so, ``h[p+1]`` when the witness of ``h[p+1]`` hits the
     constraints with lowest bit ``p``, and otherwise the outcome of one
-    suffix search at ``h[p+1]``.  The pass stops early once a floor
-    exceeds ``cap``, since every size up to ``cap`` is then refuted, and
-    leaves that floor at ``floor[1]``.
+    suffix search at ``h[p+1]``.  Before that search the pass asks
+    ``system.mapped`` for an image of a witness of size ``h[p+1]`` that
+    solves the suffix problem from ``p``; one settles ``h[p] = h[p+1]``
+    with no search.  For ``p >= 1`` the pass needs the value and *some*
+    witness, so a mapped one serves for ``covered`` and later mappings,
+    but it is no lex-least subset and never enters ``witnesses``.  The
+    pass stops early once a floor exceeds ``cap``, since every size up
+    to ``cap`` is then refuted, and leaves that floor at ``floor[1]``.
 
     Returns ``(witnesses, nodes, exhausted)``.  ``witnesses`` maps each
     start ``p`` whose search found a subset to that subset, the
@@ -123,6 +130,7 @@ def _suffix_pass(system, lower, cap, budget):
     lows = system.lows
     covered = 0  # the constraints that a witness of floor[p + 1] hits
     witnesses = {}
+    same = []  # the witnesses of size floor[p + 1] found or mapped so far
     nodes = 0
     for p in range(system.universe - 1, 0, -1):
         low = lows[p]
@@ -130,22 +138,30 @@ def _suffix_pass(system, lower, cap, budget):
         if max(floor[p], lower - p) > k:
             k += 1  # the witness plus p
             covered |= hits[p]
+            same = []
         elif covered & low != low:
-            if nodes >= budget:
-                return witnesses, nodes, True
-            found, mask, used, exhausted = search_exact_size(
-                system.universe, system, k, budget - nodes, p)
-            nodes += used
-            if exhausted:
-                return witnesses, nodes, True
-            if found:
+            mask = system.mapped(same, p)
+            if mask is None:
+                if nodes >= budget:
+                    return witnesses, nodes, True
+                found, mask, used, exhausted = search_exact_size(
+                    system.universe, system, k, budget - nodes, p)
+                nodes += used
+                if exhausted:
+                    return witnesses, nodes, True
+                if found:
+                    witnesses[p] = mask
+                else:
+                    mask = None
+            if mask is None:
+                k += 1
+                covered |= hits[p]
+                same = []
+            else:
                 covered = 0
                 for q in bits(mask):
                     covered |= hits[q]
-                witnesses[p] = mask
-            else:
-                k += 1
-                covered |= hits[p]
+                same.append(mask)
         floor[p] = k
         if k > cap:
             # h never shrinks leftwards, so this floor holds at 1 too

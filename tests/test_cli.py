@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from edgeid.cli import EXIT_INTERNAL, FAMILY_KINDS, main
+from edgeid.cli import EXIT_INTERNAL, EXIT_PIPE, FAMILY_KINDS, main
 from edgeid.families import STANDARD_KINDS, known_code, standard_graph
 from edgeid.graph_core import EdgeSet, read_edge_list, write_edge_list
 from edgeid.identify import verify_edge_code
@@ -163,6 +163,27 @@ class TestSolve:
         assert status == EXIT_INTERNAL == 4
         assert out == ""
         assert err.splitlines()[-1] == "internal error: RuntimeError: kernel fault"
+
+    def test_closed_stdout_is_no_fault(self, tmp_path, monkeypatch, capsys):
+        # `edgeid solve g.el | head -1` with unbuffered output: the reader
+        # is gone, which is neither an internal error nor worth a traceback
+        sink = open(tmp_path / "sink", "w", encoding="utf-8")
+
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        try:
+            status = main(["family", "petersen"])
+        finally:
+            sink.close()
+        assert status == EXIT_PIPE and status not in range(5)
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "sink").read_text() == ""
 
     @pytest.mark.parametrize("command, target", [
         ("solve", "edgeid.solver._constraints_from_masks"),

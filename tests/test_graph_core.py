@@ -150,6 +150,9 @@ class TestEdgeSet:
             with pytest.raises(ValueError, match="out of range"):
                 getattr(EdgeSet.from_indices(k5, [0]), op)(i)
         assert EdgeSet.from_indices(k5, [0]).add(9).remove(0) == EdgeSet.from_indices(k5, [9])
+        # membership is False, not an error, outside the owner's edges
+        s = EdgeSet.from_indices(k5, [0])
+        assert 0 in s and 1 not in s and -1 not in s and 99 not in s
 
     def test_hash_and_eq(self):
         g = Graph(3, [(0, 1), (1, 2)])

@@ -22,7 +22,8 @@ from conftest import (
 from edgeid import _search, solver
 from edgeid._search import ConstraintSystem
 from edgeid.families import standard_graph
-from edgeid.graph_core import EdgeSet, Graph, RejectedInput, line_graph, pendant_pairs
+from edgeid.graph_core import (EdgeSet, Graph, RejectedInput, bits, line_graph,
+                               pendant_pairs)
 from edgeid.identify import verify_edge_code, verify_vertex_code, vertex_closed_masks
 from edgeid.reduction import build_reduction
 from edgeid.solver import (
@@ -101,6 +102,9 @@ def test_lower_bound_is_reported_on_optimal():
         ("cycle", 30, 15, 141),
         ("cycle", 60, 30, 291),
         ("cycle", 100, 50, 491),
+        # suffix witnesses mapped through the ban group's generators settle
+        # two suffix optima without a search: 84,110 nodes before
+        ("hypercube", 4, 8, 54053),
     ],
 )
 def test_node_counts_are_pinned(kind, params, size, nodes):
@@ -299,6 +303,90 @@ def test_solver_with_orbits_matches_naive_sweep(monkeypatch):
         assert res.status == "Optimal"
         assert (res.size, res.code.mask) == naive_sweep(g.m, constraints), g.edges
     assert forcing >= 10
+
+
+def _plain_residual(g):
+    """The residual that ``_solve_masks`` sweeps for ``g``, with its graph,
+    and the residual's constraints."""
+    masks = g.all_edge_masks()
+    _, rest, positions = solver._strip_forced(g.m, _constraints_from_masks(masks))
+    system = ConstraintSystem(len(positions), rest)
+    system.graph = masks, positions
+    return system, rest
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("complete", 5), ("complete_bipartite", (3, 4)), ("hypercube", 3)])
+def test_mapped_returns_a_checked_image(kind, params):
+    # every answer is an image under a generator or its inverse that lies
+    # in the suffix and hits every constraint inside it, and None means
+    # that no image does; the witnesses straddle the start on purpose
+    system, rest = _plain_residual(standard_graph(kind, params))
+    system.bans(0)  # builds the group
+    universe = system.universe
+    maps = []
+    for images, _, _ in system.group.moves:
+        maps += [images, sorted(range(universe), key=images.__getitem__)]
+    rng = random.Random(7)
+    answers = set()
+    for _ in range(300):
+        start = rng.randrange(universe)
+        witnesses = [sum(1 << q for q in rng.sample(range(universe), rng.randint(1, 6)))
+                     for _ in range(rng.randint(1, 2))]
+        candidates = {sum(1 << images[q] for q in bits(w)) for w in witnesses
+                      for images in maps}
+        good = {image for image in candidates if image >> start << start == image
+                and all(image & c for c in rest if c >> start << start == c)}
+        out = system.mapped(witnesses, start)
+        assert out in good if good else out is None, (start, witnesses)
+        answers.add(out is None)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("complete", 5), ("complete", 6), ("complete_bipartite", (3, 4)), ("hypercube", 3)])
+def test_mapped_witnesses_keep_exact_floors(monkeypatch, kind, params):
+    # with no keyed position allowed, these residuals run the plain loop
+    # and hold a group; a mapped witness that left its suffix or missed a
+    # constraint would settle a floor below the brute-force optimum
+    monkeypatch.setattr(_search, "KEY_LIMIT", -1)
+    system, rest = _plain_residual(standard_graph(kind, params))
+    universe = system.universe
+    mask, _, exhausted = _sweep(system, 0, universe, 10**6)
+    assert not exhausted and system.keys is None and system.group.moves
+    assert system.floor[1:] == [brute_force_suffix_optimum(universe, rest, p)
+                                for p in range(1, universe + 1)]
+    assert (mask.bit_count(), mask) == naive_sweep(universe, rest)
+
+
+@pytest.mark.parametrize("kind, params, lower", [
+    ("hypercube", 4, 0), ("hypercube", 4, 8), ("complete", 8, 0),
+    ("complete_bipartite", (5, 5), 0)])
+def test_mapped_witnesses_match_the_unmapped_pass(monkeypatch, kind, params, lower):
+    # the same floors and code as the pass that searches every suffix
+    g = standard_graph(kind, params)
+    accepted = []
+    mapped = ConstraintSystem.mapped
+
+    def spy(system, witnesses, start):
+        out = mapped(system, witnesses, start)
+        accepted.append(out is not None)
+        return out
+
+    monkeypatch.setattr(ConstraintSystem, "mapped", spy)
+    system, _ = _plain_residual(g)
+    mask, nodes, exhausted = _sweep(system, lower, system.universe, 10**7)
+    assert not exhausted and system.keys is None
+    monkeypatch.setattr(ConstraintSystem, "mapped", lambda *args: None)
+    unmapped, _ = _plain_residual(g)
+    plain_mask, plain_nodes, _ = _sweep(unmapped, lower, unmapped.universe, 10**7)
+    assert (system.floor, mask) == (unmapped.floor, plain_mask)
+    if kind == "hypercube":
+        # Q_4 settles two suffix optima by a mapped witness, saving the
+        # searches of about 30,000 nodes behind them
+        assert sum(accepted) == 2 and nodes < plain_nodes - 30000
+    else:
+        assert not any(accepted) and nodes == plain_nodes
 
 
 def test_budget_exhaustion_and_hint_fallback():

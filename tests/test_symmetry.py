@@ -159,6 +159,44 @@ def test_min_vertex_code_with_orbits(monkeypatch):
         assert max(bases) > 0, g.edges
 
 
+def _circulant(n, steps):
+    return Graph(n, sorted({tuple(sorted((i, (i + d) % n))) for i in range(n)
+                            for d in steps}))
+
+
+def test_min_vertex_code_maps_suffix_witnesses(monkeypatch):
+    # residuals of these vertex-transitive graphs have no keyed position,
+    # so they run the plain loop as they are; on the circulants a suffix
+    # witness mapped by a generator settles a suffix optimum
+    accepted = []
+    mapped = _search.ConstraintSystem.mapped
+
+    def spy(system, witnesses, start):
+        out = mapped(system, witnesses, start)
+        accepted.append(out is not None)
+        return out
+
+    monkeypatch.setattr(_search.ConstraintSystem, "mapped", spy)
+    plain = []
+    sweep = solver._sweep
+
+    def spy_sweep(system, *args):
+        plain.append(system.keys is None)
+        return sweep(system, *args)
+
+    monkeypatch.setattr(solver, "_sweep", spy_sweep)
+    rook = Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                      if (u // 4 == v // 4) != (u % 4 == v % 4)])
+    graphs = [rook, _circulant(17, (1, 2, 4, 8)), _circulant(19, (1, 5, 7)),
+              _circulant(19, (5, 8, 9)), _circulant(20, (2, 4, 7))]
+    for g in graphs:
+        assert len(set(vertex_closed_masks(g))) == g.n
+        res = min_vertex_code(g)
+        assert res.status == "Optimal" and res.code == naive_min_vertex_code(g), g.edges
+    assert plain == [True] * len(graphs)
+    assert sum(accepted) >= 3
+
+
 def test_orbit_build_is_skipped_by_the_table_loop(monkeypatch):
     # Petersen and cycles run the table loop, which bans nothing, so their
     # solves compute no group; K_7 runs the plain loop, whose searches
