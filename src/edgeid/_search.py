@@ -135,13 +135,19 @@ moves ``p``.  ``ConstraintSystem.bans`` keeps the generators that pass
 the ``start`` test once per search; ``movable``, the union of their
 ``moved`` masks, holds every position whose orbit can be nontrivial, and
 ``base`` is one past the last of them.  The ``S`` test looks up the
-images of the included positions; the unwind asks it for one stack
-prefix many times over, so ``_orbit`` keeps the last answer per depth.
-The generators are those of every level of the group, all found when
-it is built: the ones of the levels below a start map the positions
-below it onto themselves without fixing them, and they matter: with
-only the levels at or above each start, K_9 takes 44,428 nodes instead
-of 23,662.
+images of the included positions.  It depends on the stack below the
+unwound depth only, and the unwind asks it for one stack prefix many
+times over, so ``kept[count]`` holds ``_movers``, the generators that
+pass it, until that prefix changes.  A prefix changes only after the
+unwind takes an exclude below it, which lifts the bans logged above, so
+the search logs a bare marker with each ``kept`` entry and forgets the
+entry when it lifts the marker; Q_5 computes 1,890 entries for 4,844
+questions.  The generators are those of every level of the group, all
+found when it is built: the ones of the levels below a start map the
+positions below it onto themselves without fixing them, and they
+matter: with only the levels at or above each start, K_9 took 44,428
+nodes instead of 23,662 (before ``symmetry`` tried candidates lowest
+first).
 
 The solver's suffix pass reads the group too, through
 ``ConstraintSystem.mapped``.  An automorphism that maps ``[0, start)``
@@ -176,13 +182,24 @@ at sizes ``k >= floor[p + 1]``, so a scan from ``p`` itself, where ``k =
 walks ``q = pos, pos + 1, ...``: an unbanned ``q`` below the universe is
 included and is a solution iff ``h | hits[q]`` holds every constraint; a
 failed include or a banned ``q`` moves on iff its exclude is allowed,
-the exclude of a failed include below ``base`` banning ``orbits[q]``;
-anything else is a dead end, from which the loop unwinds.  A leaf bans
-nothing, so the scan has no bans to lift.  The scan bans the pointwise
-orbit, read off a list, rather than the orbit under ``H``: ``H`` there
-cut K_9 to 19,928 nodes and K_11 from 2,060,916 to 1,687,646, but K_9
-to K_11 took 1.2 to 3.4 times as long, since a failed include at the
-last level costs less than the generator tests.
+the exclude of a failed include banning ``orbits[q]`` if ``q`` lies
+below the last position with a nonempty one; anything else is a dead
+end, from which the loop unwinds.  A leaf bans nothing, so the scan has
+no bans to lift.  The scan bans the pointwise orbit, read off a list,
+rather than the orbit under ``H``: ``H`` there cut K_9 to 19,928 nodes
+and K_11 from 2,060,916 to 1,687,646, but K_9 to K_11 took 1.2 to 3.4
+times as long, since a failed include at the last level costs less
+than the generator tests (both before ``symmetry`` tried candidates
+lowest first).  The scan's bound is not ``base``: a pointwise orbit
+above ``q`` is nonempty only below the group's last moved base level,
+while a generator that maps the positions below a start onto themselves
+may move positions up to the end.  On Q_5 such generators put ``base``
+near the end of the universe from starts 31 to 44, and all 116,099 of
+the scan's reads of ``orbits[q]`` there found it empty.  The scan
+therefore walks the positions below its bound in a loop of its own,
+which leaves the first position that would end the scan to a second
+loop that reads no orbits; every Q_5 scan starts past the bound, and
+dropping the test from its loop took about 3% off Q_5's time.
 
 The scan counts the nodes that the loop would visit one at a time: two
 per included position, the include and the leaf below it, and one per
@@ -282,7 +299,9 @@ class ConstraintSystem:
         Returns ``(orbits, gens, movable)``, all empty when the system has
         neither a ``group`` nor a ``graph`` to build one from.  The first
         call builds ``group`` from ``graph``.  ``orbits`` are the group's
-        orbits along the positions, ``gens`` its generators that map
+        orbits along the positions up to the last nonempty one, so that
+        its length bounds the positions that ban one, ``gens`` its
+        generators that map
         ``[0, start)`` onto itself, each as ``(images, prefix, moved)``
         (see ``symmetry.BaseOrbits``), and ``movable`` the union of their
         ``moved`` masks: the positions whose ban a generator can make.
@@ -290,15 +309,19 @@ class ConstraintSystem:
         group = self.group
         if group is None:
             if self.graph is None:
-                return None, (), 0
+                return (), (), 0
             from .symmetry import BaseOrbits
 
             group = self.group = BaseOrbits(*self.graph)
+        orbits = group.orbits
+        reach = len(orbits)
+        while reach and not orbits[reach - 1]:
+            reach -= 1
         gens = [move for move in group.moves if move[1] >> start & 1]
         movable = 0
         for _, _, moved in gens:
             movable |= moved
-        return group.orbits, gens, movable
+        return orbits[:reach], gens, movable
 
     def mapped(self, witnesses, start):
         """An image of one of ``witnesses`` that solves the suffix problem
@@ -430,28 +453,28 @@ def _state_keys(masks, hits, lows, tops):
     return [key if key is None else key & ~supersets for key in keys]
 
 
-def _orbit(q, stack, count, gens, kept):
-    """The positions other than ``q`` that ``q`` is mapped to by the
-    generators of ``gens`` that map ``[0, q)`` and the positions on
-    ``stack[:count]`` onto themselves, closed under them.
-
-    ``kept[count]`` caches, for the last ``stack[:count]`` seen, the
-    generators that map those positions onto themselves and the positions
-    that they may move; the unwind asks for one prefix many times over.
-    """
-    chosen = stack[:count]
-    entry = kept[count]
-    if entry is None or entry[0] != chosen:
-        inside = set(chosen)
-        movers = [move for move in gens
-                  if inside.issuperset(map(move[0].__getitem__, chosen))]
-        moving = 0
-        for _, _, moved in movers:
+def _movers(stack, count, gens):
+    """``(movers, moving)``: the generators of ``gens`` that map the
+    positions on ``stack[:count]`` onto themselves, each as ``(images,
+    prefix)``, and the union of their ``moved`` masks."""
+    chosen = stack[:count]  # a few positions, so a list tests as fast as a set
+    movers = []
+    moving = 0
+    for images, prefix, moved in gens:
+        for v in chosen:
+            if images[v] not in chosen:
+                break
+        else:
+            movers.append((images, prefix))
             moving |= moved
-        entry = kept[count] = chosen, movers, moving
-    if not entry[2] >> q & 1:
-        return ()
-    movers = [images for images, prefix, _ in entry[1] if prefix >> q & 1]
+    return movers, moving
+
+
+def _orbit(q, movers):
+    """The positions other than ``q`` that ``q`` is mapped to by the
+    generators of ``movers`` that map ``[0, q)`` onto themselves, closed
+    under them."""
+    movers = [images for images, prefix in movers if prefix >> q & 1]
     orbit = [q]
     seen = {q}
     for v in orbit:
@@ -472,6 +495,8 @@ def _search(system, k, budget, start):
     floor = system.floor
     orbits, gens, movable = system.bans(start)
     base = movable.bit_length()
+    reach = len(orbits)
+    bans_at = [movable >> p & 1 for p in range(base)]
     depth = min(k, universe - start)
     hit = [0] * (depth + 1)
     hit[0] = system.below(start)
@@ -485,6 +510,10 @@ def _search(system, k, budget, start):
     room = list(range(universe, -1, -1))
     shift = universe + 1
     log = []
+    logged = -1  # the count of log's last entry, -1 while it is empty
+    # kept[c] is None or _movers of stack[:c], logged as (c, ()); an
+    # exclude below c changes stack[:c] and lifts that entry, which
+    # forgets it
     kept = [None] * depth
     last = k - 1
     count = 0
@@ -500,6 +529,27 @@ def _search(system, k, budget, start):
             h = hit[count]
             q = pos
             skipped = 0  # banned positions and a dead end, one node each
+            # Below reach, a failed include whose exclude is allowed bans
+            # orbits[q]; a leaf bans nothing, so there is nothing to lift.
+            # The first position that would end the scan is left to the
+            # loop after, which reads no orbits.
+            while q < reach:
+                r = room[q]
+                top = tops[q]
+                if h & top != top or not r:
+                    break
+                if r > 0:
+                    if h | hits[q] == full:
+                        break
+                    banned = orbits[q]
+                    if banned:
+                        for r in banned:
+                            room[r] -= shift
+                        log.append((count, banned))
+                        logged = count
+                else:
+                    skipped += 1
+                q += 1
             while True:
                 r = room[q]
                 if r > 0:
@@ -508,13 +558,6 @@ def _search(system, k, budget, start):
                     top = tops[q]
                     if h & top != top:
                         break
-                    if q < base:
-                        # a leaf bans nothing, so there is nothing to lift
-                        banned = orbits[q]
-                        if banned:
-                            for r in banned:
-                                room[r] -= shift
-                            log.append((count, banned))
                 elif r:
                     skipped += 1
                     top = tops[q]
@@ -558,14 +601,25 @@ def _search(system, k, budget, start):
                 if p < base:
                     # lift the bans made inside p's include subtree, all
                     # by positions above p, then ban p's orbit under H
-                    while log and log[-1][0] > count:
-                        for r in log.pop()[1]:
-                            room[r] += shift
-                    banned = movable >> p & 1 and _orbit(p, stack, count, gens, kept)
-                    if banned:
+                    while logged > count:
+                        c, banned = log.pop()
+                        kept[c] = None
                         for r in banned:
-                            room[r] -= shift
-                        log.append((count, banned))
+                            room[r] += shift
+                        logged = log[-1][0] if log else -1
+                    if bans_at[p]:
+                        entry = kept[count]
+                        if entry is None:
+                            entry = kept[count] = _movers(stack, count, gens)
+                            log.append((count, ()))
+                            logged = count
+                        movers, moving = entry
+                        if moving >> p & 1:
+                            banned = _orbit(p, movers)
+                            for r in banned:
+                                room[r] -= shift
+                            log.append((count, banned))
+                            logged = count
                 break
         else:
             return False, 0, nodes, False

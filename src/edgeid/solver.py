@@ -117,9 +117,15 @@ def _suffix_pass(system, lower, cap, budget):
     solves the suffix problem from ``p``; one settles ``h[p] = h[p+1]``
     with no search.  For ``p >= 1`` the pass needs the value and *some*
     witness, so a mapped one serves for ``covered`` and later mappings,
-    but it is no lex-least subset and never enters ``witnesses``.  The
-    pass stops early once a floor exceeds ``cap``, since every size up
-    to ``cap`` is then refuted, and leaves that floor at ``floor[1]``.
+    but it is no lex-least subset and never enters ``witnesses``.  A
+    raise implies a witness too: when ``h[p] = h[p+1] + 1``, by a seed
+    or after a refuted search, the witness ``W`` held for ``p + 1`` plus
+    ``p`` itself solves the suffix problem from ``p`` at size ``h[p]``.
+    The pass holds it like a mapped one, so that ``mapped`` can settle
+    the next suffixes from its images; on Q_4 this took the solve from
+    34,057 to 16,579 nodes.  The pass stops early once a floor exceeds
+    ``cap``, since every size up to ``cap`` is then refuted, and leaves
+    that floor at ``floor[1]``.
 
     Returns ``(witnesses, nodes, exhausted)``.  ``witnesses`` maps each
     start ``p`` whose search found a subset to that subset, the
@@ -128,17 +134,19 @@ def _suffix_pass(system, lower, cap, budget):
     floor = system.floor
     hits = system.hits
     lows = system.lows
-    covered = 0  # the constraints that a witness of floor[p + 1] hits
+    held = 0  # a witness of floor[p + 1]
+    covered = 0  # the constraints that it hits
     witnesses = {}
-    same = []  # the witnesses of size floor[p + 1] found or mapped so far
+    same = []  # the witnesses of size floor[p + 1] held so far
     nodes = 0
     for p in range(system.universe - 1, 0, -1):
         low = lows[p]
         k = floor[p + 1]
         if max(floor[p], lower - p) > k:
-            k += 1  # the witness plus p
+            k += 1
+            held |= 1 << p
             covered |= hits[p]
-            same = []
+            same = [held]
         elif covered & low != low:
             mask = system.mapped(same, p)
             if mask is None:
@@ -155,9 +163,11 @@ def _suffix_pass(system, lower, cap, budget):
                     mask = None
             if mask is None:
                 k += 1
+                held |= 1 << p
                 covered |= hits[p]
-                same = []
+                same = [held]
             else:
+                held = mask
                 covered = 0
                 for q in bits(mask):
                     covered |= hits[q]

@@ -26,6 +26,19 @@ splits differently; at a discrete partition it reads the permutation off
 the two orderings and keeps it only if it maps every closed neighbourhood
 to a closed neighbourhood.
 
+Below the individualised cell, the search tries the candidates of each
+cell lowest position first.  Any automorphism of the level serves for
+its orbit, but the plain loop bans only by generators that map the
+positions below a start, below a position and on its stack onto
+themselves (see ``_search``).  The first leaf reached is then the one
+that keeps the lowest positions in place longest, so its automorphism
+moves few low positions and passes those tests more often: with the
+highest candidate first, as the cells happened to list them, K_8 took
+4,071 nodes instead of 1,780 and K_9 23,662 instead of 8,713, with the
+same codes.  The fragments of a split keep the order refinement gives
+them: sorting them instead, with the highest candidate still tried
+first, took K_{4,5} from 479 to 2,047 nodes.
+
 Levels are processed deepest first, so the generators found so far all
 fix the positions below the current level.  A candidate already in the
 orbit they generate needs no search, nor does one in the orbit of a
@@ -72,6 +85,12 @@ def _refine(order, cell, end, queue, adj):
     several positions that a splitter touches, its start and its one
     count if it stays whole, else the start's complement and the count
     and size of each fragment.
+
+    A splitter of one position, as after every individualisation, counts
+    1 for its neighbours and 0 for the rest, so a cell it touches stays
+    whole or splits in two, its neighbours last; that case needs no
+    counting.  The positions of the fragment that keeps its start keep
+    their ``cell`` entry.
     """
     trace = []
     queued = set(queue)
@@ -81,8 +100,9 @@ def _refine(order, cell, end, queue, adj):
         s = queue.pop()
         queued.discard(s)
         e = end[s]
-        if e - s == 1:
-            counts = dict.fromkeys(adj[order[s]], 1)
+        single = e - s == 1
+        if single:
+            counts = adj[order[s]]  # each neighbour counts 1
         else:
             counts = Counter(chain.from_iterable([adj[v] for v in order[s:e]]))
         touched = {}
@@ -95,6 +115,26 @@ def _refine(order, cell, end, queue, adj):
         for c in sorted(touched):
             e = end[c]
             members = touched[c]
+            if single:
+                f = e - len(members)
+                if f == c:
+                    trace.append(c)
+                    trace.append(1)
+                    continue
+                for u in members:
+                    cell[u] = f
+                order[c:e] = [u for u in order[c:e] if cell[u] == c] + members
+                end[c] = f
+                end[f] = e
+                cells += 1
+                trace += (~c, 0, f - c, 1, e - f)
+                # queue the new fragment, or c instead if it is unqueued
+                # and the smaller
+                if c not in queued and f - c < e - f:
+                    f = c
+                queued.add(f)
+                queue.append(f)
+                continue
             groups = {}
             if len(members) < e - c:
                 groups[0] = [u for u in order[c:e] if u not in counts]
@@ -119,8 +159,9 @@ def _refine(order, cell, end, queue, adj):
                 trace.append(len(group))
                 g = f + len(group)
                 order[f:g] = group
-                for u in group:
-                    cell[u] = f
+                if f != c:
+                    for u in group:
+                        cell[u] = f
                 end[f] = g
                 fragments.append(f)
                 f = g
@@ -284,7 +325,8 @@ class BaseOrbits:
                 continue
             if j + 1 < len(path):
                 nxt = path[j + 1][2]
-                frames.append((j + 1, (order, cell, end), order[nxt:end[nxt]]))
+                frames.append((j + 1, (order, cell, end),
+                               sorted(order[nxt:end[nxt]], reverse=True)))
                 continue
             sigma = [0] * len(order)
             for v, w in zip(self.leaf, order):

@@ -6,6 +6,7 @@ independent implementation.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -331,6 +332,73 @@ def reference_perfect_matching(mg, left):
         if not augment(u, set()):
             return None
     return sorted(matched_left.values())
+
+
+def reference_refine(order, cell, end, queue, adj):
+    """``symmetry._refine`` as it was before its one-position splitter
+    got a path of its own: every splitter counts neighbours in a
+    ``Counter``, every touched cell groups its positions by count in a
+    dict, and every fragment writes ``cell`` for its positions.  Same
+    arguments, same result, same changes to ``order``, ``cell``, ``end``
+    and ``queue``."""
+    trace = []
+    queued = set(queue)
+    n = len(order)
+    cells = len(set(cell))
+    while queue and cells < n:
+        s = queue.pop()
+        queued.discard(s)
+        e = end[s]
+        if e - s == 1:
+            counts = dict.fromkeys(adj[order[s]], 1)
+        else:
+            counts = Counter(itertools.chain.from_iterable([adj[v] for v in order[s:e]]))
+        touched = {}
+        for u in counts:
+            c = cell[u]
+            if c in touched:
+                touched[c].append(u)
+            elif end[c] - c > 1:
+                touched[c] = [u]
+        for c in sorted(touched):
+            e = end[c]
+            members = touched[c]
+            groups = {}
+            if len(members) < e - c:
+                groups[0] = [u for u in order[c:e] if u not in counts]
+            for u in members:
+                k = counts[u]
+                if k in groups:
+                    groups[k].append(u)
+                else:
+                    groups[k] = [u]
+            if len(groups) == 1:
+                trace.append(c)
+                trace.append(k)
+                continue
+            keys = sorted(groups)
+            cells += len(keys) - 1
+            trace.append(~c)
+            fragments = []
+            f = c
+            for key in keys:
+                group = groups[key]
+                trace.append(key)
+                trace.append(len(group))
+                g = f + len(group)
+                order[f:g] = group
+                for u in group:
+                    cell[u] = f
+                end[f] = g
+                fragments.append(f)
+                f = g
+            if c not in queued:
+                fragments.remove(max(fragments, key=lambda f: end[f] - f))
+            for f in fragments:
+                if f not in queued:
+                    queued.add(f)
+                    queue.append(f)
+    return trace
 
 
 def naive_isomorphic(g1, g2):

@@ -73,11 +73,13 @@ EXACT_TABLE = [
     ("complete", 9, 8),
     ("complete", 10, 9),
     ("complete", 11, 10),
+    ("complete", 12, 11),
     ("complete_bipartite", (3, 3), 4),
     ("complete_bipartite", (4, 4), 6),
     ("complete_bipartite", (5, 5), 7),
     ("complete_bipartite", (6, 6), 9),
     ("complete_bipartite", (7, 7), 10),
+    ("complete_bipartite", (8, 8), 12),
     ("complete_bipartite", (2, 3), 4),
     ("complete_bipartite", (2, 4), 6),
     ("complete_bipartite", (2, 5), 8),

@@ -96,15 +96,16 @@ def test_lower_bound_is_reported_on_optimal():
     "kind, params, size, nodes",
     [
         ("petersen", None, 5, 192),
-        ("complete", 7, 6, 394),
-        ("complete_bipartite", (4, 5), 7, 511),
-        ("complete", 8, 7, 4071),
+        ("complete", 7, 6, 323),
+        ("complete_bipartite", (4, 5), 7, 479),
+        ("complete", 8, 7, 1780),
         ("cycle", 30, 15, 141),
         ("cycle", 60, 30, 291),
         ("cycle", 100, 50, 491),
-        # suffix witnesses mapped through the ban group's generators settle
-        # two suffix optima without a search: 84,110 nodes before
-        ("hypercube", 4, 8, 54053),
+        # suffix witnesses mapped through the ban group's generators, the
+        # ones a raise implies among them, settle six suffix optima without
+        # a search: 54,053 nodes with two, 84,110 with none
+        ("hypercube", 4, 8, 16579),
     ],
 )
 def test_node_counts_are_pinned(kind, params, size, nodes):
@@ -116,9 +117,10 @@ def test_node_counts_are_pinned(kind, params, size, nodes):
 
 def test_k9_is_optimal_within_the_benchmark_budget():
     # solve_budget's cap: bans from the line graph's automorphisms and the
-    # reused suffix witness bring K_9 under it
+    # reused suffix witness bring K_9 under it; generators found lowest
+    # candidate first pass the bans' tests more often (23,662 nodes before)
     res = min_edge_code(standard_graph("complete", 9), SolveOptions(budget=300_000))
-    assert (res.status, res.size, res.nodes_used) == ("Optimal", 8, 23662)
+    assert (res.status, res.size, res.nodes_used) == ("Optimal", 8, 8713)
 
 
 def test_k11_is_optimal_within_ten_million_nodes():
@@ -179,7 +181,7 @@ def test_min_vertex_code_with_forced_vertices():
     "kind, params, budget, status",
     [
         ("petersen", None, solver.DEFAULT_BUDGET, "Optimal"),
-        ("complete", 9, 10**4, "BudgetExhausted"),
+        ("complete", 9, 5000, "BudgetExhausted"),
     ],
 )
 def test_every_search_goes_through_search_exact_size(monkeypatch, kind, params,
@@ -348,7 +350,8 @@ def test_mapped_returns_a_checked_image(kind, params):
 def test_mapped_witnesses_keep_exact_floors(monkeypatch, kind, params):
     # with no keyed position allowed, these residuals run the plain loop
     # and hold a group; a mapped witness that left its suffix or missed a
-    # constraint would settle a floor below the brute-force optimum
+    # constraint, or a held one that a raise did not imply, would settle a
+    # floor below the brute-force optimum
     monkeypatch.setattr(_search, "KEY_LIMIT", -1)
     system, rest = _plain_residual(standard_graph(kind, params))
     universe = system.universe
@@ -357,6 +360,45 @@ def test_mapped_witnesses_keep_exact_floors(monkeypatch, kind, params):
     assert system.floor[1:] == [brute_force_suffix_optimum(universe, rest, p)
                                 for p in range(1, universe + 1)]
     assert (mask.bit_count(), mask) == naive_sweep(universe, rest)
+
+
+@pytest.mark.parametrize("kind, params", [("hypercube", 4), ("complete_bipartite", (5, 5))])
+def test_suffix_pass_maps_implied_witnesses(monkeypatch, kind, params):
+    # a raised floor[p] = floor[p + 1] + 1 implies the witness W + {p}, W
+    # the one held for p + 1: it solves the suffix problem from p and has
+    # p as its lowest position, though no search found it and no map gave
+    # it; some image of such a witness settles a later suffix optimum
+    system, rest = _plain_residual(standard_graph(kind, params))
+    given = []  # the witnesses that a search found or a map gave
+    sources = []  # the witness that each accepted image is an image of
+    kernel = solver.search_exact_size
+    mapped = ConstraintSystem.mapped
+
+    def searching(*args):
+        out = kernel(*args)
+        if out[0]:
+            given.append(out[1])
+        return out
+
+    def spy(system, witnesses, start):
+        out = mapped(system, witnesses, start)
+        if out is not None:
+            given.append(out)
+            sources.append(next(w for w in witnesses
+                                if mapped(system, [w], start) == out))
+        return out
+
+    monkeypatch.setattr(solver, "search_exact_size", searching)
+    monkeypatch.setattr(ConstraintSystem, "mapped", spy)
+    _, _, exhausted = _sweep(system, 0, system.universe, 10**7)
+    assert not exhausted and system.keys is None
+    implied = [w for w in sources if w not in given]
+    assert implied
+    floor = system.floor
+    for w in implied:
+        p = (w & -w).bit_length() - 1
+        assert w.bit_count() == floor[p] == floor[p + 1] + 1, p
+        assert all(w & c for c in rest if c >> p << p == c), p
 
 
 @pytest.mark.parametrize("kind, params, lower", [
@@ -382,9 +424,11 @@ def test_mapped_witnesses_match_the_unmapped_pass(monkeypatch, kind, params, low
     plain_mask, plain_nodes, _ = _sweep(unmapped, lower, unmapped.universe, 10**7)
     assert (system.floor, mask) == (unmapped.floor, plain_mask)
     if kind == "hypercube":
-        # Q_4 settles two suffix optima by a mapped witness, saving the
-        # searches of about 30,000 nodes behind them
-        assert sum(accepted) == 2 and nodes < plain_nodes - 30000
+        # Q_4 settles six suffix optima by a mapped witness, saving the
+        # searches of about 50,000 nodes behind them
+        assert sum(accepted) == 6 and nodes < plain_nodes - 50000
+    elif kind == "complete_bipartite":
+        assert sum(accepted) == 3 and nodes < plain_nodes
     else:
         assert not any(accepted) and nodes == plain_nodes
 

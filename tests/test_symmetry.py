@@ -2,10 +2,11 @@
 brute force, and the solves that ban them."""
 
 import itertools
+import random
 
 import pytest
 
-from conftest import naive_min_vertex_code
+from conftest import naive_min_vertex_code, random_connected_pendant_free, reference_refine
 from edgeid import _search, solver, symmetry
 from edgeid.families import standard_graph
 from edgeid.graph_core import Graph, bits
@@ -99,6 +100,40 @@ def test_discrete_refinement_gives_trivial_orbits():
     symmetry._refine(order, cell, end, [0], adj)
     assert len(set(cell)) == g.m
     assert full_orbits(masks, range(g.m)) == ([()] * g.m, [])
+
+
+def test_refine_matches_the_reference(monkeypatch):
+    # every refinement of these builds, run again by the reference that
+    # counts neighbours for every splitter, leaves the same order, cells,
+    # ends and queue and returns the same trace; individualising gives
+    # one-position splitters, the unit partition's first refinement a
+    # splitter of every position
+    refine = symmetry._refine
+    calls = []
+
+    def spy(order, cell, end, queue, adj):
+        before = order[:], cell[:], end[:], queue[:]
+        trace = refine(order, cell, end, queue, adj)
+        calls.append((before, adj, (order[:], cell[:], end[:], queue[:], trace)))
+        return trace
+
+    monkeypatch.setattr(symmetry, "_refine", spy)
+    graphs = [standard_graph("complete", n) for n in range(4, 10)]
+    graphs += [standard_graph("complete_bipartite", (a, b))
+               for a in range(2, 6) for b in range(a, 6)]
+    graphs += [standard_graph("hypercube", d) for d in range(2, 6)]
+    graphs.append(standard_graph("petersen"))
+    rng = random.Random(19)
+    graphs += [random_connected_pendant_free(rng, 10) for _ in range(50)]
+    for g in graphs:
+        symmetry.BaseOrbits(g.all_edge_masks(), range(g.m))
+    splits = {True: 0, False: 0}  # by whether the first splitter is one position
+    for (order, cell, end, queue), adj, want in calls:
+        single = end[queue[-1]] - queue[-1] == 1
+        trace = reference_refine(order, cell, end, queue, adj)
+        assert (order, cell, end, queue, trace) == want
+        splits[single] += any(t < 0 for t in trace)
+    assert splits[True] > 400 and splits[False] > 40
 
 
 def test_leaf_check_rejects_what_refinement_cannot(monkeypatch):
