@@ -145,18 +145,19 @@ entry when it lifts the marker; Q_5 computes 1,890 entries for 4,844
 questions.  The generators are those of every level of the group, all
 found when it is built: the ones of the levels below a start map the
 positions below it onto themselves without fixing them, and they
-matter: with only the levels at or above each start, K_9 took 44,428
-nodes instead of 23,662 (before ``symmetry`` tried candidates lowest
-first).
+matter: with only the levels at or above each start, K_7 to K_11 and
+Q_4 took more nodes.
 
 The solver's suffix pass reads the group too, through
 ``ConstraintSystem.mapped``.  An automorphism that maps ``[0, start)``
 onto itself maps a suffix solution from ``start`` to another; the
-generators do not all do that, so ``mapped`` tries each image under a
-generator or its inverse and keeps one only if it lies in ``[start,
-universe)`` and, with the constraints below ``start``, hits every
-constraint.  On Q_4 two such images stand in for the suffix searches of
-about 30,000 nodes.
+generators do not all do that, so ``mapped`` tries the image of the one
+witness it is given under each generator and keeps one only if it lies
+in ``[start, universe)`` and, with the constraints below ``start``, hits
+every constraint.  On Q_4 six such images stand in for suffix searches:
+the solve takes 16,579 nodes with them and 68,286 without.  Images
+under the generators' inverses, or of every witness the pass held at
+the same size, settled no suffix optimum that these did not.
 
 The loop keeps, for each position, the number of bans on it, folded
 into the room left above it so that the include test catches them
@@ -186,14 +187,13 @@ the exclude of a failed include banning ``orbits[q]`` if ``q`` lies
 below the last position with a nonempty one; anything else is a dead
 end, from which the loop unwinds.  A leaf bans nothing, so the scan has
 no bans to lift.  The scan bans the pointwise orbit, read off a list,
-rather than the orbit under ``H``: ``H`` there cut K_9 to 19,928 nodes
-and K_11 from 2,060,916 to 1,687,646, but K_9 to K_11 took 1.2 to 3.4
-times as long, since a failed include at the last level costs less
-than the generator tests (both before ``symmetry`` tried candidates
-lowest first).  The scan's bound is not ``base``: a pointwise orbit
-above ``q`` is nonempty only below the group's last moved base level,
-while a generator that maps the positions below a start onto themselves
-may move positions up to the end.  On Q_5 such generators put ``base``
+rather than the orbit under ``H``: ``H`` there cut nodes on K_9 to
+K_11 but made them slower, since a failed include at the last level
+costs less than the generator tests.  The scan's bound is not
+``base``: a pointwise orbit above ``q`` is nonempty only below the
+group's last moved base level, while a generator that maps the
+positions below a start onto themselves may move positions up to the
+end.  On Q_5 such generators put ``base``
 near the end of the universe from starts 31 to 44, and all 116,099 of
 the scan's reads of ``orbits[q]`` there found it empty.  The scan
 therefore walks the positions below its bound in a loop of its own,
@@ -235,11 +235,11 @@ class ConstraintSystem:
     whose automorphisms map the constraints onto themselves, and the
     vertex each position stands for.  ``group`` is None or a
     ``symmetry.BaseOrbits`` along the positions, which ``bans`` builds
-    from ``graph`` and reads for the plain loop at each start, and
-    ``mapped`` reads for the suffix pass."""
+    from ``graph`` and reads for the plain loop at each start, and whose
+    generators ``mapped`` applies to one suffix witness at a time."""
 
     __slots__ = ("universe", "full", "hits", "tops", "lows", "floor", "keys",
-                 "tables", "stored", "graph", "group", "_below", "_maps")
+                 "tables", "stored", "graph", "group", "_below")
 
     def __init__(self, universe, constraints):
         # equal constraints would each count as containing the other; the
@@ -291,7 +291,6 @@ class ConstraintSystem:
         self.graph = None
         self.group = None
         self._below = (0, 0)
-        self._maps = (None, ())
 
     def bans(self, start):
         """What the plain loop bans with in a search from ``start``.
@@ -323,12 +322,11 @@ class ConstraintSystem:
             movable |= moved
         return orbits[:reach], gens, movable
 
-    def mapped(self, witnesses, start):
-        """An image of one of ``witnesses`` that solves the suffix problem
-        from ``start``, or None.
+    def mapped(self, witness, start):
+        """An image of ``witness`` that solves the suffix problem from
+        ``start``, or None.
 
-        The images tried are those under each generator of ``group`` and
-        under each generator's inverse, computed once per group.  The
+        The images tried are those under each generator of ``group``.  The
         first that lies in ``[start, universe)`` and, with the constraints
         below ``start``, hits every constraint is returned.  Every image is
         checked in full, so it is a solution whatever the maps are.  There
@@ -336,33 +334,22 @@ class ConstraintSystem:
         group, nor ever on a system that runs the table loop.
         """
         group = self.group
-        if group is None or not witnesses:
+        if group is None:
             return None
-        owner, maps = self._maps
-        if owner is not group:
-            maps = [images for images, _, _ in group.moves]
-            for images in maps[:]:
-                inverse = images[:]
-                for p, r in enumerate(images):
-                    inverse[r] = p
-                if inverse != images:  # an involution is its own
-                    maps.append(inverse)
-            self._maps = group, maps
         hits = self.hits
         full = self.full
         marked = self.below(start)
-        for witness in witnesses:
-            chosen = bits(witness)
-            for images in maps:
-                h = marked
-                for p in chosen:
-                    q = images[p]
-                    if q < start:
-                        break
-                    h |= hits[q]
-                else:
-                    if h == full:
-                        return sum(1 << images[p] for p in chosen)
+        chosen = bits(witness)
+        for images, _, _ in group.moves:
+            h = marked
+            for p in chosen:
+                q = images[p]
+                if q < start:
+                    break
+                h |= hits[q]
+            else:
+                if h == full:
+                    return sum(1 << images[p] for p in chosen)
         return None
 
     def below(self, start):

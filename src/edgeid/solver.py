@@ -68,8 +68,9 @@ class SolveOptions(namedtuple("SolveOptions", "budget upper_hint",
     the constraint build grows faster than the number of constraints, and
     a solve on the plain loop builds the automorphism group of the
     positions at its first search.  K_25's 45,150 constraints take about
-    0.12 s to build and its group about 0.15 s, most of a 2,000-node solve
-    of about 0.3 s (one core of a 2-core Xeon, Python 3.11).
+    0.15 s to build and its group about 0.10 s, most of a 2,000-node solve
+    of about 0.27 s (best of 9 runs on one core of a 2-core Xeon, Python
+    3.11).
     """
 
     __slots__ = ()
@@ -113,19 +114,20 @@ def _suffix_pass(system, lower, cap, budget):
     says so, ``h[p+1]`` when the witness of ``h[p+1]`` hits the
     constraints with lowest bit ``p``, and otherwise the outcome of one
     suffix search at ``h[p+1]``.  Before that search the pass asks
-    ``system.mapped`` for an image of a witness of size ``h[p+1]`` that
-    solves the suffix problem from ``p``; one settles ``h[p] = h[p+1]``
-    with no search.  For ``p >= 1`` the pass needs the value and *some*
-    witness, so a mapped one serves for ``covered`` and later mappings,
-    but it is no lex-least subset and never enters ``witnesses``.  A
-    raise implies a witness too: when ``h[p] = h[p+1] + 1``, by a seed
-    or after a refuted search, the witness ``W`` held for ``p + 1`` plus
-    ``p`` itself solves the suffix problem from ``p`` at size ``h[p]``.
-    The pass holds it like a mapped one, so that ``mapped`` can settle
-    the next suffixes from its images; on Q_4 this took the solve from
-    34,057 to 16,579 nodes.  The pass stops early once a floor exceeds
-    ``cap``, since every size up to ``cap`` is then refuted, and leaves
-    that floor at ``floor[1]``.
+    ``system.mapped`` for an image of the witness it holds for ``p + 1``
+    that solves the suffix problem from ``p``; one settles ``h[p] =
+    h[p+1]`` with no search.  For ``p >= 1`` the pass needs the value and
+    *some* witness, so a mapped one is held for ``covered`` and the next
+    mapping, but it is no lex-least subset and never enters
+    ``witnesses``.  A raise implies a witness too: when ``h[p] = h[p+1] +
+    1``, by a seed or after a refuted search, the witness ``W`` held for
+    ``p + 1`` plus ``p`` itself solves the suffix problem from ``p`` at
+    size ``h[p]``, and the pass holds it like a mapped one; on Q_4 the
+    images of such witnesses took the solve from 34,057 to 16,579 nodes.
+    So the held witness is always the latest one of its size: the one a
+    raise implied, or the last that a search found or a map gave.  The
+    pass stops early once a floor exceeds ``cap``, since every size up
+    to ``cap`` is then refuted, and leaves that floor at ``floor[1]``.
 
     Returns ``(witnesses, nodes, exhausted)``.  ``witnesses`` maps each
     start ``p`` whose search found a subset to that subset, the
@@ -137,7 +139,6 @@ def _suffix_pass(system, lower, cap, budget):
     held = 0  # a witness of floor[p + 1]
     covered = 0  # the constraints that it hits
     witnesses = {}
-    same = []  # the witnesses of size floor[p + 1] held so far
     nodes = 0
     for p in range(system.universe - 1, 0, -1):
         low = lows[p]
@@ -146,9 +147,8 @@ def _suffix_pass(system, lower, cap, budget):
             k += 1
             held |= 1 << p
             covered |= hits[p]
-            same = [held]
         elif covered & low != low:
-            mask = system.mapped(same, p)
+            mask = system.mapped(held, p)
             if mask is None:
                 if nodes >= budget:
                     return witnesses, nodes, True
@@ -165,13 +165,11 @@ def _suffix_pass(system, lower, cap, budget):
                 k += 1
                 held |= 1 << p
                 covered |= hits[p]
-                same = [held]
             else:
                 held = mask
                 covered = 0
                 for q in bits(mask):
                     covered |= hits[q]
-                same.append(mask)
         floor[p] = k
         if k > cap:
             # h never shrinks leftwards, so this floor holds at 1 too

@@ -11,11 +11,14 @@ of ``random_connected_pendant_free`` drawn from ``random.Random(2024)``,
 K_4 to K_10, K_{a,b} for 2 <= a <= b <= 7 with ab <= 42, Q_2 to Q_4,
 Petersen and C_5 to C_20.  Run it against two checkouts (``PYTHONPATH``
 picks the package) to see what a pruning change did to node counts.
+``corpus_nodes.jsonl`` beside this file is its output for the current
+code, which ``test_solver`` holds every later solve to.
 
 The second form reads two such outputs and prints one JSON object: how
 many graphs kept their status, size and code, the graphs whose node
 count rose or fell, and the node totals.  A pruning rule may only cut
-subtrees without a solution, so every status, size and code must match.
+subtrees without a solution, so every status, size and code must match;
+the exit status is 1 when one differs or a node count rose.
 
 Not a test module: tier-1 collects ``test_*.py`` only.
 """
@@ -49,20 +52,22 @@ def corpus():
         yield f"C_{n}", standard_graph("cycle", n)
 
 
-def solve_all(out):
+def solve_all():
+    """One record per graph of the corpus, as the first form prints them."""
     for name, g in corpus():
         res = min_edge_code(g)
         code = None if res.code is None else list(res.code.indices())
-        out.write(json.dumps({"name": name, "status": res.status, "size": res.size,
-                              "code": code, "nodes": res.nodes_used}) + "\n")
+        yield {"name": name, "status": res.status, "size": res.size,
+               "code": code, "nodes": res.nodes_used}
 
 
-def compare(before_path, after_path):
-    def read(path):
-        with open(path) as f:
-            return [json.loads(line) for line in f if line.strip()]
+def read(path):
+    with open(path) as f:
+        return [json.loads(line) for line in f if line.strip()]
 
-    before, after = read(before_path), read(after_path)
+
+def compare(before, after):
+    """What changed from the records ``before`` to the records ``after``."""
     if [r["name"] for r in before] != [r["name"] for r in after]:
         raise SystemExit("the two outputs list different graphs")
     same = sum((b["status"], b["size"], b["code"]) == (a["status"], a["size"], a["code"])
@@ -78,8 +83,15 @@ def compare(before_path, after_path):
     }
 
 
+def worse(report):
+    """Whether a ``compare`` report shows a changed result or a rise in nodes."""
+    return report["same_status_size_code"] < report["graphs"] or bool(report["nodes_rose"])
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"]:
-        print(json.dumps(compare(sys.argv[2], sys.argv[3]), indent=1))
-    else:
-        solve_all(sys.stdout)
+        report = compare(read(sys.argv[2]), read(sys.argv[3]))
+        print(json.dumps(report, indent=1))
+        sys.exit(1 if worse(report) else 0)
+    for record in solve_all():
+        print(json.dumps(record))

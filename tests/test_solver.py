@@ -1,6 +1,7 @@
 """Exact solver, approximation, and minimalization."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from conftest import (
     pendant_free_unions,
     random_connected_pendant_free,
 )
+from corpus_nodes import compare, read, solve_all, worse
 from edgeid import _search, solver
 from edgeid._search import ConstraintSystem
 from edgeid.families import standard_graph
@@ -104,7 +106,7 @@ def test_lower_bound_is_reported_on_optimal():
         ("cycle", 100, 50, 491),
         # suffix witnesses mapped through the ban group's generators, the
         # ones a raise implies among them, settle six suffix optima without
-        # a search: 54,053 nodes with two, 84,110 with none
+        # a search: 68,286 nodes with none
         ("hypercube", 4, 8, 16579),
     ],
 )
@@ -113,6 +115,15 @@ def test_node_counts_are_pinned(kind, params, size, nodes):
     # update the pin and say why
     res = min_edge_code(standard_graph(kind, params))
     assert (res.status, res.size, res.nodes_used) == ("Optimal", size, nodes)
+
+
+def test_corpus_keeps_its_codes_and_node_counts():
+    # every graph of the corpus keeps its pinned status, size and code, and
+    # none needs more nodes; a change that cuts nodes regenerates the pins
+    # with corpus_nodes.py and says why
+    report = compare(read(Path(__file__).with_name("corpus_nodes.jsonl")),
+                     list(solve_all()))
+    assert not worse(report), report
 
 
 def test_k9_is_optimal_within_the_benchmark_budget():
@@ -320,27 +331,23 @@ def _plain_residual(g):
 @pytest.mark.parametrize("kind, params", [
     ("complete", 5), ("complete_bipartite", (3, 4)), ("hypercube", 3)])
 def test_mapped_returns_a_checked_image(kind, params):
-    # every answer is an image under a generator or its inverse that lies
-    # in the suffix and hits every constraint inside it, and None means
-    # that no image does; the witnesses straddle the start on purpose
+    # every answer is an image under a generator that lies in the suffix
+    # and hits every constraint inside it, and None means that no image
+    # does; the witnesses straddle the start on purpose
     system, rest = _plain_residual(standard_graph(kind, params))
     system.bans(0)  # builds the group
     universe = system.universe
-    maps = []
-    for images, _, _ in system.group.moves:
-        maps += [images, sorted(range(universe), key=images.__getitem__)]
     rng = random.Random(7)
     answers = set()
     for _ in range(300):
         start = rng.randrange(universe)
-        witnesses = [sum(1 << q for q in rng.sample(range(universe), rng.randint(1, 6)))
-                     for _ in range(rng.randint(1, 2))]
-        candidates = {sum(1 << images[q] for q in bits(w)) for w in witnesses
-                      for images in maps}
+        witness = sum(1 << q for q in rng.sample(range(universe), rng.randint(1, 6)))
+        candidates = {sum(1 << images[q] for q in bits(witness))
+                      for images, _, _ in system.group.moves}
         good = {image for image in candidates if image >> start << start == image
                 and all(image & c for c in rest if c >> start << start == c)}
-        out = system.mapped(witnesses, start)
-        assert out in good if good else out is None, (start, witnesses)
+        out = system.mapped(witness, start)
+        assert out in good if good else out is None, (start, witness)
         answers.add(out is None)
     assert answers == {True, False}
 
@@ -380,12 +387,11 @@ def test_suffix_pass_maps_implied_witnesses(monkeypatch, kind, params):
             given.append(out[1])
         return out
 
-    def spy(system, witnesses, start):
-        out = mapped(system, witnesses, start)
+    def spy(system, witness, start):
+        out = mapped(system, witness, start)
         if out is not None:
             given.append(out)
-            sources.append(next(w for w in witnesses
-                                if mapped(system, [w], start) == out))
+            sources.append(witness)
         return out
 
     monkeypatch.setattr(solver, "search_exact_size", searching)
@@ -410,8 +416,8 @@ def test_mapped_witnesses_match_the_unmapped_pass(monkeypatch, kind, params, low
     accepted = []
     mapped = ConstraintSystem.mapped
 
-    def spy(system, witnesses, start):
-        out = mapped(system, witnesses, start)
+    def spy(system, witness, start):
+        out = mapped(system, witness, start)
         accepted.append(out is not None)
         return out
 

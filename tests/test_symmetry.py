@@ -206,8 +206,8 @@ def test_min_vertex_code_maps_suffix_witnesses(monkeypatch):
     accepted = []
     mapped = _search.ConstraintSystem.mapped
 
-    def spy(system, witnesses, start):
-        out = mapped(system, witnesses, start)
+    def spy(system, witness, start):
+        out = mapped(system, witness, start)
         accepted.append(out is not None)
         return out
 
