@@ -1,9 +1,9 @@
 """Closed-form lower and upper bounds on identifying-code sizes.
 
-Lower bounds drive the exact solver's pruning; upper bounds certify
-approximation output.  Each bound is exposed individually, and
-``bounds_report`` assembles every applicable bound for a graph's
-edge-identifying code number.
+Each bound is exposed individually, and ``bounds_report`` assembles
+every applicable bound for a graph's edge-identifying code number.  The
+exact edge solve starts from the report's best lower entry
+(``solver_lower_bound``); upper bounds certify approximation output.
 """
 
 import math
@@ -80,11 +80,11 @@ def half_order_lower(g):
     """
     if pendant_pairs(g):
         raise ValueError("graph has a pendant pair")
-    total = 0
-    for comp in connected_components(g):
-        if len(comp) >= 2:
-            total += (len(comp) + 1) // 2
-    return total
+    return _component_halves(g)
+
+
+def _component_halves(g):
+    return sum((len(c) + 1) // 2 for c in connected_components(g) if len(c) >= 2)
 
 
 def connected_code_max_edges(c):
@@ -170,7 +170,7 @@ def bounds_report(g):
 
     entries.append(BoundEntry("log-universe", log_lower(m), "lower", True))
     if pf:
-        entries.append(BoundEntry("half-order", half_order_lower(g),
+        entries.append(BoundEntry("half-order", _component_halves(g),
                                   "lower", True))
     else:
         entries.append(BoundEntry("half-order", 0, "lower", False,
@@ -199,13 +199,14 @@ def bounds_report(g):
 
         # The line graph has a vertex per edge and an edge per pair of
         # edges at a vertex; vertex uv of it has degree deg u + deg v - 2.
-        # The six exceptions all have at most six vertices.
-        if sum(d * (d - 1) // 2 for d in map(g.degree, range(n))) >= 2:
+        # An isolated edge is an isolated vertex of it, which every code
+        # holds, so the exceptions are looked up on the other vertices.
+        line_degrees = [g.degree(u) + g.degree(v) - 2 for u, v in g.edges]
+        if sum(line_degrees) >= 4:  # twice the line graph's edge count
             entries.append(BoundEntry("identified-universe-minus-1", m - 1,
                                       "upper", True))
-            exceptional = m <= 6 and tuple(sorted(
-                g.degree(u) + g.degree(v) - 2 for u, v in g.edges
-            )) in _EXCEPTION_DEGREES
+            linked = tuple(sorted(d for d in line_degrees if d))
+            exceptional = linked in _EXCEPTION_DEGREES
             if not exceptional:
                 entries.append(BoundEntry("identified-universe-minus-2",
                                           m - 2, "upper", True))
@@ -222,7 +223,7 @@ def bounds_report(g):
                 "line graph has fewer than two edges"))
 
         if 2 * m >= 5 * n:  # average degree at least 5
-            delta_l = max(g.degree(u) + g.degree(v) - 2 for u, v in g.edges)
+            delta_l = max(line_degrees)
             value = m * (delta_l - 1) // delta_l  # floor(m - m / delta_l)
             entries.append(BoundEntry("dense-average-degree", value,
                                       "upper", True))
@@ -250,13 +251,14 @@ def conjecture_check(g, gamma, c):
 
 
 def solver_lower_bound(g):
-    """Best analytic lower bound for the edge code of g, with its name.
+    """Where the exact edge solve starts: the best lower entry of the report.
 
-    Returns (value, name).  Requires a pendant-free graph with an edge.
+    Returns the largest ``(value, name)`` over the applicable lower
+    entries of ``bounds_report(g)``, so equal values go to the later
+    name.  Returns None when the half-order entry is missing or does not
+    apply: g has no edge, or it has a pendant pair and so no code.
     """
-    candidates = [
-        (log_lower(g.m), "log-universe"),
-        (half_order_lower(g), "half-order"),
-        (min_code_for_edges(g.m), "edge-count-inverse"),
-    ]
-    return max(candidates)
+    report = bounds_report(g)
+    if not any(e.name == "half-order" and e.applicable for e in report.entries):
+        return None
+    return max((e.value, e.name) for e in report.applicable("lower"))

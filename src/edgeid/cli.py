@@ -57,21 +57,6 @@ def _read_text(path):
         raise FormatError(f"{path}: {exc.strerror or exc}") from None
 
 
-def _default_budget():
-    raw = os.environ.get("EDGEID_BUDGET")
-    if raw is None:
-        from .solver import DEFAULT_BUDGET
-
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise _UsageError(f"EDGEID_BUDGET must be an integer, got {raw!r}") from None
-    if budget < 1:
-        raise _UsageError("EDGEID_BUDGET must be positive")
-    return budget
-
-
 def cmd_verify(args):
     from .identify import verify_edge_code
 
@@ -96,10 +81,12 @@ def cmd_solve(args):
     hint = None
     if args.hint is not None:
         hint = read_code_file(_read_text(args.hint), g.m)
-    budget = args.budget if args.budget is not None else _default_budget()
-    if budget < 1:
-        raise _UsageError("budget must be positive")
-    result = min_edge_code(g, SolveOptions(budget=budget, upper_hint=hint))
+    options = SolveOptions(upper_hint=hint)
+    if args.budget is not None:
+        if args.budget < 1:
+            raise _UsageError("budget must be positive")
+        options = options._replace(budget=args.budget)
+    result = min_edge_code(g, options)
     size = result.size if result.size is not None else "-"
     print(f"size {size} status {result.status}")
     if result.lower_bound_used is not None:

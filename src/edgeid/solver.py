@@ -290,14 +290,17 @@ def min_edge_code(g, options=None):
     """Minimum edge-identifying code of ``g``.
 
     Returns a SolveResult whose ``code`` is an EdgeSet on success.  The
-    graph admits no code exactly when it has a pendant pair, reported as
+    search starts from ``solver_lower_bound(g)``, the best lower entry of
+    ``bounds_report``.  The graph admits no code exactly when it has a
+    pendant pair, where that bound is None; this is reported as
     Infeasible.  With default options the returned code is the
     lexicographically least optimum by edge index.
     """
     opts = options if options is not None else SolveOptions()
     if g.m == 0:
         return SolveResult(STATUS_OPTIMAL, EdgeSet.from_indices(g, ()), 0, None, 0)
-    if pendant_pairs(g):
+    lower = solver_lower_bound(g)
+    if lower is None:
         return SolveResult(STATUS_INFEASIBLE)
     hint_mask = None
     if opts.upper_hint is not None:
@@ -309,7 +312,7 @@ def min_edge_code(g, options=None):
             raise RejectedInput("upper_hint is not an edge-identifying code")
         hint_mask = hint.mask
     status, mask, size, bound_used, nodes = _solve_masks(
-        g.m, g.all_edge_masks(), solver_lower_bound(g), opts.budget, hint_mask
+        g.m, g.all_edge_masks(), lower, opts.budget, hint_mask
     )
     code = EdgeSet(g.fingerprint, mask) if mask is not None else None
     return SolveResult(status, code, size, bound_used, nodes)

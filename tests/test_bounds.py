@@ -3,10 +3,12 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import pendant_free_unions, random_connected_pendant_free
+from conftest import disjoint_union, pendant_free_unions, random_connected_pendant_free
+from corpus_nodes import corpus, read
 from edgeid.bounds import (
     bounds_report,
     conjecture_check,
@@ -19,7 +21,7 @@ from edgeid.bounds import (
     sqrt_lower_ceiling,
     upper_bounds,
 )
-from edgeid.graph_core import Graph, isomorphic, line_graph
+from edgeid.graph_core import Graph, isomorphic, line_graph, pendant_pairs
 
 
 def complete(n):
@@ -145,7 +147,9 @@ def test_bounds_report_upper_gates():
 
 def test_identified_universe_entries_match_line_graph():
     # the report counts line-graph edges from the degrees; restate both
-    # entries from the line graph itself
+    # entries from the line graph itself.  An isolated edge of g is an
+    # isolated vertex of the line graph, which every code holds, so the
+    # exceptions are matched against the line graph without those.
     rng = random.Random(5)
     graphs = pendant_free_unions(8) + [
         random_connected_pendant_free(rng, 14) for _ in range(30)
@@ -162,7 +166,10 @@ def test_identified_universe_entries_match_line_graph():
     for g in graphs:
         lg, _ = line_graph(g)
         if lg.m >= 2:
-            exceptional = lg.n <= 6 and any(isomorphic(lg, h) for h in exceptions)
+            linked = [v for v in range(lg.n) if lg.degree(v)]
+            index = {v: i for i, v in enumerate(linked)}
+            core = Graph(len(linked), [(index[u], index[v]) for u, v in lg.edges])
+            exceptional = core.n <= 6 and any(isomorphic(core, h) for h in exceptions)
             reason = "line graph is one of the six extremal exceptions"
             expect = [
                 ("identified-universe-minus-1", g.m - 1, "upper", True, ""),
@@ -209,6 +216,35 @@ def test_solver_lower_bound_picks_best():
     assert (value, name) == (6, "edge-count-inverse")
     value, name = solver_lower_bound(Graph(2, [(0, 1)]))
     assert value == 1
+    assert solver_lower_bound(Graph(3, [])) is None
+
+
+def test_solver_lower_bound_reads_the_report(small_connected, pendant_free_all):
+    # None exactly on a pendant pair, else the report's largest lower entry
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    graphs = small_connected + pendant_free_all + [
+        disjoint_union([g, p3]) for g in pendant_free_all[:40]
+    ]
+    for g in graphs:
+        got = solver_lower_bound(g)
+        if pendant_pairs(g):
+            assert got is None, g.edges
+        else:
+            lower = bounds_report(g).applicable("lower")
+            assert got == max((e.value, e.name) for e in lower), g.edges
+
+
+def test_every_bound_brackets_the_optimum():
+    # the optima are the corpus's pinned solves, not new ones
+    pinned = read(Path(__file__).with_name("corpus_nodes.jsonl"))
+    optimum = {r["name"]: r["size"] for r in pinned}
+    wrong = []
+    for name, g in corpus():
+        opt = optimum[name]
+        for e in bounds_report(g).entries:
+            if e.applicable and (e.value > opt if e.direction == "lower" else e.value < opt):
+                wrong.append((name, e.name, e.value, opt))
+    assert not wrong, wrong
 
 
 def test_conjecture_check():
