@@ -1,6 +1,7 @@
 """Automorphism orbits along a base: checked generators, orbits against
 brute force, and the solves that ban them."""
 
+import hashlib
 import itertools
 import random
 
@@ -134,6 +135,46 @@ def test_refine_matches_the_reference(monkeypatch):
         assert (order, cell, end, queue, trace) == want
         splits[single] += any(t < 0 for t in trace)
     assert splits[True] > 400 and splits[False] > 40
+
+
+def _pinned_builds(pendant_free_all):
+    """``(masks, base)`` of the builds whose generators are pinned: full
+    bases of small families, Petersen and random graphs, and the residuals
+    that the solver builds along after it strips the forced positions."""
+    graphs = [standard_graph("complete", n) for n in range(4, 10)]
+    graphs += [standard_graph("complete_bipartite", (a, b))
+               for a in range(1, 6) for b in range(a, 6)]
+    graphs += [standard_graph("hypercube", d) for d in range(2, 6)]
+    graphs.append(standard_graph("petersen"))
+    rng = random.Random(19)
+    graphs += [random_connected_pendant_free(rng, 10) for _ in range(50)]
+    for g in graphs:
+        yield g.all_edge_masks(), range(g.m)
+    for g in pendant_free_all:
+        masks = g.all_edge_masks()
+        forced, rest, positions = solver._strip_forced(
+            g.m, solver._constraints_from_masks(masks))
+        if forced and rest:
+            yield masks, positions
+
+
+# (builds, SHA-256 of their orbits, moves and spent budgets in turn)
+PINNED = (273, "bd21dd1364d4d35a1be6ba588c2163f06713fa346923abaf1643cd1a402ae63c")
+
+
+def test_group_generators_are_pinned(pendant_free_all):
+    # a change to how the group is built must find the same generators in
+    # the same order, the same orbits and spend the same budget; the
+    # residuals include every build of the corpus's small unions whose
+    # path goes on past its base
+    digest = hashlib.sha256()
+    count = 0
+    for masks, base in _pinned_builds(pendant_free_all):
+        group = symmetry.BaseOrbits(masks, base)
+        digest.update(repr((group.orbits, group.moves, group.budget)).encode())
+        count += 1
+    assert count == PINNED[0]
+    assert digest.hexdigest() == PINNED[1]
 
 
 def test_leaf_check_rejects_what_refinement_cannot(monkeypatch):
