@@ -91,18 +91,23 @@ def brute_force_automorphisms(masks):
     return out
 
 
+def residual_bases(graphs):
+    """``(masks, positions)`` for each graph that has forced positions and
+    a residual: the positions the solver's residual keeps, in order."""
+    for g in graphs:
+        masks = g.all_edge_masks()
+        forced, rest, positions = solver._strip_forced(
+            g.m, solver._constraints_from_masks(masks))
+        if forced and rest:
+            yield masks, positions
+
+
 def test_orbits_along_a_partial_base_match_brute_force(pendant_free_all):
     # a base that leaves positions out, as the solver's residuals leave
     # out forced ones, ends the first path with steps past the base that
     # individualise positions outside it; the orbits along the base must
     # still be those of the automorphisms that fix its earlier positions
-    cases = []
-    for g in pendant_free_all:
-        masks = g.all_edge_masks()
-        forced, rest, positions = solver._strip_forced(
-            g.m, solver._constraints_from_masks(masks))
-        if forced and rest:
-            cases.append((masks, positions))
+    cases = list(residual_bases(pendant_free_all))
     cube = list(standard_graph("hypercube", 3).edges)
     for g in [Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                         (0, 3), (1, 4), (2, 5)]),  # the prism
@@ -156,19 +161,12 @@ def test_orbits_follow_the_base():
             assert moved >> p & 1 == (onto and p < g.m and images[p] != p), p
 
 
-def unit_partition(m):
-    """``(cells, live)`` of the partition of ``range(m)`` into one cell."""
-    cells = [0] * m
-    cells[0] = (1 << m) - 1
-    return cells, [0] if m > 1 else []
-
-
 def test_discrete_refinement_gives_trivial_orbits():
     # degrees alone tell every edge of this line graph apart
     g = Graph(6, [(0, 1), (0, 4), (1, 3), (1, 4), (2, 3), (3, 4), (4, 5)])
     masks = g.all_edge_masks()
     nbr = [m & ~(1 << v) for v, m in enumerate(masks)]
-    cells, live = unit_partition(g.m)
+    cells, live = [(1 << g.m) - 1] + [0] * (g.m - 1), [0]
     symmetry._refine(cells, live, [0], nbr)
     assert all(c and not c & (c - 1) for c in cells) and live == []
     assert full_orbits(masks, range(g.m)) == ([()] * g.m, [])
@@ -247,12 +245,7 @@ def _pinned_builds(pendant_free_all):
     graphs += [random_connected_pendant_free(rng, 10) for _ in range(50)]
     for g in graphs:
         yield g.all_edge_masks(), range(g.m)
-    for g in pendant_free_all:
-        masks = g.all_edge_masks()
-        forced, rest, positions = solver._strip_forced(
-            g.m, solver._constraints_from_masks(masks))
-        if forced and rest:
-            yield masks, positions
+    yield from residual_bases(pendant_free_all)
 
 
 # (builds, SHA-256 of their orbits, moves and spent budgets in turn)
