@@ -1,5 +1,6 @@
 """Bound arithmetic and report assembly."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import disjoint_union, pendant_free_unions, random_connected_pendant_free
+from conftest import (
+    connected_graphs,
+    disjoint_union,
+    pendant_free_unions,
+    random_connected_pendant_free,
+)
 from corpus_nodes import corpus, read
 from edgeid.bounds import (
     bounds_report,
@@ -21,6 +27,7 @@ from edgeid.bounds import (
     sqrt_lower_ceiling,
     upper_bounds,
 )
+from edgeid.families import standard_graph
 from edgeid.graph_core import Graph, isomorphic, line_graph, pendant_pairs
 
 
@@ -245,6 +252,40 @@ def test_every_bound_brackets_the_optimum():
             if e.applicable and (e.value > opt if e.direction == "lower" else e.value < opt):
                 wrong.append((name, e.name, e.value, opt))
     assert not wrong, wrong
+
+
+def _pinned_reports():
+    """The graphs whose reports are pinned: the solver corpus, every
+    connected graph with at most 7 edges (trees and pendant pairs among
+    them), edgeless graphs, matchings, and large complete, cube and cycle
+    graphs."""
+    for _, g in corpus():
+        yield g
+    yield from connected_graphs(7)
+    for n in range(4):
+        yield Graph(n, [])
+    for k in range(1, 6):
+        yield Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+    for n in range(4, 12):
+        yield standard_graph("complete", n)
+    yield standard_graph("hypercube", 8)
+    yield standard_graph("cycle", 1200)
+
+
+# (graphs, SHA-256 of each report's text and key-value form in turn)
+PINNED = (635, "a948d3abf907813789a562405973f854403b8fc2a749217ae94d3433fa1f50c0")
+
+
+def test_bounds_report_output_is_pinned():
+    # a change to how the report is assembled must keep every entry, its
+    # order, value and reason, and so every byte of `edgeid bounds`
+    digest = hashlib.sha256()
+    count = 0
+    for g in _pinned_reports():
+        report = bounds_report(g)
+        digest.update((report.to_text() + report.to_key_values()).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == PINNED
 
 
 def test_conjecture_check():
