@@ -149,91 +149,57 @@ _EXCEPTION_DEGREES = frozenset([
 ])
 
 
-def _is_k4(g):
-    return g.n == 4 and g.m == 6
-
-
-def _is_k4_minus_edge(g):
-    # On 4 vertices every 5-edge simple graph is K_4 minus an edge.
-    return g.n == 4 and g.m == 5
-
-
 def bounds_report(g):
-    """All lower and upper bounds on the edge-identifying code number of g."""
-    entries = []
-    pf = not pendant_pairs(g)
-    m = g.m
+    """All lower and upper bounds on the edge-identifying code number of g.
 
+    Each row is ``(name, value, direction, reason)``; an empty reason
+    means the bound applies.
+    """
+    m, n = g.m, g.n
     if m == 0:
         return BoundsReport([BoundEntry("edge-bounds", 0, "lower", False,
                                         "graph has no edges")])
 
-    entries.append(BoundEntry("log-universe", log_lower(m), "lower", True))
-    if pf:
-        entries.append(BoundEntry("half-order", _component_halves(g),
-                                  "lower", True))
+    pendant = "pendant pair present" if pendant_pairs(g) else ""
+    rows = [
+        ("log-universe", log_lower(m), "lower", ""),
+        ("half-order", 0 if pendant else _component_halves(g), "lower", pendant),
+        ("edge-count-inverse", min_code_for_edges(m), "lower", ""),
+    ]
+    if pendant:
+        rows.append(("upper-bounds", 0, "upper", pendant))
     else:
-        entries.append(BoundEntry("half-order", 0, "lower", False,
-                                  "pendant pair present"))
-    entries.append(BoundEntry("edge-count-inverse", min_code_for_edges(m),
-                              "lower", True))
-
-    n = g.n
-    if pf:
-        entries.append(BoundEntry("minimal-code-degeneracy", 2 * n - 3,
-                                  "upper", True))
-        if n >= 3 and not _is_k4(g):
-            entries.append(BoundEntry("order-doubled-minus-4", 2 * n - 4,
-                                      "upper", True))
-        else:
-            entries.append(BoundEntry("order-doubled-minus-4", 2 * n - 4,
-                                      "upper", False,
-                                      "needs n >= 3 and g not complete on 4"))
-        if n >= 3 and not _is_k4(g) and not _is_k4_minus_edge(g):
-            entries.append(BoundEntry("order-doubled-minus-5", 2 * n - 5,
-                                      "upper", True))
-        else:
-            entries.append(BoundEntry(
-                "order-doubled-minus-5", 2 * n - 5, "upper", False,
-                "needs n >= 3 and g neither complete on 4 nor that minus an edge"))
-
+        k4 = n == 4 and m == 6
+        # On 4 vertices every 5-edge simple graph is K_4 minus an edge.
+        k4_minus_edge = n == 4 and m == 5
         # The line graph has a vertex per edge and an edge per pair of
         # edges at a vertex; vertex uv of it has degree deg u + deg v - 2.
         # An isolated edge is an isolated vertex of it, which every code
         # holds, so the exceptions are looked up on the other vertices.
         line_degrees = [g.degree(u) + g.degree(v) - 2 for u, v in g.edges]
-        if sum(line_degrees) >= 4:  # twice the line graph's edge count
-            entries.append(BoundEntry("identified-universe-minus-1", m - 1,
-                                      "upper", True))
-            linked = tuple(sorted(d for d in line_degrees if d))
-            exceptional = linked in _EXCEPTION_DEGREES
-            if not exceptional:
-                entries.append(BoundEntry("identified-universe-minus-2",
-                                          m - 2, "upper", True))
-            else:
-                entries.append(BoundEntry(
-                    "identified-universe-minus-2", m - 2, "upper", False,
-                    "line graph is one of the six extremal exceptions"))
-        else:
-            entries.append(BoundEntry(
-                "identified-universe-minus-1", m - 1, "upper", False,
-                "line graph has fewer than two edges"))
-            entries.append(BoundEntry(
-                "identified-universe-minus-2", m - 2, "upper", False,
-                "line graph has fewer than two edges"))
-
-        if 2 * m >= 5 * n:  # average degree at least 5
-            delta_l = max(line_degrees)
-            value = m * (delta_l - 1) // delta_l  # floor(m - m / delta_l)
-            entries.append(BoundEntry("dense-average-degree", value,
-                                      "upper", True))
-        else:
-            entries.append(BoundEntry("dense-average-degree", 0, "upper",
-                                      False, "average degree below 5"))
-    else:
-        entries.append(BoundEntry("upper-bounds", 0, "upper", False,
-                                  "pendant pair present"))
-    return BoundsReport(entries)
+        linked = tuple(sorted(d for d in line_degrees if d))
+        delta_l = max(line_degrees)
+        few = ("" if sum(line_degrees) >= 4  # twice the line graph's edge count
+               else "line graph has fewer than two edges")
+        sparse = "" if 2 * m >= 5 * n else "average degree below 5"
+        rows += [
+            ("minimal-code-degeneracy", 2 * n - 3, "upper", ""),
+            ("order-doubled-minus-4", 2 * n - 4, "upper",
+             "" if n >= 3 and not k4 else "needs n >= 3 and g not complete on 4"),
+            ("order-doubled-minus-5", 2 * n - 5, "upper",
+             "" if n >= 3 and not k4 and not k4_minus_edge else
+             "needs n >= 3 and g neither complete on 4 nor that minus an edge"),
+            ("identified-universe-minus-1", m - 1, "upper", few),
+            ("identified-universe-minus-2", m - 2, "upper",
+             few or ("line graph is one of the six extremal exceptions"
+                     if linked in _EXCEPTION_DEGREES else "")),
+            # floor(m - m / delta_l); a matching has delta_l = 0, but it
+            # is sparse
+            ("dense-average-degree", 0 if sparse else m * (delta_l - 1) // delta_l,
+             "upper", sparse),
+        ]
+    return BoundsReport([BoundEntry(name, value, direction, not reason, reason)
+                         for name, value, direction, reason in rows])
 
 
 def upper_bounds(g):
