@@ -48,13 +48,15 @@ class _UsageError(Exception):
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text") from None
 
 
 def cmd_verify(args):

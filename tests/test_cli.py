@@ -445,6 +445,39 @@ class TestReduce:
         assert status == 3
 
 
+# each file argument that a subcommand reads, with BAD for the one that
+# is not UTF-8 and well-formed g.el and f.cnf beside it
+UNDECODABLE = [
+    ["bounds", "BAD"],
+    ["verify", "g.el", "BAD"],
+    ["solve", "g.el", "--hint", "BAD"],
+    ["reduce", "BAD"],
+    ["reduce", "f.cnf", "--assignment", "BAD"],
+    ["family", "subdivided", "3", "--multigraph", "BAD"],
+]
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("argv", UNDECODABLE, ids="-".join)
+    def test_file_is_malformed_input(self, run_cli, tmp_path, argv):
+        (tmp_path / "BAD").write_bytes(b"\xff\xfe 1\n0 1\n")
+        (tmp_path / "g.el").write_text(write_edge_list(standard_graph("cycle", 4)))
+        (tmp_path / "f.cnf").write_text(CNF)
+        files = ("BAD", "g.el", "f.cnf")
+        status, _, err = run_cli([str(tmp_path / a) if a in files else a for a in argv])
+        assert status == 3
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_strict_stdin_is_malformed_input(self, run_cli, monkeypatch):
+        # under a UTF-8 locale stdin decodes strictly
+        raw = io.BytesIO(b"\xff\xfe 1\n0 1\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+        status, _, err = run_cli(["bounds"])
+        assert status == 3
+        assert err == "error: -: not UTF-8 text\n"
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, run_cli):
         _, a, _ = run_cli(["reduce"], stdin=CNF)
