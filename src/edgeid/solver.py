@@ -68,9 +68,9 @@ class SolveOptions(namedtuple("SolveOptions", "budget upper_hint",
     the constraint build grows faster than the number of constraints, and
     a solve on the plain loop builds the automorphism group of the
     positions at its first search.  K_25's 45,150 constraints take about
-    0.15 s to build and its group about 0.10 s, most of a 2,000-node solve
-    of about 0.27 s (best of 9 runs on one core of a 2-core Xeon, Python
-    3.11).
+    0.12 s to build and its group about 0.05 s, most of a 2,000-node solve
+    of about 0.18 s (best of 9 in-process runs on one core of a 2-core
+    Xeon, Python 3.11).
     """
 
     __slots__ = ()

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     connected_graphs,
     disjoint_union,
+    naive_min_edge_code,
     pendant_free_unions,
     random_connected_pendant_free,
 )
@@ -252,6 +253,20 @@ def test_every_bound_brackets_the_optimum():
             if e.applicable and (e.value > opt if e.direction == "lower" else e.value < opt):
                 wrong.append((name, e.name, e.value, opt))
     assert not wrong, wrong
+
+
+def test_order_bound_exceptions_are_needed():
+    # 2|V| - 5 fails on K_4 and K_4 - e and 2|V| - 4 on K_4 alone, so the
+    # report must mark exactly those entries n/a; the optima are brute force
+    k4 = complete(4)
+    k4_minus_edge = Graph(4, k4.edges[1:])
+    for g, optimum, minus_4_holds in [(k4, 5, False), (k4_minus_edge, 4, True)]:
+        assert len(naive_min_edge_code(g)) == optimum
+        assert optimum > 2 * g.n - 5
+        assert (optimum <= 2 * g.n - 4) == minus_4_holds
+        by_name = {e.name: e for e in bounds_report(g).entries}
+        assert not by_name["order-doubled-minus-5"].applicable
+        assert by_name["order-doubled-minus-4"].applicable == minus_4_holds
 
 
 def _pinned_reports():
