@@ -148,12 +148,19 @@ def brute_force_pack(universe, constraints):
     return [max(best[p:]) for p in range(universe + 1)]
 
 
+def numbered(constraints):
+    """The constraints in the order ``ConstraintSystem`` numbers them: by
+    lowest bit, highest first, and by ascending mask within one lowest
+    bit, without repeats."""
+    return sorted(set(constraints), key=lambda c: (-(c & -c).bit_length(), c))
+
+
 def reference_build(universe, constraints):
     """``(hits, tops, lows, floor, keys)`` of ``ConstraintSystem``, built
     by OR-ing one bit per (constraint, position) pair, the build the
     string transpose replaced on dense systems.  The floors are the
     packing seed, and ``keys`` is ``_state_keys`` of these arrays."""
-    masks = sorted(set(constraints))
+    masks = numbered(constraints)
     hits = [0] * universe
     tops = [0] * universe
     lows = [0] * universe

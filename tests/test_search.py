@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (SEED0_SAT2, RefutedTable, _group_by_top_bit,
+from conftest import (SEED0_SAT2, RefutedTable, _group_by_top_bit, numbered,
                       pendant_free_unions, reference_build, reference_keys,
                       reference_pruned_search, reference_search)
 from edgeid import _search, solver
@@ -336,9 +336,34 @@ def test_state_keys_match_reference(limit, system):
     if expect is None:
         assert keys is None
         return
-    numbered = sorted(set(constraints))
-    assert [key if key is None else frozenset(numbered[i] for i in bits(key))
+    order = numbered(constraints)
+    assert [key if key is None else frozenset(order[i] for i in bits(key))
             for key in keys] == expect
+
+
+def test_each_suffix_numbers_its_constraints_first():
+    # constraints are numbered by lowest bit, highest first, and by
+    # ascending mask within one lowest bit: from every start, those inside
+    # [start, universe) are the numbers below their count; each lows[p] is
+    # one run, and tops[p] holds exactly the constraints whose top bit is p
+    rng = random.Random(25)
+    for _ in range(200):
+        universe, constraints, _ = random_instance(rng, 20)
+        system = ConstraintSystem(universe, constraints)
+        # constraint i holds the positions whose hits hold i
+        masks = [sum(1 << q for q in range(universe) if system.hits[q] >> i & 1)
+                 for i in range(system.full.bit_length())]
+        assert masks == numbered(constraints)
+        for start in range(universe + 1):
+            inside = sum(1 << i for i, c in enumerate(masks) if c >> start << start == c)
+            assert inside == (1 << inside.bit_count()) - 1, start
+            assert system.below(start) == system.full ^ inside, start
+        for p in range(universe):
+            low = system.lows[p]
+            assert low == sum(1 << i for i, c in enumerate(masks) if c & -c == 1 << p)
+            assert (low + (low & -low)) & low == 0, p
+            assert system.tops[p] == sum(1 << i for i, c in enumerate(masks)
+                                         if c.bit_length() == p + 1), p
 
 
 def test_build_takes_constraints_in_any_order():
@@ -509,6 +534,20 @@ def test_budget_boundary_is_exact(kernel):
                                  k, nodes - 1, start) == (False, 0, nodes, True)
         if kernel == "table":
             assert system.stored > 0
+    if kernel == "table":
+        # every budget of a refutation whose last node is an include's
+        # child that fails the bound, which the table loop counts without
+        # visiting it: node for node the recursive reference on the
+        # constraints inside [start, universe)
+        k, start = 12, 84
+        inside = [c >> start for c in constraints if c >> start << start == c]
+        nodes = reference_pruned_search(universe - start, inside, k, 10**7)[2]
+        for budget in range(1, nodes + 1):
+            found, mask, used, exhausted = reference_pruned_search(
+                universe - start, inside, k, budget)
+            assert search_exact_size(universe, ConstraintSystem(universe, constraints),
+                                     k, budget, start) == (
+                found, mask << start, used, exhausted), budget
     if kernel == "plain":
         # the same searches with the system's group set, so that orbit
         # bans are active up to the boundary and cut the node count
