@@ -212,6 +212,9 @@ def cmd_reduce(args):
         tokens = _read_text(args.assignment).split()
         if any(t not in ("0", "1") for t in tokens):
             raise FormatError(f"{args.assignment}: assignment entries must be 0 or 1")
+        if len(tokens) != formula.num_vars:
+            raise FormatError(f"{args.assignment}: {len(tokens)} assignment entries,"
+                              f" want {formula.num_vars}")
         asg = [t == "1" for t in tokens]
         code = sorted(reduction.assignment_to_code(inst, asg).indices())
     if args.labels is not None:

@@ -435,6 +435,14 @@ class TestReduce:
             assert (status, out) == (3, "")
             assert "assignment entries must be 0 or 1" in err
 
+    def test_assignment_of_wrong_length(self, run_cli, tmp_path):
+        # a malformed input file, not an assignment that fails the formula
+        apath = tmp_path / "asg.txt"
+        apath.write_text("1 0 1\n")
+        status, out, err = run_cli(["reduce", "--assignment", str(apath)], stdin=CNF)
+        assert (status, out) == (3, "")
+        assert err.strip() == f"error: {apath}: 3 assignment entries, want 2"
+
     def test_invalid_formula(self, run_cli):
         status, _, err = run_cli(["reduce"], stdin="p cnf 1 1\n1 0\n")
         assert status == 3
