@@ -21,16 +21,19 @@ _EXPORTS = {
     ),
     "families": (
         "FamilyInstance", "claw_free_example", "extremal_low1", "hypercube_matching",
-        "jk_graph", "known_code", "standard_graph", "subdivided_regular_code",
+        "jk_graph", "known_code", "standard_graph", "subdivide_once",
+        "subdivided_regular_code",
     ),
     "graph_core": (
         "EdgeSet", "FormatError", "Graph", "GraphBuilder", "Multigraph",
-        "RejectedInput", "closed_edge_neighborhood", "connected_components", "girth",
-        "induced_by_edges", "is_bipartite", "is_k_degenerate", "line_graph",
-        "pendant_pairs", "read_code_file", "read_edge_list", "read_multigraph",
-        "subdivide_once", "twin_pairs", "write_edge_list",
+        "RejectedInput", "connected_components", "line_graph", "pendant_pairs",
+        "read_code_file", "read_edge_list", "read_multigraph", "write_edge_list",
     ),
     "identify": ("VerifyReport", "verify_edge_code", "verify_vertex_code"),
+    "properties": (
+        "closed_edge_neighborhood", "girth", "induced_by_edges", "is_bipartite",
+        "is_k_degenerate", "twin_pairs",
+    ),
     "reduction": (
         "ReductionInstance", "SatFormula", "assignment_to_code", "attach_p_gadget",
         "build_reduction", "build_reduction_girth", "code_to_assignment",

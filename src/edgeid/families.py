@@ -29,9 +29,7 @@ from .graph_core import (
     Graph,
     GraphBuilder,
     Multigraph,
-    bipartite_perfect_matching,
     bits,
-    subdivide_once,
 )
 
 STANDARD_KINDS = (
@@ -338,6 +336,77 @@ def extremal_low1(k):
         "disjoint path-plus-apex blocks with all cross edges between "
         "their path vertices",
     )
+
+
+def subdivide_once(mg):
+    """Subdivide every edge of a multigraph exactly once.
+
+    Original vertices keep their labels; the subdivision vertex of edge i
+    is mg.n + i.  The result is always a simple bipartite graph.
+    """
+    edges = []
+    for i, (u, v) in enumerate(mg.edges):
+        s = mg.n + i
+        edges.append((u, s))
+        edges.append((v, s))
+    return Graph(mg.n + mg.m, edges)
+
+
+def bipartite_perfect_matching(mg, left):
+    """Perfect matching of a bipartite multigraph, or None when absent.
+
+    ``left`` is one side of the bipartition; every edge must cross it.
+    Returns a sorted list of edge indices (augmenting-path search, processing
+    left vertices in increasing order, so the result is deterministic).
+    """
+    left = frozenset(left)
+    for u, v in mg.edges:
+        if (u in left) == (v in left):
+            raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
+    right = [v for v in range(mg.n) if v not in left]
+    if len(left) != len(right):
+        return None
+    match_edge_of_right = {}
+    matched_left = {}
+
+    def far_end(e, u):
+        a, b = mg.edges[e]
+        return b if a == u else a
+
+    def augment(root):
+        # Depth-first search for an augmenting path from root, with an
+        # explicit stack so that path length is not bounded by the
+        # recursion limit.  path[i] is the edge taken out of stack[i].
+        visited = set()
+        stack = [(root, iter(mg.incident_edges(root)))]
+        path = []
+        while stack:
+            u, edges = stack[-1]
+            for e in edges:
+                w = far_end(e, u)
+                if w in visited:
+                    continue
+                visited.add(w)
+                path.append(e)
+                if w not in match_edge_of_right:
+                    for (x, _), f in zip(stack, path):
+                        match_edge_of_right[far_end(f, x)] = f
+                        matched_left[x] = f
+                    return True
+                oa, ob = mg.edges[match_edge_of_right[w]]
+                other_u = oa if oa in left else ob
+                stack.append((other_u, iter(mg.incident_edges(other_u))))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+        return False
+
+    for u in sorted(left):
+        if not augment(u):
+            return None
+    return sorted(matched_left.values())
 
 
 def subdivided_regular_code(mg, k):

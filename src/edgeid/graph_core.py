@@ -6,7 +6,6 @@ to edges by these indices: codes are bitsets over them, file formats serialize
 them, and the line graph maps edge index i to vertex i.
 """
 
-import math
 from itertools import combinations
 
 
@@ -241,11 +240,6 @@ class EdgeSet:
         return f"EdgeSet({self.indices()})"
 
 
-def closed_edge_neighborhood(g, e):
-    """All edges sharing an endpoint with edge e, plus e itself."""
-    return EdgeSet(g.fingerprint, g.edge_mask(e))
-
-
 def line_graph(g):
     """Line graph of g together with the edge-index -> vertex-index map.
 
@@ -268,19 +262,6 @@ def vertex_closed_masks(g):
     return [mask_of(g.neighbors(v), g.n) | 1 << v for v in range(g.n)]
 
 
-def twin_pairs(g):
-    """Pairs of vertices with equal closed neighborhoods, sorted."""
-    closed = vertex_closed_masks(g)
-    groups = {}
-    for v in range(g.n):
-        groups.setdefault(closed[v], []).append(v)
-    pairs = []
-    for members in groups.values():
-        for a, b in combinations(members, 2):
-            pairs.append((a, b))
-    return sorted(pairs)
-
-
 def pendant_pairs(g):
     """Adjacent edge pairs that no edge set can separate.
 
@@ -288,51 +269,24 @@ def pendant_pairs(g):
     either both have degree 1, or both have degree 2 and are adjacent to
     each other.  Returns sorted pairs of edge indices.
     """
+    edges = g.edges
+    inc = g._inc
+    deg = [len(around) for around in inc]
+    has_edge = g.has_edge
     pairs = set()
-    for w in range(g.n):
-        inc = g.incident_edges(w)
-        for ei, ej in combinations(inc, 2):
-            u1, v1 = g.edges[ei]
-            x = u1 if v1 == w else v1
-            u2, v2 = g.edges[ej]
-            y = u2 if v2 == w else v2
-            dx, dy = g.degree(x), g.degree(y)
-            if dx == 1 and dy == 1:
-                pairs.add((min(ei, ej), max(ei, ej)))
-            elif dx == 2 and dy == 2 and g.has_edge(x, y):
-                pairs.add((min(ei, ej), max(ei, ej)))
-    return sorted(pairs)
-
-
-def girth(g):
-    """Length of a shortest cycle, or math.inf for acyclic graphs."""
-    best = math.inf
-    for s in range(g.n):
-        dist = [-1] * g.n
-        parent_edge = [-1] * g.n
-        dist[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            # No cycle first seen from a can beat 2*dist[a].
-            if 2 * dist[a] >= best:
+    for w, around in enumerate(inc):
+        # incidence lists ascend, so ei < ej
+        for ei, ej in combinations(around, 2):
+            u, v = edges[ei]
+            x = u if v == w else v
+            dx = deg[x]
+            if dx > 2:
                 continue
-            for e in g.incident_edges(a):
-                u, v = g.edges[e]
-                b = u if v == a else v
-                if e == parent_edge[a]:
-                    continue
-                if dist[b] == -1:
-                    dist[b] = dist[a] + 1
-                    parent_edge[b] = e
-                    queue.append(b)
-                else:
-                    cyc = dist[a] + dist[b] + 1
-                    if cyc < best:
-                        best = cyc
-    return best
+            u, v = edges[ej]
+            y = u if v == w else v
+            if dx == deg[y] and (dx == 1 or has_edge(x, y)):
+                pairs.add((ei, ej))
+    return sorted(pairs)
 
 
 def connected_components(g):
@@ -354,161 +308,6 @@ def connected_components(g):
                     stack.append(b)
         comps.append(sorted(comp))
     return comps
-
-
-def is_bipartite(g):
-    """(True, coloring) with colors 0/1, or (False, odd_cycle_vertices)."""
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            for b in g.neighbors(a):
-                if color[b] == -1:
-                    color[b] = 1 - color[a]
-                    parent[b] = a
-                    queue.append(b)
-                elif color[b] == color[a]:
-                    # Walk both endpoints up to the BFS root; trimming the
-                    # shared tail leaves an odd cycle.
-                    pa = []
-                    x = a
-                    while x != -1:
-                        pa.append(x)
-                        x = parent[x]
-                    pb = []
-                    x = b
-                    while x != -1:
-                        pb.append(x)
-                        x = parent[x]
-                    sb = set(pb)
-                    meet = next(x for x in pa if x in sb)
-                    cyc = pa[:pa.index(meet) + 1] + pb[:pb.index(meet)][::-1]
-                    return False, cyc
-    return True, color
-
-
-def is_k_degenerate(g, k):
-    """Whether g can be emptied by removing vertices of degree <= k.
-
-    Returns (True, elimination_order) or (False, None).  The order removes
-    the lowest-index qualifying vertex first, so it is deterministic.
-    """
-    deg = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
-    order = []
-    for _ in range(g.n):
-        pick = -1
-        for v in range(g.n):
-            if not removed[v] and deg[v] <= k:
-                pick = v
-                break
-        if pick == -1:
-            return False, None
-        removed[pick] = True
-        order.append(pick)
-        for u in g.neighbors(pick):
-            if not removed[u]:
-                deg[u] -= 1
-    return True, order
-
-
-def subdivide_once(mg):
-    """Subdivide every edge of a multigraph exactly once.
-
-    Original vertices keep their labels; the subdivision vertex of edge i
-    is mg.n + i.  The result is always a simple bipartite graph.
-    """
-    edges = []
-    for i, (u, v) in enumerate(mg.edges):
-        s = mg.n + i
-        edges.append((u, s))
-        edges.append((v, s))
-    return Graph(mg.n + mg.m, edges)
-
-
-def bipartite_perfect_matching(mg, left):
-    """Perfect matching of a bipartite multigraph, or None when absent.
-
-    ``left`` is one side of the bipartition; every edge must cross it.
-    Returns a sorted list of edge indices (augmenting-path search, processing
-    left vertices in increasing order, so the result is deterministic).
-    """
-    left = frozenset(left)
-    for u, v in mg.edges:
-        if (u in left) == (v in left):
-            raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
-    right = [v for v in range(mg.n) if v not in left]
-    if len(left) != len(right):
-        return None
-    match_edge_of_right = {}
-    matched_left = {}
-
-    def far_end(e, u):
-        a, b = mg.edges[e]
-        return b if a == u else a
-
-    def augment(root):
-        # Depth-first search for an augmenting path from root, with an
-        # explicit stack so that path length is not bounded by the
-        # recursion limit.  path[i] is the edge taken out of stack[i].
-        visited = set()
-        stack = [(root, iter(mg.incident_edges(root)))]
-        path = []
-        while stack:
-            u, edges = stack[-1]
-            for e in edges:
-                w = far_end(e, u)
-                if w in visited:
-                    continue
-                visited.add(w)
-                path.append(e)
-                if w not in match_edge_of_right:
-                    for (x, _), f in zip(stack, path):
-                        match_edge_of_right[far_end(f, x)] = f
-                        matched_left[x] = f
-                    return True
-                oa, ob = mg.edges[match_edge_of_right[w]]
-                other_u = oa if oa in left else ob
-                stack.append((other_u, iter(mg.incident_edges(other_u))))
-                break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-        return False
-
-    for u in sorted(left):
-        if not augment(u):
-            return None
-    return sorted(matched_left.values())
-
-
-def induced_by_edges(g, s):
-    """Subgraph spanned by the edges of s, with the vertex back-map.
-
-    Returns (subgraph, old_labels) where old_labels[new_vertex] gives the
-    vertex label in g.  Only endpoints of edges in s appear.
-    """
-    s.check_owner(g)
-    used = sorted({v for e in s for v in g.edges[e]})
-    back = {old: new for new, old in enumerate(used)}
-    edges = [(back[g.edges[e][0]], back[g.edges[e][1]]) for e in s]
-    return Graph(len(used), edges), used
-
-
-def isomorphic(g1, g2):
-    """Whether g1 and g2 are isomorphic (see ``symmetry.isomorphic``)."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    from .symmetry import isomorphic
-    return isomorphic(vertex_closed_masks(g1), vertex_closed_masks(g2))
 
 
 def _data_lines(text):

@@ -9,13 +9,7 @@ neighborhood trace N[.] & C, so it runs in one pass over the elements.
 
 from collections import namedtuple
 
-from .graph_core import (bits, girth, induced_by_edges, mask_of, pendant_pairs,
-                         vertex_closed_masks)
-
-GIRTH5 = "Girth5"
-TRIANGLE_FREE_NO_C4 = "TriangleFreeNoC4"
-NOT_APPLICABLE = "NotApplicable"
-
+from .graph_core import bits, mask_of, vertex_closed_masks
 
 class VerifyReport(namedtuple(
         "VerifyReport", "is_dominating is_separating undominated unseparated truncated")):
@@ -105,53 +99,3 @@ def verify_vertex_code(g, vertices, max_pairs=100):
     return _verify_masks(vertex_closed_masks(g), mask_of(vertices, g.n), max_pairs)
 
 
-def separation_witness(g, c, e, f):
-    """Lowest-index code edge adjacent to exactly one of e, f; None if absent."""
-    if e == f:
-        raise ValueError("separation witness requires two distinct edges")
-    c.check_owner(g)
-    diff = (g.edge_mask(e) ^ g.edge_mask(f)) & c.mask
-    if diff == 0:
-        return None
-    return (diff & -diff).bit_length() - 1
-
-
-def cover_lemma_applicability(g, c):
-    """Which sufficiency shortcut certifies c as a code, if any.
-
-    Both require c to cover every vertex and to induce a pendant-free
-    subgraph.  GIRTH5 additionally needs girth >= 5.  TRIANGLE_FREE_NO_C4
-    needs g triangle-free and no two isolated code edges spanning an
-    induced 4-cycle.  Returns one of the module constants.
-    """
-    c.check_owner(g)
-    covered = set()
-    for e in c:
-        covered.update(g.edges[e])
-    if len(covered) != g.n:
-        return NOT_APPLICABLE
-    sub, _ = induced_by_edges(g, c)
-    if pendant_pairs(sub):
-        return NOT_APPLICABLE
-    gir = girth(g)
-    if gir >= 5:
-        return GIRTH5
-    if gir == 3:
-        return NOT_APPLICABLE
-    # Triangle-free: check isolated code edges pairwise for induced C_4s.
-    isolated = []
-    for e in c:
-        u, v = g.edges[e]
-        if (g.edge_mask(e) & c.mask) == 1 << e:
-            isolated.append((u, v))
-    for i in range(len(isolated)):
-        x, y = isolated[i]
-        for j in range(i + 1, len(isolated)):
-            u, v = isolated[j]
-            straight = g.has_edge(x, u) and g.has_edge(y, v)
-            crossed = g.has_edge(x, v) and g.has_edge(y, u)
-            # In a triangle-free graph at most one of the two pairings can
-            # be present; either one closes a C_4 and it is induced.
-            if straight or crossed:
-                return NOT_APPLICABLE
-    return TRIANGLE_FREE_NO_C4

@@ -72,12 +72,15 @@ class ReductionInstance(namedtuple(
 
 
 def validate_formula(f):
-    """List of constraint violations, empty when the formula qualifies."""
+    """List of constraint violations, empty when the formula qualifies.
+
+    Variables that never occur share one line, so the list stays short
+    whatever variable count the formula declares.
+    """
     problems = []
     if f.num_vars < 0:
         problems.append(f"negative variable count {f.num_vars}")
-    pos = [0] * f.num_vars
-    neg = [0] * f.num_vars
+    counts = {}  # variable -> [positive, negative] occurrences
     for i, clause in enumerate(f.clauses):
         if not 2 <= len(clause) <= 3:
             problems.append(f"clause {i} has {len(clause)} literals, want 2 or 3")
@@ -86,16 +89,23 @@ def validate_formula(f):
         for v, s in clause:
             if not 0 <= v < f.num_vars:
                 problems.append(f"clause {i} references unknown variable {v}")
-            elif s:
-                pos[v] += 1
             else:
-                neg[v] += 1
-    for v in range(f.num_vars):
-        if pos[v] != 2 or neg[v] != 1:
+                counts.setdefault(v, [0, 0])[0 if s else 1] += 1
+    for v in sorted(counts):
+        pos, neg = counts[v]
+        if pos != 2 or neg != 1:
             problems.append(
-                f"variable {v} occurs {pos[v]} times positive and {neg[v]} "
+                f"variable {v} occurs {pos} times positive and {neg} "
                 "negative, want 2 and 1"
             )
+    absent = f.num_vars - len(counts)
+    if absent > 0:
+        first = next(v for v in range(f.num_vars) if v not in counts)
+        last = next(v for v in range(f.num_vars - 1, -1, -1) if v not in counts)
+        problems.append(
+            f"{absent} of {f.num_vars} variables never occur (lowest {first}, highest {last}), "
+            "want each 2 times positive and 1 negative"
+        )
     return problems
 
 

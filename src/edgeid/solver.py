@@ -35,12 +35,14 @@ runs the plain loop, the automorphism group of the position graph,
 which the kernel builds at its first search and whose orbits it bans.
 A node budget caps the total work over both phases; runs that exhaust
 it fall back to a verified hint when one was supplied.
+
+The kernel and the bounds are imported where they are first used, so
+``approx_edge_code`` loads neither and a solve whose hint the lower
+bound certifies loads no kernel.
 """
 
 from collections import namedtuple
 
-from ._search import ConstraintSystem, search_exact_size
-from .bounds import log_lower, solver_lower_bound
 from .graph_core import (EdgeSet, RejectedInput, bits, mask_of, pendant_pairs,
                          vertex_closed_masks)
 from .identify import verify_edge_code, verify_vertex_code
@@ -133,6 +135,8 @@ def _suffix_pass(system, lower, cap, budget):
     start ``p`` whose search found a subset to that subset, the
     lex-least of size ``h[p]`` in ``[p, universe)``.
     """
+    from ._search import search_exact_size
+
     floor = system.floor
     hits = system.hits
     lows = system.lows
@@ -193,6 +197,8 @@ def _sweep(system, lower, cap, budget):
     solution is then the lex-least one of the suffix problem from ``j``
     at size ``k - j``, which is ``W``.
     """
+    from ._search import search_exact_size
+
     witnesses, nodes, exhausted = _suffix_pass(system, lower, cap, budget)
     if exhausted:
         return None, nodes, True
@@ -270,6 +276,8 @@ def _solve_masks(universe, masks, lower, budget, hint_mask):
         if not rest:
             mask = forced if size <= cap else None
         elif size < cap:  # the residual needs at least one more position
+            from ._search import ConstraintSystem
+
             residual = ConstraintSystem(len(positions), rest)
             residual.graph = masks, positions
             sub, nodes, exhausted = _sweep(residual, start - size, cap - size, budget)
@@ -299,6 +307,8 @@ def min_edge_code(g, options=None):
     opts = options if options is not None else SolveOptions()
     if g.m == 0:
         return SolveResult(STATUS_OPTIMAL, EdgeSet.from_indices(g, ()), 0, None, 0)
+    from .bounds import solver_lower_bound
+
     lower = solver_lower_bound(g)
     if lower is None:
         return SolveResult(STATUS_INFEASIBLE)
@@ -336,6 +346,8 @@ def min_vertex_code(g, options=None):
         hint_mask = mask_of(opts.upper_hint, g.n)
         if not verify_vertex_code(g, bits(hint_mask)).is_code:
             raise RejectedInput("upper_hint is not an identifying code")
+    from .bounds import log_lower
+
     status, mask, size, bound_used, nodes = _solve_masks(
         g.n, masks, (log_lower(g.n), "log-universe"), opts.budget, hint_mask
     )

@@ -11,7 +11,8 @@ from collections import Counter
 import pytest
 
 from edgeid._search import _state_keys
-from edgeid.graph_core import Graph, GraphBuilder, bits, isomorphic, pendant_pairs
+from edgeid.graph_core import Graph, GraphBuilder, bits, pendant_pairs
+from edgeid.properties import isomorphic
 from edgeid.reduction import SatFormula, attach_p_gadget
 
 

@@ -25,15 +25,9 @@ from edgeid.families import (
     jk_graph,
     standard_graph,
 )
-from edgeid.graph_core import (
-    EdgeSet,
-    girth,
-    induced_by_edges,
-    is_bipartite,
-    is_k_degenerate,
-    line_graph,
-)
+from edgeid.graph_core import EdgeSet, line_graph
 from edgeid.identify import verify_edge_code
+from edgeid.properties import girth, induced_by_edges, is_bipartite, is_k_degenerate
 from edgeid.reduction import (
     assignment_to_code,
     build_reduction,

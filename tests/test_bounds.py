@@ -29,7 +29,8 @@ from edgeid.bounds import (
     upper_bounds,
 )
 from edgeid.families import standard_graph
-from edgeid.graph_core import Graph, isomorphic, line_graph, pendant_pairs
+from edgeid.graph_core import Graph, line_graph, pendant_pairs
+from edgeid.properties import isomorphic
 
 
 def complete(n):

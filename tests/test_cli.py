@@ -448,6 +448,27 @@ class TestReduce:
         assert status == 3
         assert "occurs" in err
 
+    def test_huge_declared_variable_count(self, run_cli):
+        # no list as long as the declared count: 10^11 variables would not fit
+        status, out, err = run_cli(["reduce"], stdin="p cnf 99999999999 1\n1 0\n")
+        assert (status, out) == (3, "")
+        assert err.splitlines() == [
+            "clause 0 has 1 literals, want 2 or 3",
+            "variable 0 occurs 1 times positive and 0 negative, want 2 and 1",
+            "99999999998 of 99999999999 variables never occur (lowest 1, highest"
+            " 99999999998), want each 2 times positive and 1 negative",
+        ]
+
+    def test_absent_variables_share_one_line(self, run_cli):
+        status, out, err = run_cli(["reduce"], stdin="p cnf 200000 1\n1 2 0\n")
+        assert (status, out) == (3, "")
+        assert err.splitlines() == [
+            "variable 0 occurs 1 times positive and 0 negative, want 2 and 1",
+            "variable 1 occurs 1 times positive and 0 negative, want 2 and 1",
+            "199998 of 200000 variables never occur (lowest 2, highest 199999),"
+            " want each 2 times positive and 1 negative",
+        ]
+
     def test_malformed_cnf(self, run_cli):
         status, _, _ = run_cli(["reduce"], stdin="p cnf 2 1\n1 2\n")
         assert status == 3

@@ -16,20 +16,14 @@ from edgeid.families import (
     standard_graph,
     subdivided_regular_code,
 )
-from edgeid.graph_core import (
-    Graph,
-    Multigraph,
-    connected_components,
+from edgeid.graph_core import Multigraph, connected_components
+from edgeid.identify import verify_edge_code, verify_vertex_code
+from edgeid.properties import (
+    TRIANGLE_FREE_NO_C4,
+    cover_lemma_applicability,
     girth,
     induced_by_edges,
     isomorphic,
-    pendant_pairs,
-)
-from edgeid.identify import (
-    TRIANGLE_FREE_NO_C4,
-    cover_lemma_applicability,
-    verify_edge_code,
-    verify_vertex_code,
 )
 from edgeid.solver import min_edge_code
 

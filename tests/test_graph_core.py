@@ -15,31 +15,31 @@ from conftest import (
     reference_perfect_matching,
 )
 from edgeid import symmetry
-from edgeid.families import standard_graph
+from edgeid.families import bipartite_perfect_matching, standard_graph, subdivide_once
 from edgeid.graph_core import (
     EdgeSet,
     FormatError,
     Graph,
     GraphBuilder,
     Multigraph,
-    bipartite_perfect_matching,
     bits,
-    closed_edge_neighborhood,
     connected_components,
-    girth,
-    induced_by_edges,
-    is_bipartite,
-    is_k_degenerate,
-    isomorphic,
     line_graph,
     mask_of,
     pendant_pairs,
     read_code_file,
     read_edge_list,
     read_multigraph,
-    subdivide_once,
-    twin_pairs,
     write_edge_list,
+)
+from edgeid.properties import (
+    closed_edge_neighborhood,
+    girth,
+    induced_by_edges,
+    is_bipartite,
+    is_k_degenerate,
+    isomorphic,
+    twin_pairs,
 )
 
 
@@ -304,6 +304,15 @@ def test_pendant_pairs_named_cases():
     assert pendant_pairs(paw) == [(0, 1)]
     bull = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
     assert pendant_pairs(bull) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_pendant_pairs_are_the_edge_pairs_with_equal_neighborhoods(g):
+    # no edge set separates two edges exactly when N[e] = N[f]
+    nb = naive_edge_neighborhoods(g)
+    want = [(e, f) for e, f in itertools.combinations(range(g.m), 2) if nb[e] == nb[f]]
+    assert pendant_pairs(g) == want
 
 
 def test_girth_values():

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import naive_is_code
 from edgeid.graph_core import EdgeSet, Graph
-from edgeid.identify import (
+from edgeid.identify import verify_edge_code, verify_vertex_code
+from edgeid.properties import (
     GIRTH5,
     NOT_APPLICABLE,
     TRIANGLE_FREE_NO_C4,
     cover_lemma_applicability,
     separation_witness,
-    verify_edge_code,
-    verify_vertex_code,
 )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import edgeid
-from edgeid.families import standard_graph
+from edgeid.families import hypercube_matching, standard_graph
 from edgeid.graph_core import write_edge_list
 
 SRC = str(Path(edgeid.__file__).resolve().parents[1])
@@ -25,16 +25,19 @@ PUBLIC = {
     ),
     "families": (
         "FamilyInstance", "claw_free_example", "extremal_low1", "hypercube_matching",
-        "jk_graph", "known_code", "standard_graph", "subdivided_regular_code",
+        "jk_graph", "known_code", "standard_graph", "subdivide_once",
+        "subdivided_regular_code",
     ),
     "graph_core": (
         "EdgeSet", "FormatError", "Graph", "GraphBuilder", "Multigraph",
-        "RejectedInput", "closed_edge_neighborhood", "connected_components", "girth",
-        "induced_by_edges", "is_bipartite", "is_k_degenerate", "line_graph",
-        "pendant_pairs", "read_code_file", "read_edge_list", "read_multigraph",
-        "subdivide_once", "twin_pairs", "write_edge_list",
+        "RejectedInput", "connected_components", "line_graph", "pendant_pairs",
+        "read_code_file", "read_edge_list", "read_multigraph", "write_edge_list",
     ),
     "identify": ("VerifyReport", "verify_edge_code", "verify_vertex_code"),
+    "properties": (
+        "closed_edge_neighborhood", "girth", "induced_by_edges", "is_bipartite",
+        "is_k_degenerate", "twin_pairs",
+    ),
     "reduction": (
         "ReductionInstance", "SatFormula", "assignment_to_code", "attach_p_gadget",
         "build_reduction", "build_reduction_girth", "code_to_assignment",
@@ -84,28 +87,61 @@ def inputs(tmp_path):
     (tmp_path / "g.el").write_text(write_edge_list(g, code=[0, 1, 2, 3, 4, 5, 6, 7]))
     (tmp_path / "hint").write_text("".join(f"c {i}\n" for i in range(g.m)))
     (tmp_path / "f.cnf").write_text("p cnf 2 3\n1 2 0\n1 -2 0\n-1 2 0\n")
+    # the half-order bound certifies Q_4's perfect matching as optimal
+    q4 = standard_graph("hypercube", 4)
+    (tmp_path / "q4.el").write_text(write_edge_list(q4))
+    (tmp_path / "q4.code").write_text(
+        "".join(f"c {i}\n" for i in hypercube_matching(4).indices()))
     return tmp_path
 
 
-SOLVER = {"edgeid.solver", "edgeid._search", "edgeid.bounds", "edgeid.identify"}
+SOLVER = {"edgeid.solver", "edgeid.identify"}
 
 
 # (argv, modules beyond edgeid, edgeid.cli and edgeid.graph_core)
 SUBCOMMANDS = [
     (["verify", "g.el"], {"edgeid.identify"}),
     (["bounds", "g.el"], {"edgeid.bounds"}),
-    (["solve", "g.el", "--hint", "hint"], SOLVER),
+    (["solve", "g.el", "--hint", "hint"], SOLVER | {"edgeid._search", "edgeid.bounds"}),
+    (["solve", "q4.el", "--hint", "q4.code"], SOLVER | {"edgeid.bounds"}),
     (["approx", "g.el"], SOLVER),
     (["reduce", "f.cnf"], {"edgeid.reduction", "edgeid.identify"}),
     (["family", "cycle", "5"], {"edgeid.families"}),
     (["linegraph", "g.el"], set()),
 ]
+SUBCOMMAND_IDS = ["verify", "bounds", "solve", "certified-solve", "approx", "reduce",
+                  "family", "linegraph"]
 
 
-@pytest.mark.parametrize("argv, modules", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
+@pytest.mark.parametrize("argv, modules", SUBCOMMANDS, ids=SUBCOMMAND_IDS)
 def test_each_subcommand_loads_only_its_modules(inputs, argv, modules):
     body = f"from edgeid.cli import main\nassert main({argv!r}) in (0, 1)"
-    assert loaded_by(body, inputs) == {"edgeid", "edgeid.cli", "edgeid.graph_core"} | modules
+    loaded = loaded_by(body, inputs)
+    assert loaded == {"edgeid", "edgeid.cli", "edgeid.graph_core"} | modules
+    # the property checks serve the library and the tests only
+    assert "edgeid.properties" not in loaded
+
+
+def test_solver_import_loads_neither_kernel_nor_bounds(tmp_path):
+    assert loaded_by("import edgeid.solver", tmp_path) == {
+        "edgeid", "edgeid.solver", "edgeid.graph_core", "edgeid.identify"
+    }
+
+
+def test_cli_module_is_compiled_once(inputs):
+    """``python -m edgeid.cli`` runs cli.py as ``__main__``; nothing may
+    import it a second time as ``edgeid.cli``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "edgeid.cli", "verify", "q4.el",
+         "q4.code"],
+        cwd=inputs, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert {"edgeid", "edgeid.graph_core", "edgeid.identify"} <= imported
+    assert "edgeid.cli" not in imported
 
 
 @pytest.mark.parametrize("body, loads", [
@@ -125,11 +161,17 @@ def test_symmetry_loads_only_for_a_plain_loop_search(tmp_path, body, loads):
     assert ("edgeid.symmetry" in loaded_by(body, tmp_path)) == loads
 
 
-def test_graph_core_loads_symmetry_only_to_test_isomorphism(tmp_path):
+def test_properties_load_symmetry_only_to_test_isomorphism(tmp_path):
     assert loaded_by("import edgeid.graph_core", tmp_path) == {"edgeid", "edgeid.graph_core"}
-    body = ("from edgeid.graph_core import Graph, isomorphic\n"
+    assert loaded_by("import edgeid.properties", tmp_path) == {
+        "edgeid", "edgeid.graph_core", "edgeid.properties"
+    }
+    body = ("from edgeid.graph_core import Graph\n"
+            "from edgeid.properties import isomorphic\n"
             "assert isomorphic(Graph(3, [(0, 1)]), Graph(3, [(1, 2)]))")
-    assert loaded_by(body, tmp_path) == {"edgeid", "edgeid.graph_core", "edgeid.symmetry"}
+    assert loaded_by(body, tmp_path) == {
+        "edgeid", "edgeid.graph_core", "edgeid.properties", "edgeid.symmetry"
+    }
 
 
 def test_lazy_names_are_the_submodule_objects():

@@ -5,15 +5,9 @@ import random
 
 import pytest
 
-from edgeid.graph_core import (
-    EdgeSet,
-    FormatError,
-    GraphBuilder,
-    girth,
-    is_bipartite,
-    pendant_pairs,
-)
+from edgeid.graph_core import EdgeSet, FormatError, GraphBuilder, pendant_pairs
 from edgeid.identify import verify_edge_code
+from edgeid.properties import girth, is_bipartite
 from edgeid.reduction import (
     ReductionInstance,
     SatFormula,

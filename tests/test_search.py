@@ -464,7 +464,7 @@ def test_table_holds_at_most_cap_entries(monkeypatch):
             super().__init__(universe, constraints)
             self.tables = [t if t is None else Counted() for t in self.tables]
 
-    monkeypatch.setattr(solver, "ConstraintSystem", Watched)
+    monkeypatch.setattr(_search, "ConstraintSystem", Watched)
     for budget in (10**3, 10**4, 10**5, 10**6):
         held[0] = most[0] = clears[0] = 0
         res = min_edge_code(g, SolveOptions(budget=budget))

@@ -200,14 +200,14 @@ def test_every_search_goes_through_search_exact_size(monkeypatch, kind, params,
     # the suffix pass and the sweep both call the public kernel entry, so
     # a wrapper there sees every node the solve reports
     seen = []
-    kernel = solver.search_exact_size
+    kernel = _search.search_exact_size
 
     def counting(*args):
         out = kernel(*args)
         seen.append(out[2])
         return out
 
-    monkeypatch.setattr(solver, "search_exact_size", counting)
+    monkeypatch.setattr(_search, "search_exact_size", counting)
     res = min_edge_code(standard_graph(kind, params), SolveOptions(budget=budget))
     assert res.status == status and len(seen) > 1
     assert sum(seen) == res.nodes_used
@@ -378,7 +378,7 @@ def test_suffix_pass_maps_implied_witnesses(monkeypatch, kind, params):
     system, rest = _plain_residual(standard_graph(kind, params))
     given = []  # the witnesses that a search found or a map gave
     sources = []  # the witness that each accepted image is an image of
-    kernel = solver.search_exact_size
+    kernel = _search.search_exact_size
     mapped = ConstraintSystem.mapped
 
     def searching(*args):
@@ -394,7 +394,7 @@ def test_suffix_pass_maps_implied_witnesses(monkeypatch, kind, params):
             sources.append(witness)
         return out
 
-    monkeypatch.setattr(solver, "search_exact_size", searching)
+    monkeypatch.setattr(_search, "search_exact_size", searching)
     monkeypatch.setattr(ConstraintSystem, "mapped", spy)
     _, _, exhausted = _sweep(system, 0, system.universe, 10**7)
     assert not exhausted and system.keys is None
