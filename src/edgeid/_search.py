@@ -8,7 +8,7 @@ subset found is the lexicographically least one of size k.  A search may
 also start at a position ``start``.  It then counts every constraint whose
 lowest bit is below ``start`` as hit, and looks for a k-subset of
 ``[start, universe)`` that hits the constraints lying inside that range.
-The solver uses such suffix searches to raise the bound below.
+The Russian-doll search of ``least_optimum`` below is built on them.
 
 The search is iterative and works on arbitrary-width integer masks, so
 its depth is bounded by memory, not by the interpreter's recursion limit.
@@ -23,12 +23,12 @@ no step of the search touches a mask as wide as the universe.
 The search does not look at the constraint masks themselves.  A
 ``ConstraintSystem`` numbers the constraints once and stores their
 transpose: for each position ``p``, ``hits[p]`` is the set of
-constraints that contain ``p``, and ``tops[p]`` and ``lows[p]`` the sets
-of constraints whose top and lowest bit is ``p``, all as bitmasks over
-the constraint numbers.  The search keeps a stack ``hit`` in which
-``hit[c]`` is the set of constraints that count as hit from the start
-or that the lowest ``c`` included positions hit; the unhit constraints
-are the ones missing from it.  Every check is then one or two integer operations:
+constraints that contain ``p``, and ``tops[p]`` the set of constraints
+whose top bit is ``p``, both as bitmasks over the constraint numbers.
+The search keeps a stack ``hit`` in which ``hit[c]`` is the set of
+constraints that count as hit from the start or that the lowest ``c``
+included positions hit; the unhit constraints are the ones missing from
+it.  Every check is then one or two integer operations:
 
 - including ``pos`` pushes ``hit[count] | hits[pos]``;
 - a full k-subset is a solution iff ``hit[k]`` holds every constraint;
@@ -39,15 +39,17 @@ are the ones missing from it.  Every check is then one or two integer operations
 The constraints are numbered by lowest bit, highest first, and by
 ascending mask within one lowest bit.  So for every ``start`` the
 constraints inside ``[start, universe)`` are exactly the numbers below
-their count ``inside[start]``, and each ``lows[p]`` is one run of
-numbers.  A plain-loop search from ``start`` ANDs ``full`` and the
-``hits`` and ``tops`` of its suffix once with that prefix of numbers,
-drops the constraints below ``start`` that way instead of counting them
-as hit, and begins with nothing hit.  Every mask it then touches is no
-wider than its suffix's constraints: on Q_5, whose system holds 1,520
-constraints, the suffix searches from starts 31 to 44 concern 4 to 76
-of them, and the refutation from 31 took about 11% less time on the
-narrow masks (median of six interleaved in-process runs).
+their count ``inside[start]``, and the constraints whose lowest bit is
+``p`` are the run of numbers from ``inside[p + 1]`` up to ``inside[p]``,
+the mask ``(1 << inside[p]) - (1 << inside[p + 1])``.  A plain-loop
+search from ``start`` ANDs ``full`` and the ``hits`` and ``tops`` of its
+suffix once with that prefix of numbers, drops the constraints below
+``start`` that way instead of counting them as hit, and begins with
+nothing hit.  Every mask it then touches is no wider than its suffix's
+constraints: on Q_5, whose system holds 1,520 constraints, the suffix
+searches from starts 31 to 44 concern 4 to 76 of them, and the
+refutation from 31 took about 11% less time on the narrow masks
+(median of six interleaved in-process runs).
 
 The transpose is read off binary strings where the system is dense.
 Write a block of constraints as ``universe``-digit binary rows in
@@ -60,11 +62,9 @@ The strings hold a character for every (constraint, position) pair,
 held or not, so they pay only where at least 1/32 of the pairs are
 held, as in the line graphs of complete graphs, complete bipartite
 graphs and hypercubes; a sparser system, such as a long cycle or a
-reduction instance, sets one bit per pair it holds instead.  The
-numbering gives ``lows[p]`` as the run from ``inside[p + 1]`` up to
-``inside[p]``.  A constraint's top bit is the last position whose
-``hits`` holds it, so ``tops`` follows from a running OR of ``hits``
-from the right.
+reduction instance, sets one bit per pair it holds instead.  A
+constraint's top bit is the last position whose ``hits`` holds it, so
+``tops`` follows from a running OR of ``hits`` from the right.
 
 A bound then prunes subtrees that hold no solution.  ``floor[p]`` is a
 lower bound on the number of positions in ``[p, universe)`` that hit
@@ -80,9 +80,17 @@ A new system seeds ``floor[p]`` with a packing bound: the largest number
 of constraints inside ``[p, universe)`` whose spans from lowest to top
 bit are pairwise disjoint, since each of them needs an element of its
 own.  One right-to-left scan over the positions computes it for every
-``p``.  The solver then raises ``floor`` to the exact suffix optima, one
-position at a time from the right, before it searches the whole
-universe.
+``p``.
+
+``least_optimum`` finds the lex-least minimum hitting set of a system by
+Russian-doll search (Verfaillie, Lemaître and Schiex, AAAI 1996).  Its
+suffix pass raises ``floor[p]``, from the right, to the exact suffix
+optimum for every ``p >= 1``: the fewest positions in ``[p, universe)``
+that hit every constraint lying inside that range, most of them settled
+with no search (see ``_suffix_pass``).  The optimum of the whole system
+is then ``floor[1]`` or one more, and the sweep searches at most these
+two sizes from 0 (see ``_sweep``).  All these searches share the system,
+with its refuted-state table or its group, and one node budget.
 
 Searches on one system also share a table of refuted states.  At a node
 at ``pos`` with ``count`` positions included, what is left to decide
@@ -109,7 +117,7 @@ so those graphs pay nothing.  And the table holds at most
 ``TABLE_CAP`` states and is cleared when full, which bounds its memory
 whatever the node budget.
 
-The plain loop prunes by symmetry instead.  The solver stores the
+The plain loop prunes by symmetry instead.  ``least_optimum`` stores the
 position graph as the system's ``graph``, and the first plain-loop
 search builds from it a ``symmetry.BaseOrbits``, the system's ``group``.
 Its generators are automorphisms of the system, permutations of the
@@ -154,16 +162,16 @@ positions below it onto themselves without fixing them, and they
 matter: with only the levels at or above each start, K_7 to K_11 and
 Q_4 took more nodes.
 
-The solver's suffix pass reads the group too, through
-``ConstraintSystem.mapped``.  An automorphism that maps ``[0, start)``
-onto itself maps a suffix solution from ``start`` to another; the
-generators do not all do that, so ``mapped`` tries the image of the one
-witness it is given under each generator and keeps one only if it lies
-in ``[start, universe)`` and, with the constraints below ``start``, hits
-every constraint.  On Q_4 six such images stand in for suffix searches:
-the solve takes 16,579 nodes with them and 68,286 without.  Images
-under the generators' inverses, or of every witness the pass held at
-the same size, settled no suffix optimum that these did not.
+The suffix pass reads the group too, through ``ConstraintSystem.mapped``.
+An automorphism that maps ``[0, start)`` onto itself maps a suffix
+solution from ``start`` to another; the generators do not all do that,
+so ``mapped`` tries the image of the one witness it is given under each
+generator and keeps one only if it lies in ``[start, universe)`` and,
+with the constraints below ``start``, hits every constraint.  On Q_4
+six such images stand in for suffix searches: the solve takes 16,579
+nodes with them and 68,286 without.  Images under the generators'
+inverses, or of every witness the pass held at the same size, settled
+no suffix optimum that these did not.
 
 The loop keeps, for each position, the number of bans on it, folded
 into the room left above it so that the include test catches them
@@ -183,25 +191,26 @@ The loop therefore scans the last level in one pass.  Once a node has
 ``count = k - 1`` and ``floor[pos] <= 1``, every position to its right
 passes the bound too.  The floors fall as the position grows, except
 that a suffix search from ``p`` may meet the packing seed at ``p`` below
-the exact optimum at ``p + 1``; but the solver searches from ``p`` only
-at sizes ``k >= floor[p + 1]``, so a scan from ``p`` itself, where ``k =
-1``, sees floors of at most 1 as well.  With ``h = hit[k - 1]`` the scan
-walks ``q = pos, pos + 1, ...``: an unbanned ``q`` below the universe is
-included and is a solution iff ``h | hits[q]`` holds every constraint; a
-failed include or a banned ``q`` moves on iff its exclude is allowed,
-the exclude of a failed include banning ``orbits[q]`` if ``q`` lies
-below the last position with a nonempty one; anything else is a dead
-end, from which the loop unwinds.  A leaf bans nothing, so the scan has
-no bans to lift.  The scan bans the pointwise orbit, read off a list,
-rather than the orbit under ``H``: ``H`` there cut nodes on K_9 to
-K_11 but made them slower, since a failed include at the last level
-costs less than the generator tests.  The scan's bound is not
-``base``: a pointwise orbit above ``q`` is nonempty only below the
-group's last moved base level, while a generator that maps the
-positions below a start onto themselves may move positions up to the
-end.  On Q_5 such generators put ``base``
-near the end of the universe from starts 31 to 44, and all 116,099 of
-the scan's reads of ``orbits[q]`` there found it empty.  The scan
+the exact optimum at ``p + 1``.  So a search from ``p`` asks only ``k
+>= floor[p + 1]``, as the suffix pass (at ``floor[p + 1]``) and the
+sweep (from 0 at ``floor[1]`` or more) do, and a scan from ``p``
+itself, where ``k = 1``, sees floors of at most 1 as well.  With ``h =
+hit[k - 1]`` the scan walks ``q = pos, pos + 1, ...``: an unbanned
+``q`` below the universe is included and is a solution iff ``h |
+hits[q]`` holds every constraint; a failed include or a banned ``q``
+moves on iff its exclude is allowed, the exclude of a failed include
+banning ``orbits[q]`` if ``q`` lies below the last position with a
+nonempty one; anything else is a dead end, from which the loop
+unwinds.  A leaf bans nothing, so the scan has no bans to lift.  The
+scan bans the pointwise orbit, read off a list, rather than the orbit
+under ``H``: ``H`` there cut nodes on K_9 to K_11 but made them slower,
+since a failed include at the last level costs less than the generator
+tests.  The scan's bound is not ``base``: a pointwise orbit above ``q``
+is nonempty only below the group's last moved base level, while a
+generator that maps the positions below a start onto themselves may
+move positions up to the end.  On Q_5 such generators put ``base`` near
+the end of the universe from starts 31 to 44, and all 116,099 of the
+scan's reads of ``orbits[q]`` there found it empty.  The scan
 therefore walks the positions below its bound in a loop of its own,
 which leaves the first position that would end the scan to a second
 loop that reads no orbits; every Q_5 scan starts past the bound, and
@@ -250,8 +259,8 @@ class ConstraintSystem:
     from ``graph`` and reads for the plain loop at each start, and whose
     generators ``mapped`` applies to one suffix witness at a time."""
 
-    __slots__ = ("universe", "full", "hits", "tops", "lows", "inside", "floor",
-                 "keys", "tables", "stored", "graph", "group")
+    __slots__ = ("universe", "full", "hits", "tops", "inside", "floor", "keys",
+                 "tables", "stored", "graph", "group")
 
     def __init__(self, universe, constraints):
         # equal constraints would each count as containing the other; the
@@ -270,7 +279,6 @@ class ConstraintSystem:
         # top bit
         masks = []
         inside = [0] * (universe + 1)
-        lows = [0] * universe
         floor = [0] * (universe + 1)
         for p in range(universe - 1, -1, -1):
             run = runs[p]
@@ -279,7 +287,6 @@ class ConstraintSystem:
                 floor[p] = max(floor[p], 1 + floor[run[0].bit_length()])
                 masks += run
             inside[p] = len(masks)
-            lows[p] = (1 << inside[p]) - (1 << inside[p + 1])
         hits = _transpose(masks, universe)
         # a constraint's top bit is the last position whose hits holds it
         tops = [0] * universe
@@ -292,10 +299,9 @@ class ConstraintSystem:
         self.full = (1 << len(masks)) - 1
         self.hits = hits
         self.tops = tops
-        self.lows = lows
         self.inside = inside
         self.floor = floor
-        self.keys = keys = _state_keys(masks, hits, lows, tops)
+        self.keys = keys = _state_keys(masks, hits, inside, tops)
         # the refuted-state table: one dict per keyed position, and the
         # number of states they hold together
         self.tables = None if keys is None else [
@@ -420,7 +426,7 @@ def _transpose(masks, universe):
     return hits
 
 
-def _state_keys(masks, hits, lows, tops):
+def _state_keys(masks, hits, inside, tops):
     """``keys[p]``, the constraints whose hits decide a search state at ``p``.
 
     They are the constraints open at ``p`` (lowest bit below ``p``, top
@@ -430,15 +436,15 @@ def _state_keys(masks, hits, lows, tops):
     ``keys[p]`` is None at ``p = 0`` and where more than ``KEY_LIMIT``
     constraints are open; the result is None when that holds everywhere.
     """
-    keys = [None] * len(lows)
+    keys = [None] * len(tops)
     opened = 0
     keyed = 0
-    for p, (low, top) in enumerate(zip(lows, tops)):
+    for p, top in enumerate(tops):
         if p and opened.bit_count() <= KEY_LIMIT:
             keys[p] = opened
             keyed |= opened
         # a constraint topping out at p was open at p or starts there
-        opened = (opened | low) ^ top
+        opened = (opened | (1 << inside[p]) - (1 << inside[p + 1])) ^ top
     if all(key is None for key in keys):
         return None
     # a constraint inside a keyed one has its lowest bit in it
@@ -447,7 +453,7 @@ def _state_keys(masks, hits, lows, tops):
         reach |= masks[i]
     near = 0
     for q in bits(reach):
-        near |= lows[q]
+        near |= (1 << inside[q]) - (1 << inside[q + 1])
     # the keyed constraints containing constraint j are the ones that
     # every position of j hits
     supersets = 0
@@ -729,6 +735,11 @@ def search_exact_size(universe, constraints, k, budget, start=0):
     counts every constraint whose lowest bit is below ``start`` as hit
     already, so it looks for the lex-least k-subset of that range hitting
     the constraints that lie inside it.
+
+    Once the suffix pass has raised a system's floors, a search from
+    ``start < universe`` must ask ``k >= floor[start + 1]``, or the
+    last-level scan counts nodes that the loop never visits (see the
+    module docstring).  A new system's floors never rise to the right.
     """
     if k < 0:
         raise ValueError("need k >= 0")
@@ -743,3 +754,120 @@ def search_exact_size(universe, constraints, k, budget, start=0):
     if constraints.keys is not None:
         return _table_search(constraints, k, budget, start)
     return _search(constraints, k, budget, start)
+
+
+def _suffix_pass(system, lower, cap, budget):
+    """Raise ``system.floor[p]`` to the exact suffix optimum for ``p >= 1``.
+
+    Write ``h[p]`` for the suffix optimum from ``p``.  Then ``h[p+1] <=
+    h[p] <= h[p+1] + 1``, the packing seed is at most ``h[p]``, and
+    ``h[p] >= lower - p`` since any suffix solution plus the positions
+    below ``p`` is a code.  So ``h[p]`` is ``h[p+1] + 1`` when a seed
+    says so, ``h[p+1]`` when the witness of ``h[p+1]`` hits the
+    constraints with lowest bit ``p``, and otherwise the outcome of one
+    suffix search at ``h[p+1]``.  Before that search the pass asks
+    ``system.mapped`` for an image of the witness it holds for ``p + 1``
+    that solves the suffix problem from ``p``; one settles ``h[p] =
+    h[p+1]`` with no search.  For ``p >= 1`` the pass needs the value and
+    *some* witness, so a mapped one is held for ``covered`` and the next
+    mapping, but it is no lex-least subset and never enters
+    ``witnesses``.  A raise implies a witness too: when ``h[p] = h[p+1] +
+    1``, by a seed or after a refuted search, the witness ``W`` held for
+    ``p + 1`` plus ``p`` itself solves the suffix problem from ``p`` at
+    size ``h[p]``, and the pass holds it like a mapped one; on Q_4 the
+    images of such witnesses took the solve from 34,057 to 16,579 nodes.
+    So the held witness is always the latest one of its size: the one a
+    raise implied, or the last that a search found or a map gave.  The
+    pass stops early once a floor exceeds ``cap``, since every size up
+    to ``cap`` is then refuted, and leaves that floor at ``floor[1]``.
+
+    Returns ``(witnesses, nodes, exhausted)``.  ``witnesses`` maps each
+    start ``p`` whose search found a subset to that subset, the
+    lex-least of size ``h[p]`` in ``[p, universe)``.
+    """
+    floor = system.floor
+    hits = system.hits
+    inside = system.inside
+    held = 0  # a witness of floor[p + 1]
+    covered = 0  # the constraints that it hits
+    witnesses = {}
+    nodes = 0
+    for p in range(system.universe - 1, 0, -1):
+        k = floor[p + 1]
+        low = (1 << inside[p]) - (1 << inside[p + 1])
+        raised = max(floor[p], lower - p) > k
+        if not raised and covered & low != low:
+            mask = system.mapped(held, p)
+            if mask is None:
+                if nodes >= budget:
+                    return witnesses, nodes, True
+                found, mask, used, exhausted = search_exact_size(
+                    system.universe, system, k, budget - nodes, p)
+                nodes += used
+                if exhausted:
+                    return witnesses, nodes, True
+                if found:
+                    witnesses[p] = mask
+                raised = not found
+            if not raised:
+                held = mask
+                covered = 0
+                for q in bits(mask):
+                    covered |= hits[q]
+        if raised:
+            k += 1
+            held |= 1 << p
+            covered |= hits[p]
+        floor[p] = k
+        if k > cap:
+            # h never shrinks leftwards, so this floor holds at 1 too
+            floor[1] = max(floor[1], k)
+            break
+    return witnesses, nodes, False
+
+
+def _sweep(system, lower, cap, budget):
+    """``least_optimum`` on a built system, whose floors it raises.
+
+    A size ``k`` with ``floor[j] = k - j`` for a start ``j >= 1`` whose
+    search found the witness ``W`` needs no search: the search at ``k``
+    includes ``0, ..., j - 1`` first, which the floors allow since they
+    grow by at most one per position leftwards, and those positions hit
+    every constraint whose lowest bit lies below ``j``.  Its first
+    solution is then the lex-least one of the suffix problem from ``j``
+    at size ``k - j``, which is ``W``.
+    """
+    witnesses, nodes, exhausted = _suffix_pass(system, lower, cap, budget)
+    if exhausted:
+        return None, nodes, True
+    floor = system.floor
+    least = max(lower, floor[0], floor[1])
+    for k in (least, least + 1):
+        if k > cap:
+            break
+        for j, mask in witnesses.items():
+            if floor[j] == k - j:
+                return (1 << j) - 1 | mask, nodes, False
+        if nodes >= budget:
+            return None, nodes, True
+        found, mask, used, exhausted = search_exact_size(
+            system.universe, system, k, budget - nodes)
+        nodes += used
+        if found or exhausted:
+            return (mask if found else None), nodes, exhausted
+    return None, nodes, False
+
+
+def least_optimum(constraints, graph, lower, cap, budget):
+    """Lex-least minimum hitting set of ``constraints`` of size at most
+    ``cap``, by Russian-doll search (see the module docstring).
+
+    ``graph`` is ``(masks, positions)``, the system's ``graph``: its
+    universe is ``range(len(positions))``.  ``lower`` is a lower bound on
+    the optimum, and ``budget`` caps the nodes of every search together.
+    Returns ``(mask, nodes, exhausted)``; ``mask`` is None when every
+    size up to ``cap`` was refuted or the budget ran out first.
+    """
+    system = ConstraintSystem(len(graph[1]), constraints)
+    system.graph = graph
+    return _sweep(system, lower, cap, budget)

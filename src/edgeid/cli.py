@@ -156,7 +156,6 @@ def _family_instance(args):
             raise _UsageError("subdivided takes one parameter k and --multigraph FILE")
         mg = read_multigraph(_read_text(args.multigraph))
         return families.subdivided_regular_code(mg, params[0])
-    raise _UsageError(f"unknown family kind {kind!r}")
 
 
 def cmd_family(args):

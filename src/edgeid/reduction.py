@@ -36,7 +36,6 @@ codes, are unaffected, while the totals and labels stay exact:
 from collections import namedtuple
 
 from .graph_core import EdgeSet, FormatError, GraphBuilder, RejectedInput
-from .identify import verify_edge_code
 
 
 class SatFormula(namedtuple("SatFormula", "num_vars clauses")):
@@ -274,6 +273,8 @@ def code_to_assignment(inst, c):
     FALSE when tbar1 and tbar2 both are.  Returns None when some
     variable matches neither pattern, which a size-k code never does.
     """
+    from .identify import verify_edge_code
+
     c.check_owner(inst.graph)
     if len(c) > inst.k:
         raise ValueError(f"code has {len(c)} edges, target is {inst.k}")

@@ -16,25 +16,11 @@ set plus the residual's lex-least optimum is the lex-least optimum.  On
 reduction instances this removes about a third of the edges and most of
 the constraints; graphs without a singleton are searched as they are.
 
-The search is a Russian-doll search over the remaining indices.  A suffix
-pass first computes, from the right, the exact optimum of each suffix
-subproblem: the fewest positions in ``[p, m)`` that hit every constraint
-lying inside that range.  Suffix optima grow by at most one per step,
-so each is settled by a lower bound, by a witness of its right
-neighbour, by the image of a witness under the position graph's
-automorphisms, or by one kernel search at the neighbour's value, which
-the optima already found prune.  The optimum of the whole instance is
-then the optimum ``f`` of the suffix from 1, or ``f + 1``: the sweep
-searches at most these two sizes, starting from the larger of ``f`` and
-an analytic lower bound.
-Within a size the kernel returns the lexicographically least code; a
-size whose answer a suffix search already found needs no search (see
-``_sweep``).  All searches of a solve share one ``ConstraintSystem`` and
-with it the kernel's table of refuted states, or, for a system that
-runs the plain loop, the automorphism group of the position graph,
-which the kernel builds at its first search and whose orbits it bans.
-A node budget caps the total work over both phases; runs that exhaust
-it fall back to a verified hint when one was supplied.
+The residual goes to ``_search.least_optimum``, which returns its
+lex-least optimum up to the cap by Russian-doll search: exact suffix
+optima first, then at most two sizes of the whole residual (see
+``_search``).  A node budget caps the total work; runs that exhaust it
+fall back to a verified hint when one was supplied.
 
 The kernel and the bounds are imported where they are first used, so
 ``approx_edge_code`` loads neither and a solve whose hint the lower
@@ -60,19 +46,16 @@ class SolveOptions(namedtuple("SolveOptions", "budget upper_hint",
     """Knobs for the exact solvers.
 
     ``upper_hint`` is a known code (edge indices for ``min_edge_code``,
-    vertex indices for ``min_vertex_code``).  It caps the search: the
-    suffix pass stops once a suffix optimum exceeds every size below the
-    hint, the sweep tries at most two sizes below it, and if every such
-    size is refuted the hint is returned as optimal.
+    vertex indices for ``min_vertex_code``).  Only sizes below it are
+    searched, and if every one is refuted the hint is returned as optimal.
 
-    ``budget`` caps search nodes only, over the suffix pass and the sweep
-    together.  It does not bound the preparation before the first node:
-    the constraint build grows faster than the number of constraints, and
-    a solve on the plain loop builds the automorphism group of the
-    positions at its first search.  K_25's 45,150 constraints take about
-    0.12 s to build and its group about 0.05 s, most of a 2,000-node solve
-    of about 0.18 s (best of 9 in-process runs on one core of a 2-core
-    Xeon, Python 3.11).
+    ``budget`` caps search nodes only, over every search of a solve.  It
+    does not bound the preparation before the first node: the constraint
+    build grows faster than the number of constraints, and a solve on the
+    plain loop builds the automorphism group of the positions at its
+    first search.  K_25's 45,150 constraints take about 0.12 s to build
+    and its group about 0.05 s, most of a 2,000-node solve of about 0.18 s
+    (best of 9 in-process runs on one core of a 2-core Xeon, Python 3.11).
     """
 
     __slots__ = ()
@@ -105,126 +88,11 @@ def _constraints_from_masks(masks):
     return sorted(cons)
 
 
-def _suffix_pass(system, lower, cap, budget):
-    """Raise ``system.floor[p]`` to the exact suffix optimum for ``p >= 1``.
-
-    Write ``h[p]`` for the fewest positions in ``[p, universe)`` hitting
-    every constraint whose lowest bit is at least ``p``.  Then ``h[p+1] <=
-    h[p] <= h[p+1] + 1``, the packing seed is at most ``h[p]``, and
-    ``h[p] >= lower - p`` since any suffix solution plus the positions
-    below ``p`` is a code.  So ``h[p]`` is ``h[p+1] + 1`` when a seed
-    says so, ``h[p+1]`` when the witness of ``h[p+1]`` hits the
-    constraints with lowest bit ``p``, and otherwise the outcome of one
-    suffix search at ``h[p+1]``.  Before that search the pass asks
-    ``system.mapped`` for an image of the witness it holds for ``p + 1``
-    that solves the suffix problem from ``p``; one settles ``h[p] =
-    h[p+1]`` with no search.  For ``p >= 1`` the pass needs the value and
-    *some* witness, so a mapped one is held for ``covered`` and the next
-    mapping, but it is no lex-least subset and never enters
-    ``witnesses``.  A raise implies a witness too: when ``h[p] = h[p+1] +
-    1``, by a seed or after a refuted search, the witness ``W`` held for
-    ``p + 1`` plus ``p`` itself solves the suffix problem from ``p`` at
-    size ``h[p]``, and the pass holds it like a mapped one; on Q_4 the
-    images of such witnesses took the solve from 34,057 to 16,579 nodes.
-    So the held witness is always the latest one of its size: the one a
-    raise implied, or the last that a search found or a map gave.  The
-    pass stops early once a floor exceeds ``cap``, since every size up
-    to ``cap`` is then refuted, and leaves that floor at ``floor[1]``.
-
-    Returns ``(witnesses, nodes, exhausted)``.  ``witnesses`` maps each
-    start ``p`` whose search found a subset to that subset, the
-    lex-least of size ``h[p]`` in ``[p, universe)``.
-    """
-    from ._search import search_exact_size
-
-    floor = system.floor
-    hits = system.hits
-    lows = system.lows
-    held = 0  # a witness of floor[p + 1]
-    covered = 0  # the constraints that it hits
-    witnesses = {}
-    nodes = 0
-    for p in range(system.universe - 1, 0, -1):
-        low = lows[p]
-        k = floor[p + 1]
-        if max(floor[p], lower - p) > k:
-            k += 1
-            held |= 1 << p
-            covered |= hits[p]
-        elif covered & low != low:
-            mask = system.mapped(held, p)
-            if mask is None:
-                if nodes >= budget:
-                    return witnesses, nodes, True
-                found, mask, used, exhausted = search_exact_size(
-                    system.universe, system, k, budget - nodes, p)
-                nodes += used
-                if exhausted:
-                    return witnesses, nodes, True
-                if found:
-                    witnesses[p] = mask
-                else:
-                    mask = None
-            if mask is None:
-                k += 1
-                held |= 1 << p
-                covered |= hits[p]
-            else:
-                held = mask
-                covered = 0
-                for q in bits(mask):
-                    covered |= hits[q]
-        floor[p] = k
-        if k > cap:
-            # h never shrinks leftwards, so this floor holds at 1 too
-            floor[1] = max(floor[1], k)
-            break
-    return witnesses, nodes, False
-
-
-def _sweep(system, lower, cap, budget):
-    """Lex-least minimum hitting set of ``system`` of size at most ``cap``.
-
-    ``lower`` is a lower bound on the optimum.  Returns
-    ``(mask, nodes, exhausted)``; ``mask`` is None when every size up to
-    ``cap`` was refuted or the budget ran out first.
-
-    A size ``k`` with ``floor[j] = k - j`` for a start ``j >= 1`` whose
-    search found the witness ``W`` needs no search: the search at ``k``
-    includes ``0, ..., j - 1`` first, which the floors allow since they
-    grow by at most one per position leftwards, and those positions hit
-    every constraint whose lowest bit lies below ``j``.  Its first
-    solution is then the lex-least one of the suffix problem from ``j``
-    at size ``k - j``, which is ``W``.
-    """
-    from ._search import search_exact_size
-
-    witnesses, nodes, exhausted = _suffix_pass(system, lower, cap, budget)
-    if exhausted:
-        return None, nodes, True
-    floor = system.floor
-    least = max(lower, floor[0], floor[1])
-    for k in (least, least + 1):
-        if k > cap:
-            break
-        for j, mask in witnesses.items():
-            if floor[j] == k - j:
-                return (1 << j) - 1 | mask, nodes, False
-        if nodes >= budget:
-            return None, nodes, True
-        found, mask, used, exhausted = search_exact_size(
-            system.universe, system, k, budget - nodes)
-        nodes += used
-        if found or exhausted:
-            return (mask if found else None), nodes, exhausted
-    return None, nodes, False
-
-
 def _strip_forced(universe, constraints):
     """Split off the positions that singleton constraints force.
 
     Every code holds a singleton's position, so the forced set ``F`` is
-    in every code, and the constraints it hits need nothing more.  The
+    in every code, and the constraints that meet it need nothing more.  The
     rest is a residual system over the positions still in some
     constraint, renumbered in ascending order: the codes of size ``k``
     are ``F`` plus the residual solutions of size ``k - |F|``, and the
@@ -253,16 +121,16 @@ def _solve_masks(universe, masks, lower, budget, hint_mask):
     """Shared exact solve.  Returns ``(status, mask, size, bound_used, nodes)``.
 
     ``lower`` is a ``(value, name)`` analytic bound.  The caller has
-    excluded twins and verified the hint.  Without a hint the sweep is
-    capped at the full universe, which is always a code here, so it
-    cannot come back empty.  Constraints are built and prepared for the
-    kernel only when a search is due, so a hint that the lower bound
-    already certifies costs no build.  The forced positions are split
-    off first, and the sweep runs on the residual with the bound and
-    the cap lowered by their count; an empty residual needs no search.
-    The residual carries ``masks`` and its positions as its ``graph``,
-    whose automorphisms the plain loop bans by: an automorphism maps the
-    forced positions, and so the residual, onto themselves.
+    excluded twins and verified the hint.  Without a hint the cap is the
+    full universe, which is always a code here, so the search cannot
+    come back empty.  Constraints are built only when a search is due,
+    so a hint that the lower bound already certifies costs no build.
+    The forced positions are split off first, and the residual is
+    searched with the bound and the cap lowered by their count; an
+    empty residual needs no search.  The residual goes with ``masks``
+    and its positions as its position graph, whose automorphisms the
+    plain loop bans by: an automorphism maps the forced positions, and
+    so the residual, onto themselves.
     """
     start, name = lower
     bound_used = (name, start)
@@ -276,11 +144,10 @@ def _solve_masks(universe, masks, lower, budget, hint_mask):
         if not rest:
             mask = forced if size <= cap else None
         elif size < cap:  # the residual needs at least one more position
-            from ._search import ConstraintSystem
+            from ._search import least_optimum
 
-            residual = ConstraintSystem(len(positions), rest)
-            residual.graph = masks, positions
-            sub, nodes, exhausted = _sweep(residual, start - size, cap - size, budget)
+            sub, nodes, exhausted = least_optimum(
+                rest, (masks, positions), start - size, cap - size, budget)
             if sub is not None:
                 mask = forced | sum(1 << positions[i] for i in bits(sub))
     if mask is not None:

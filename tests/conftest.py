@@ -157,21 +157,23 @@ def numbered(constraints):
 
 
 def reference_build(universe, constraints):
-    """``(hits, tops, lows, floor, keys)`` of ``ConstraintSystem``, built
-    by OR-ing one bit per (constraint, position) pair, the build the
-    string transpose replaced on dense systems.  The floors are the
-    packing seed, and ``keys`` is ``_state_keys`` of these arrays."""
+    """``(hits, tops, inside, floor, keys)`` of ``ConstraintSystem``,
+    built by OR-ing one bit per (constraint, position) pair, the build the
+    string transpose replaced on dense systems.  ``inside[p]`` counts the
+    constraints inside ``[p, universe)``, the floors are the packing seed,
+    and ``keys`` is ``_state_keys`` of these arrays."""
     masks = numbered(constraints)
     hits = [0] * universe
     tops = [0] * universe
-    lows = [0] * universe
+    inside = [0] * (universe + 1)
     shortest = [universe] * universe  # least top bit per lowest bit
     for i, c in enumerate(masks):
         bit = 1 << i
         top = c.bit_length() - 1
         tops[top] |= bit
         low = (c & -c).bit_length() - 1
-        lows[low] |= bit
+        for p in range(low + 1):
+            inside[p] += 1
         shortest[low] = min(shortest[low], top)
         for q in bits(c >> low):
             hits[low + q] |= bit
@@ -180,7 +182,7 @@ def reference_build(universe, constraints):
         floor[p] = floor[p + 1]
         if shortest[p] < universe:
             floor[p] = max(floor[p], 1 + floor[shortest[p] + 1])
-    return hits, tops, lows, floor, _state_keys(masks, hits, lows, tops)
+    return hits, tops, inside, floor, _state_keys(masks, hits, inside, tops)
 
 
 def reference_keys(universe, constraints, limit=64):

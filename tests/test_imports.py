@@ -105,7 +105,7 @@ SUBCOMMANDS = [
     (["solve", "g.el", "--hint", "hint"], SOLVER | {"edgeid._search", "edgeid.bounds"}),
     (["solve", "q4.el", "--hint", "q4.code"], SOLVER | {"edgeid.bounds"}),
     (["approx", "g.el"], SOLVER),
-    (["reduce", "f.cnf"], {"edgeid.reduction", "edgeid.identify"}),
+    (["reduce", "f.cnf"], {"edgeid.reduction"}),
     (["family", "cycle", "5"], {"edgeid.families"}),
     (["linegraph", "g.el"], set()),
 ]

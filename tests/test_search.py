@@ -344,8 +344,9 @@ def test_state_keys_match_reference(limit, system):
 def test_each_suffix_numbers_its_constraints_first():
     # constraints are numbered by lowest bit, highest first, and by
     # ascending mask within one lowest bit: from every start, those inside
-    # [start, universe) are the numbers below their count; each lows[p] is
-    # one run, and tops[p] holds exactly the constraints whose top bit is p
+    # [start, universe) are the numbers below their count; those with
+    # lowest bit p are the run from inside[p + 1] up to inside[p], and
+    # tops[p] holds exactly the constraints whose top bit is p
     rng = random.Random(25)
     for _ in range(200):
         universe, constraints, _ = random_instance(rng, 20)
@@ -359,9 +360,8 @@ def test_each_suffix_numbers_its_constraints_first():
             assert inside == (1 << inside.bit_count()) - 1, start
             assert system.below(start) == system.full ^ inside, start
         for p in range(universe):
-            low = system.lows[p]
+            low = (1 << system.inside[p]) - (1 << system.inside[p + 1])
             assert low == sum(1 << i for i, c in enumerate(masks) if c & -c == 1 << p)
-            assert (low + (low & -low)) & low == 0, p
             assert system.tops[p] == sum(1 << i for i, c in enumerate(masks)
                                          if c.bit_length() == p + 1), p
 
@@ -380,8 +380,8 @@ def test_build_takes_constraints_in_any_order():
         repeated = shuffled + rng.choices(constraints, k=3)
         for given in (shuffled, repeated, constraints[::-1], iter(constraints)):
             got = ConstraintSystem(universe, given)
-            assert (got.full, got.hits, got.tops, got.lows, got.floor, got.keys) == (
-                want.full, want.hits, want.tops, want.lows, want.floor, want.keys)
+            assert (got.full, got.hits, got.tops, got.inside, got.floor, got.keys) == (
+                want.full, want.hits, want.tops, want.inside, want.floor, want.keys)
         for bad, message in ((0, "nonzero"), (1 << universe, "exceeds")):
             at = rng.randint(0, len(constraints))
             with pytest.raises(ValueError, match=message):
@@ -389,12 +389,12 @@ def test_build_takes_constraints_in_any_order():
 
 
 def test_build_matches_per_pair_reference(monkeypatch):
-    # hits, tops, lows, floor and keys are the per-pair build's, whether
+    # hits, tops, inside, floor and keys are the per-pair build's, whether
     # the transpose reads the system from binary strings (fill at least
     # 1/32) or one pair at a time, and whatever the block size
     def check(universe, constraints):
         system = ConstraintSystem(universe, constraints)
-        got = (system.hits, system.tops, system.lows, system.floor, system.keys)
+        got = (system.hits, system.tops, system.inside, system.floor, system.keys)
         assert got == reference_build(universe, constraints)
         masks = set(constraints)
         return 32 * sum(c.bit_count() for c in masks) >= len(masks) * universe

@@ -20,9 +20,9 @@ from conftest import (
     pendant_free_unions,
     random_connected_pendant_free,
 )
-from corpus_nodes import compare, read, solve_all, worse
+from corpus_nodes import compare, corpus, read, solve_all, worse
 from edgeid import _search, solver
-from edgeid._search import ConstraintSystem
+from edgeid._search import ConstraintSystem, _sweep
 from edgeid.families import standard_graph
 from edgeid.graph_core import (EdgeSet, Graph, RejectedInput, bits, line_graph,
                                pendant_pairs)
@@ -31,7 +31,6 @@ from edgeid.reduction import build_reduction
 from edgeid.solver import (
     SolveOptions,
     _constraints_from_masks,
-    _sweep,
     approx_edge_code,
     min_edge_code,
     min_vertex_code,
@@ -213,6 +212,32 @@ def test_every_search_goes_through_search_exact_size(monkeypatch, kind, params,
     assert sum(seen) == res.nodes_used
     if status == "BudgetExhausted":
         assert res.nodes_used == budget + 1
+
+
+def test_every_search_asks_at_least_the_next_floor(monkeypatch):
+    # the last-level scan counts only the nodes that the loop visits when
+    # a search from start asks k >= floor[start + 1] (search_exact_size's
+    # rule); the suffix pass and the sweep both keep it
+    asked = []
+    kernel = _search.search_exact_size
+
+    def checking(universe, system, k, budget, start=0):
+        if start < universe:
+            asked.append((start, k, system.floor[start + 1]))
+        return kernel(universe, system, k, budget, start)
+
+    monkeypatch.setattr(_search, "search_exact_size", checking)
+    for i, (_, g) in enumerate(corpus()):
+        if i % 10 == 0:
+            min_edge_code(g)
+    budgeted = [standard_graph("complete", 9), standard_graph("hypercube", 4),
+                standard_graph("hypercube", 5), build_reduction(SEED0_SAT2).graph,
+                build_reduction(SEED0_SAT3).graph]
+    for g in budgeted:
+        min_edge_code(g, SolveOptions(budget=300_000))
+    assert [ask for ask in asked if ask[1] < ask[2]] == []
+    # suffix searches and searches from 0 both ran
+    assert {start > 0 for start, _, _ in asked} == {True, False}
 
 
 @pytest.mark.parametrize("kind, params", [("complete", 5), ("cycle", 12),

@@ -344,13 +344,13 @@ def test_min_vertex_code_maps_suffix_witnesses(monkeypatch):
 
     monkeypatch.setattr(_search.ConstraintSystem, "mapped", spy)
     plain = []
-    sweep = solver._sweep
+    sweep = _search._sweep
 
     def spy_sweep(system, *args):
         plain.append(system.keys is None)
         return sweep(system, *args)
 
-    monkeypatch.setattr(solver, "_sweep", spy_sweep)
+    monkeypatch.setattr(_search, "_sweep", spy_sweep)
     rook = Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
                       if (u // 4 == v // 4) != (u % 4 == v % 4)])
     graphs = [rook, _circulant(17, (1, 2, 4, 8)), _circulant(19, (1, 5, 7)),
