@@ -8,6 +8,7 @@ import random
 import pytest
 
 from conftest import naive_min_vertex_code, random_connected_pendant_free, reference_refine
+from corpus_nodes import corpus
 from edgeid import _search, solver, symmetry
 from edgeid.families import standard_graph
 from edgeid.graph_core import Graph, bits
@@ -265,6 +266,42 @@ def test_group_generators_are_pinned(pendant_free_all):
         count += 1
     assert count == PINNED[0]
     assert digest.hexdigest() == PINNED[1]
+
+
+def _pinned_systems():
+    """The graphs whose residual systems are pinned: the corpus of
+    ``corpus_nodes.py``, then small families and Petersen."""
+    for _, g in corpus():
+        yield g
+    yield from (standard_graph("complete", n) for n in range(4, 10))
+    yield from (standard_graph("complete_bipartite", (a, b))
+                for a in range(1, 6) for b in range(a, 6))
+    yield from (standard_graph("hypercube", d) for d in range(2, 6))
+    yield standard_graph("petersen")
+
+
+# (systems, SHA-256 of their fields as built, before any search)
+PINNED_SYSTEMS = (457, "c620c0c3f0fffdba58d6d30739b595bdb7712531d5ee10119f4bd3b17e7e66c0")
+
+
+def test_constraint_systems_are_pinned(monkeypatch):
+    # a change to how a residual's system is built must number the same
+    # constraints and give the same floors, transpose and state keys; the
+    # solve stops at the system, before its first search
+    digest = hashlib.sha256()
+    count = 0
+
+    def stop(system, lower, cap, budget):
+        nonlocal count
+        digest.update(repr((system.universe, system.inside, system.floor,
+                            system.hits, system.tops, system.keys)).encode())
+        count += 1
+        return None, 0, True
+
+    monkeypatch.setattr(_search, "_sweep", stop)
+    for g in _pinned_systems():
+        solver.min_edge_code(g)
+    assert (count, digest.hexdigest()) == PINNED_SYSTEMS
 
 
 def test_leaf_check_rejects_what_refinement_cannot(monkeypatch):
