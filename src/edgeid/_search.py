@@ -317,12 +317,12 @@ class ConstraintSystem:
         Returns ``(orbits, gens, movable)``, all empty when the system has
         neither a ``group`` nor a ``graph`` to build one from.  The first
         call builds ``group`` from ``graph``.  ``orbits`` are the group's
-        orbits along the positions up to the last nonempty one, so that
-        its length bounds the positions that ban one, ``gens`` its
-        generators that map
-        ``[0, start)`` onto itself, each as ``(images, prefix, moved)``
-        (see ``symmetry.BaseOrbits``), and ``movable`` the union of their
-        ``moved`` masks: the positions whose ban a generator can make.
+        orbits along the positions up to its ``reach``, the last nonempty
+        one, so that their length bounds the positions that ban one,
+        ``gens`` its generators that map ``[0, start)`` onto itself, each
+        as ``(images, prefix, moved)`` (see ``symmetry.BaseOrbits``), and
+        ``movable`` the union of their ``moved`` masks: the positions
+        whose ban a generator can make.
         """
         group = self.group
         if group is None:
@@ -331,15 +331,11 @@ class ConstraintSystem:
             from .symmetry import BaseOrbits
 
             group = self.group = BaseOrbits(*self.graph)
-        orbits = group.orbits
-        reach = len(orbits)
-        while reach and not orbits[reach - 1]:
-            reach -= 1
         gens = [move for move in group.moves if move[1] >> start & 1]
         movable = 0
         for _, _, moved in gens:
             movable |= moved
-        return orbits[:reach], gens, movable
+        return group.orbits[:group.reach], gens, movable
 
     def mapped(self, witness, start):
         """An image of ``witness`` that solves the suffix problem from
@@ -404,7 +400,7 @@ def _transpose(masks, universe):
     sparser one pair by pair; see the module docstring.
     """
     hits = [0] * universe
-    pairs = sum(c.bit_count() for c in masks)
+    pairs = sum(map(int.bit_count, masks))
     if not masks or 32 * pairs < len(masks) * universe:
         for i, c in enumerate(masks):
             bit = 1 << i
@@ -448,20 +444,23 @@ def _state_keys(masks, hits, inside, tops):
     if all(key is None for key in keys):
         return None
     # a constraint inside a keyed one has its lowest bit in it
-    reach = 0
-    for i in bits(keyed):
-        reach |= masks[i]
     near = 0
-    for q in bits(reach):
-        near |= (1 << inside[q]) - (1 << inside[q + 1])
+    for q, hit in enumerate(hits):
+        if hit & keyed:
+            near |= (1 << inside[q]) - (1 << inside[q + 1])
     # the keyed constraints containing constraint j are the ones that
-    # every position of j hits
+    # every position of j hits, the top one first; the scan stops once
+    # only j is left
     supersets = 0
     for j in bits(near):
-        containing = keyed
-        for q in bits(masks[j]):
-            containing &= hits[q]
-        supersets |= containing & ~(1 << j)
+        bit = 1 << j
+        c = masks[j]
+        containing = (keyed | bit) & hits[c.bit_length() - 1]
+        while c and containing != bit:
+            low = c & -c
+            c ^= low
+            containing &= hits[low.bit_length() - 1]
+        supersets |= containing ^ bit
     return [key if key is None else key & ~supersets for key in keys]
 
 
@@ -513,7 +512,6 @@ def _search(system, k, budget, start):
     orbits, gens, movable = system.bans(start)
     base = movable.bit_length()
     reach = len(orbits)
-    bans_at = [movable >> p & 1 for p in range(base)]
     depth = min(k, universe - start)
     hit = [0] * (depth + 1)
     if not k:
@@ -623,7 +621,7 @@ def _search(system, k, budget, start):
                         for r in banned:
                             room[r] += shift
                         logged = log[-1][0] if log else -1
-                    if bans_at[p]:
+                    if movable >> p & 1:
                         entry = kept[count]
                         if entry is None:
                             entry = kept[count] = _movers(stack, count, gens)

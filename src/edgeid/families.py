@@ -249,7 +249,7 @@ def hypercube_matching(d):
     code of size 2^(d-1).
     """
     if d < 4:
-        raise ValueError("need d >= 4")
+        raise ValueError("matching needs d >= 4")
     g = standard_graph("hypercube", d)
     idx = [g.edge_index(u, v) for u, v in _matching_pairs(d)]
     return EdgeSet.from_indices(g, idx)
@@ -264,7 +264,7 @@ def jk_graph(k):
     with a k-edge code can carry.  ``claimed_code`` is the path.
     """
     if k < 3:
-        raise ValueError("need k >= 3")
+        raise ValueError("jk needs k >= 3")
     builder = GraphBuilder()
     _, path_edges = _add_j_block(builder, k)
     g = builder.to_graph()
@@ -309,7 +309,7 @@ def extremal_low1(k):
     form a code of size k.
     """
     if k < 3:
-        raise ValueError("need k >= 3")
+        raise ValueError("extremal1 needs k >= 3")
     r = k % 3
     if r == 0:
         block_sizes = [3] * (k // 3)
@@ -418,7 +418,7 @@ def subdivided_regular_code(mg, k):
     vertex).  Size (k-1)|V|, which is optimal for k >= 3.
     """
     if k < 3:
-        raise ValueError("need k >= 3")
+        raise ValueError("subdivided needs k >= 3")
     if not mg.is_regular(k):
         raise ValueError("multigraph is not k-regular")
     g1 = subdivide_once(mg)
@@ -457,7 +457,7 @@ def claw_free_example(k):
     vertex code; the graph is not a line graph.
     """
     if not 2 <= k <= 12:
-        raise ValueError("need 2 <= k <= 12")
+        raise ValueError("clawfree needs 2 <= k <= 12")
     edges = list(combinations(range(k), 2))
     for s in range(1, 1 << k):
         bv = k + s - 1

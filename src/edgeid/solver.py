@@ -53,8 +53,8 @@ class SolveOptions(namedtuple("SolveOptions", "budget upper_hint",
     does not bound the preparation before the first node: the constraint
     build grows faster than the number of constraints, and a solve on the
     plain loop builds the automorphism group of the positions at its
-    first search.  K_25's 45,150 constraints take about 0.12 s to build
-    and its group about 0.05 s, most of a 2,000-node solve of about 0.18 s
+    first search.  K_25's 45,150 constraints take about 0.10 s to build
+    and its group about 0.03 s, most of a 2,000-node solve of about 0.14 s
     (best of 9 in-process runs on one core of a 2-core Xeon, Python 3.11).
     """
 
@@ -77,11 +77,17 @@ def _constraints_from_masks(masks):
     cons = set(masks)
     for i, mi in enumerate(masks):
         reach = 0
-        for x in bits(mi):
-            reach |= masks[x]
-        shift = i + 1
-        for j in bits(reach >> shift):
-            d = mi ^ masks[j + shift]
+        rest = mi
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reach |= masks[low.bit_length() - 1]
+        # the partners j > i, each read off its bit 1 << (j - i - 1)
+        rest = reach >> i + 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = mi ^ masks[low.bit_length() + i]
             if d == 0:
                 raise ValueError("universe contains twins")
             cons.add(d)

@@ -53,7 +53,10 @@ first, K_8 took 4,071 nodes instead of 1,780 and K_9 23,662 instead of
 Levels are processed deepest first, so the generators found so far all
 fix the positions below the current level.  A candidate already in the
 orbit they generate needs no search, nor does one in the orbit of a
-candidate refuted before.  A search that finds an automorphism for every
+candidate refuted before.  The orbits of the generators found so far
+are kept as lists, one shared by all positions of an orbit, and a new
+generator merges the lists of the positions it joins, so no level
+computes a closure.  A search that finds an automorphism for every
 candidate not yet reached gives the exact orbit, since the generators of
 deeper levels generate the stabiliser of ``b_q``.  The searches share a
 budget of ``REFINE_LIMIT`` refinements per position; once it is spent,
@@ -65,9 +68,10 @@ generator is also kept as a permutation of base indices with two masks,
 computed once when it is found, which the loop reads.
 
 ``isomorphic`` runs the same search between two graphs.  Their unit
-partitions must refine with the same trace; then the search follows the
-first graph's first path in the second graph from level 0, with no
-budget, so a miss proves that the graphs differ.
+partitions must refine with the same trace, which gives them the same
+degrees and so as many edges, as the leaf check needs; then the search
+follows the first graph's first path in the second graph from level 0,
+with no budget, so a miss proves that the graphs differ.
 """
 
 from .graph_core import bits
@@ -100,7 +104,10 @@ def _refine(cells, live, queue, nbr):
     whole or splits in two, its neighbours last.  A larger splitter adds
     the neighbour masks of its positions into bit planes, ``planes[i]``
     holding bit ``i`` of every position's count, and splits each cell by
-    the planes, highest first, into its count groups.
+    the planes, highest first, into its count groups.  A cell that every
+    plane holds whole or misses has one count and stays whole, which one
+    pass over the planes tells without building groups; in the builds of
+    K_n, K_{a,b} and Q_n most cells a larger splitter touches are such.
     """
     trace = []
     queued = set(queue)
@@ -141,8 +148,10 @@ def _refine(cells, live, queue, nbr):
             continue
         planes = []
         reach = 0
-        for u in bits(splitter):
-            carry = nbr[u]
+        while splitter:
+            low = splitter & -splitter
+            splitter ^= low
+            carry = nbr[low.bit_length() - 1]
             reach |= carry
             for i, plane in enumerate(planes):
                 planes[i] = plane ^ carry
@@ -158,6 +167,20 @@ def _refine(cells, live, queue, nbr):
             if not whole & reach:
                 kept.append(c)
                 continue
+            # a cell that every plane holds whole or misses counts uniformly
+            k = 0
+            for plane in planes:
+                x = whole & plane
+                if x == whole:
+                    k += k + 1
+                elif x:
+                    break
+                else:
+                    k += k
+            else:
+                kept.append(c)
+                trace += (c, k)
+                continue
             groups = [(0, whole)]
             for plane in planes:
                 split = []
@@ -168,10 +191,6 @@ def _refine(cells, live, queue, nbr):
                     if high:
                         split.append((2 * k + 1, high))
                 groups = split
-            if len(groups) == 1:
-                kept.append(c)
-                trace += (c, groups[0][0])
-                continue
             trace.append(~c)
             fragments = []
             f = c
@@ -193,10 +212,9 @@ def _refine(cells, live, queue, nbr):
     return trace
 
 
-def _individualise(cells, live, v):
-    """Make ``v`` a singleton cell at the start of its cell, which must
-    be live; returns the start."""
-    bit = 1 << v
+def _individualise(cells, live, bit):
+    """Make the position of ``bit`` a singleton cell at the start of its
+    cell, which must be live; returns the start."""
     for i, s in enumerate(live):
         rest = cells[s]
         if rest & bit:
@@ -211,29 +229,25 @@ def _individualise(cells, live, v):
     return s
 
 
-def _is_automorphism(sigma, masks, closed):
-    """Whether the permutation ``sigma`` maps every closed neighbourhood
-    onto one; the images of a neighbourhood are distinct, so their powers
-    of two sum to its image's mask."""
-    image = [1 << sigma[v] for v in range(len(closed))].__getitem__
-    for v, near in enumerate(closed):
-        if sum(map(image, near)) != masks[sigma[v]]:
+def _is_automorphism(cells, masks, later):
+    """Whether the map that sends the first path's leaf onto the discrete
+    partition ``cells`` maps every closed neighbourhood onto one.
+
+    ``later[i]`` lists the indices ``j > i`` of the order whose leaf
+    positions are adjacent to the one at index ``i``, and ``cells[i]`` is
+    the bit of the image of the position at index ``i``.  A map that takes
+    every edge to an edge is one-to-one on the edges, so between graphs
+    with as many edges it maps every closed neighbourhood onto one; it is
+    enough that the bits of the images of ``later[i]``, which are
+    distinct, sum to a mask inside the closed neighbourhood of the image
+    of index ``i``.
+    """
+    image = cells.__getitem__
+    for near, c in zip(later, cells):
+        mapped = sum(map(image, near))
+        if mapped & masks[c.bit_length() - 1] != mapped:
             return False
     return True
-
-
-def _closure(points, gens):
-    """The orbit of ``points`` under the group that ``gens`` generate."""
-    seen = set(points)
-    todo = list(seen)
-    while todo:
-        v = todo.pop()
-        for g in gens:
-            w = g[v]
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
 
 
 def _on_base(sigma, base, index):
@@ -270,13 +284,14 @@ class BaseOrbits:
     ``generators`` lists the automorphisms found, each as the list of
     images of ``0, ..., len(masks) - 1``, and ``moves`` the same
     automorphisms as ``_on_base`` writes them, in base indices with their
-    ``prefix`` and ``moved`` masks; the plain loop of ``_search`` reads
-    ``orbits`` and ``moves`` from outside the class.
+    ``prefix`` and ``moved`` masks, and ``reach`` is one past the last
+    level with a nonempty orbit, 0 if there is none; the plain loop of
+    ``_search`` reads ``orbits``, ``reach`` and ``moves`` from outside the
+    class.
     """
 
     def __init__(self, masks, base):
         n = len(masks)
-        self.closed = [bits(m) for m in masks]
         self.nbr = nbr = [m & ~(1 << v) for v, m in enumerate(masks)]
         cells = [0] * n
         if n:
@@ -287,67 +302,98 @@ class BaseOrbits:
         # the individualised cell, trace of the refinement after)
         self.path = path = []
 
-        def individualise(q, v):
+        def individualise(q, bit):
             before = (cells[:], live[:])
-            s = _individualise(cells, live, v)
+            s = _individualise(cells, live, bit)
             path.append((q, before, s, _refine(cells, live, [s], nbr)))
 
         for q, v in enumerate(base):
+            if not live:
+                break
             if any(cells[c] >> v & 1 for c in live):
-                individualise(q, v)
+                individualise(q, 1 << v)
         while live:
             first = cells[live[0]]
-            individualise(None, (first & -first).bit_length() - 1)
-        self.leaf = [c.bit_length() - 1 for c in cells]
+            individualise(None, first & -first)
+        self.leaf = leaf = [c.bit_length() - 1 for c in cells]
+        # later[i]: the indices j > i of the order whose leaf positions are
+        # adjacent to leaf[i]
+        where = [0] * n
+        for i, v in enumerate(leaf):
+            where[v] = i
+        self.later = later = []
+        after = (1 << n) - 1
+        for v in leaf:
+            after ^= 1 << v  # the positions of the leaf after v
+            later.append(list(map(where.__getitem__, bits(nbr[v] & after))))
         self.budget = REFINE_LIMIT * n
         self.generators = gens = []
         self.moves = []
         self.orbits = orbits = [()] * len(base)
         index = {v: i for i, v in enumerate(base)}
+        # orbit[v] lists the orbit of v under the generators found so far,
+        # one list shared by all of its positions
+        orbit = [[v] for v in range(n)]
         for t in range(len(path) - 1, -1, -1):
             q, before, s, _ = path[t]
             if q is None:
                 continue
-            orbit = _closure([base[q]], gens)
+            b = base[q]
             refuted = set()
-            for r in bits(before[0][s]):
-                if r in orbit or r in refuted:
+            rest = before[0][s]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                r = low.bit_length() - 1
+                if orbit[r] is orbit[b] or r in refuted:
                     continue
-                sigma = self._find(t, before, [r], nbr, masks)
+                sigma = self._find(t, before, low, nbr, masks)
                 if sigma is None:
-                    refuted |= _closure([r], gens)
-                else:
-                    gens.append(sigma)
-                    self.moves.append(_on_base(sigma, base, index))
-                    orbit = _closure(orbit, gens)
-            orbits[q] = tuple(sorted(index[v] for v in orbit if index[v] > q))
+                    refuted.update(orbit[r])
+                    continue
+                gens.append(sigma)
+                self.moves.append(_on_base(sigma, base, index))
+                for v, w in enumerate(sigma):
+                    small, large = orbit[v], orbit[w]
+                    if small is not large:
+                        if len(small) > len(large):
+                            small, large = large, small
+                        large += small
+                        for u in small:
+                            orbit[u] = large
+            orbits[q] = tuple(sorted(index[v] for v in orbit[b] if index[v] > q))
+        self.reach = max((q + 1 for q, found in enumerate(orbits) if found), default=0)
 
     def _find(self, t, partition, candidates, nbr, masks):
         """A checked map onto the graph with neighbour masks ``nbr`` and
         closed neighbourhoods ``masks``, found below ``partition`` (shaped
         as the first path's before ``path[t]``) by individualising one of
-        ``candidates``, the last first, in place of ``path[t]``'s vertex."""
+        the positions of the mask ``candidates``, the lowest first, in
+        place of ``path[t]``'s vertex."""
         path = self.path
-        frames = [(t, partition, candidates)]
+        frames = [[t, partition, candidates]]
         while frames:
-            j, (cells, live), candidates = frames[-1]
+            frame = frames[-1]
+            j, (cells, live), candidates = frame
             if not candidates:
                 frames.pop()
                 continue
             if not self.budget:
                 return None
             self.budget -= 1
+            low = candidates & -candidates
+            frame[2] = candidates ^ low
             cells, live = cells[:], live[:]
-            s = _individualise(cells, live, candidates.pop())
+            s = _individualise(cells, live, low)
             if _refine(cells, live, [s], nbr) != path[j][3]:
                 continue
             if j + 1 < len(path):
-                frames.append((j + 1, (cells, live), bits(cells[path[j + 1][2]])[::-1]))
+                frames.append([j + 1, (cells, live), cells[path[j + 1][2]]])
                 continue
-            sigma = [0] * len(cells)
-            for v, c in zip(self.leaf, cells):
-                sigma[v] = c.bit_length() - 1
-            if _is_automorphism(sigma, masks, self.closed):
+            if _is_automorphism(cells, masks, self.later):
+                sigma = [0] * len(cells)
+                for v, c in zip(self.leaf, cells):
+                    sigma[v] = c.bit_length() - 1
                 return sigma
         return None
 
@@ -361,8 +407,8 @@ def isomorphic(masks1, masks2):
     if first.trace != second.trace:
         return False
     if not first.path:
-        return _is_automorphism(dict(zip(first.leaf, second.leaf)), masks2, first.closed)
+        return _is_automorphism([1 << v for v in second.leaf], masks2, first.later)
     first.budget = float("inf")
     partition = second.path[0][1]
-    s = first.path[0][2]
-    return first._find(0, partition, bits(partition[0][s])[::-1], second.nbr, masks2) is not None
+    return first._find(0, partition, partition[0][first.path[0][2]], second.nbr,
+                       masks2) is not None

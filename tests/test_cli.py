@@ -317,14 +317,23 @@ class TestFamily:
         status, _, err = run_cli(["family", "path", "5", "--with-code"])
         assert status == 2
 
-    def test_bad_family_parameter_is_usage_error(self, run_cli):
+    def test_bad_family_parameter_is_usage_error(self, run_cli, tmp_path):
+        # every message names the kind as the command line spells it
         status, out, err = run_cli(["family", "cycle", "2"])
         assert status == 2 and out == ""
         assert err == "usage error: cycle needs n >= 3\n"
+        mpath = tmp_path / "theta.mg"
+        mpath.write_text("2 3\n0 1\n0 1\n0 1\n")
         for params, message in ((["path", "0"], "path needs n >= 1"),
                                 (["complete", "0"], "complete needs n >= 1"),
                                 (["complete_bipartite", "0", "3"],
-                                 "complete_bipartite needs both sides nonempty")):
+                                 "complete_bipartite needs both sides nonempty"),
+                                (["jk", "2"], "jk needs k >= 3"),
+                                (["extremal1", "2"], "extremal1 needs k >= 3"),
+                                (["subdivided", "2", "--multigraph", str(mpath)],
+                                 "subdivided needs k >= 3"),
+                                (["matching", "3"], "matching needs d >= 4"),
+                                (["clawfree", "13"], "clawfree needs 2 <= k <= 12")):
             status, out, err = run_cli(["family", *params])
             assert (status, out, err) == (2, "", f"usage error: {message}\n")
 

@@ -178,6 +178,7 @@ class Pointwise:
 
     def __init__(self, group):
         self.orbits = group.orbits
+        self.reach = group.reach
         self.moves = []
         for images, _, _ in group.moves:
             first = next(p for p, r in enumerate(images) if r != p)
