@@ -10,7 +10,6 @@ error (a fault in edgeid itself, reported on stderr), 141 standard output
 closed early by its reader (as in ``| head``), left without a message.
 """
 
-import argparse
 import os
 import sys
 
@@ -33,6 +32,9 @@ FAMILY_KINDS = (
     "clawfree", "complete", "complete_bipartite", "cycle", "extremal1",
     "hypercube", "jk", "matching", "path", "petersen", "subdivided",
 )
+
+# types.SimpleNamespace (types.py defines it so), without importing types
+_Namespace = type(sys.implementation)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -126,6 +128,8 @@ def _family_instance(args):
 
     kind = args.kind
     params = args.params
+    if args.multigraph is not None and kind != "subdivided":
+        raise _UsageError(f"{kind} takes no --multigraph")
     if kind in families.STANDARD_KINDS:
         if args.with_code:
             return families.known_code(kind, params)
@@ -226,63 +230,137 @@ def cmd_reduce(args):
     return EXIT_OK
 
 
+# The interface, stated once: per subcommand its help, the function that
+# runs it and the add_argument calls of its positionals, then its options.
+# build_parser() builds argparse from this table; _read_plain reads the
+# command lines of the plain shape off it without loading argparse.
+SUBCOMMANDS = {
+    "verify": ("check an edge set against a graph", cmd_verify, (
+        ("graph", {"nargs": "?", "default": "-", "help": "edge-list file, - for stdin"}),
+        ("code", {"nargs": "?", "help": "code file; defaults to embedded c lines"}),
+    )),
+    "solve": ("exact minimum edge-identifying code", cmd_solve, (
+        ("graph", {"nargs": "?", "default": "-"}),
+        ("--budget", {"type": int, "help": "search node budget"}),
+        ("--hint", {"help": "file with a known code, used as upper bound"}),
+    )),
+    "approx": ("inclusionwise minimal code (4-approximation)", cmd_approx, (
+        ("graph", {"nargs": "?", "default": "-"}),
+    )),
+    "bounds": ("lower and upper bounds report", cmd_bounds, (
+        ("graph", {"nargs": "?", "default": "-"}),
+    )),
+    "family": ("emit a named graph family member", cmd_family, (
+        ("kind", {"choices": FAMILY_KINDS}),
+        ("params", {"nargs": "*", "type": int}),
+        ("--with-code", {"action": "store_true", "help": "embed the known code"}),
+        ("--multigraph", {"help": "input multigraph for kind 'subdivided'"}),
+    )),
+    "linegraph": ("emit the line graph with its index map", cmd_linegraph, (
+        ("graph", {"nargs": "?", "default": "-"}),
+    )),
+    "reduce": ("build a SAT reduction instance", cmd_reduce, (
+        ("cnf", {"nargs": "?", "default": "-", "help": "DIMACS CNF file"}),
+        ("--girth", {"nargs": 2, "type": int, "metavar": ("LAMBDA", "MU"),
+                     "help": "stretch parameters, default 1 2"}),
+        ("--assignment", {"help": "0/1 assignment file, emits the mapped code"}),
+        ("--labels", {"help": "write the edge-label sidecar to this path"}),
+    )),
+}
+
+
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="edgeid",
         description="Compute, verify, and bound edge-identifying codes.",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
     sub.required = True
-
-    p = sub.add_parser("verify", help="check an edge set against a graph")
-    p.add_argument("graph", nargs="?", default="-", help="edge-list file, - for stdin")
-    p.add_argument("code", nargs="?", help="code file; defaults to embedded c lines")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("solve", help="exact minimum edge-identifying code")
-    p.add_argument("graph", nargs="?", default="-")
-    p.add_argument("--budget", type=int, help="search node budget")
-    p.add_argument("--hint", help="file with a known code, used as upper bound")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("approx", help="inclusionwise minimal code (4-approximation)")
-    p.add_argument("graph", nargs="?", default="-")
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("bounds", help="lower and upper bounds report")
-    p.add_argument("graph", nargs="?", default="-")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("family", help="emit a named graph family member")
-    p.add_argument("kind", choices=FAMILY_KINDS)
-    p.add_argument("params", nargs="*", type=int)
-    p.add_argument("--with-code", action="store_true", help="embed the known code")
-    p.add_argument("--multigraph", help="input multigraph for kind 'subdivided'")
-    p.set_defaults(func=cmd_family)
-
-    p = sub.add_parser("linegraph", help="emit the line graph with its index map")
-    p.add_argument("graph", nargs="?", default="-")
-    p.set_defaults(func=cmd_linegraph)
-
-    p = sub.add_parser("reduce", help="build a SAT reduction instance")
-    p.add_argument("cnf", nargs="?", default="-", help="DIMACS CNF file")
-    p.add_argument(
-        "--girth",
-        nargs=2,
-        type=int,
-        metavar=("LAMBDA", "MU"),
-        help="stretch parameters, default 1 2",
-    )
-    p.add_argument("--assignment", help="0/1 assignment file, emits the mapped code")
-    p.add_argument("--labels", help="write the edge-label sidecar to this path")
-    p.set_defaults(func=cmd_reduce)
-
+    for name, (help_text, func, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def _is_value(word):
+    return word == "-" or not word.startswith("-")
+
+
+def _value(kwargs, word):
+    """``word`` converted and checked as argparse does for the argument
+    that ``kwargs`` states; ValueError where argparse reports an error."""
+    value = kwargs.get("type", str)(word)
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(word)
+    return value
+
+
+def _read_plain(argv):
+    """The namespace that ``build_parser().parse_args(argv)`` returns, for
+    an argv of the plain shape: a subcommand, its positionals, then options
+    spelt in full, each at most once, every value ``-`` or not starting
+    with ``-``.  None for any other argv (help, abbreviations,
+    ``--opt=value``, negative numbers, ``--``, a positional after an
+    option, an error), which argparse then reads.  Of the table this reads
+    ``nargs`` (``?``, ``*`` or a count), ``type``, ``choices``, the
+    positionals' ``default`` and ``action="store_true"``: all it uses."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, func, arguments = SUBCOMMANDS[argv[0]]
+    words = argv[1:]
+    # the positionals end where the first option starts
+    end = next((i for i, w in enumerate(words) if not _is_value(w)), len(words))
+    values = {"subcommand": argv[0]}
+    options = {}
+    at = 0
+    try:
+        for flag, kwargs in arguments:
+            nargs = kwargs.get("nargs")
+            if flag.startswith("-"):
+                dest = flag[2:].replace("-", "_")
+                options[flag] = dest, kwargs
+                values[dest] = False if kwargs.get("action") == "store_true" else None
+            elif nargs == "*":
+                values[flag] = [_value(kwargs, w) for w in words[at:end]]
+                at = end
+            elif at < end:
+                values[flag] = _value(kwargs, words[at])
+                at += 1
+            elif nargs == "?":
+                values[flag] = kwargs.get("default")
+            else:
+                return None
+        while at < len(words):
+            # a stray word, or an unknown, abbreviated or repeated option
+            if words[at] not in options:
+                return None
+            dest, kwargs = options.pop(words[at])
+            if kwargs.get("action") == "store_true":
+                values[dest] = True
+                at += 1
+                continue
+            count = kwargs.get("nargs", 1)
+            got = words[at + 1:at + 1 + count]
+            if len(got) < count or not all(map(_is_value, got)):
+                return None
+            got = [_value(kwargs, w) for w in got]
+            values[dest] = got if "nargs" in kwargs else got[0]
+            at += 1 + count
+    except ValueError:
+        return None
+    values["func"] = func
+    return _Namespace(**values)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         status = args.func(args)
         # a reader that went away shows here, not at the interpreter's exit

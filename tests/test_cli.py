@@ -337,6 +337,10 @@ class TestFamily:
             status, out, err = run_cli(["family", *params])
             assert (status, out, err) == (2, "", f"usage error: {message}\n")
 
+    def test_multigraph_for_another_kind_is_usage_error(self, run_cli):
+        status, out, err = run_cli(["family", "cycle", "5", "--multigraph", "nothere"])
+        assert (status, out, err) == (2, "", "usage error: cycle takes no --multigraph\n")
+
     def test_missing_params(self, run_cli):
         status, _, _ = run_cli(["family", "matching"])
         assert status == 2

@@ -53,15 +53,15 @@ PUBLIC = {
 PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("edgeid", "dataclasses", "inspect"))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0]
+                        in ("edgeid", "dataclasses", "inspect", "argparse"))))
 """
 
 
 def loaded_by(body, cwd):
-    """The edgeid, dataclasses and inspect modules loaded after ``body``
-    runs in a fresh interpreter.  ``-S`` keeps the host's site hooks from
-    importing modules of their own."""
+    """The edgeid, dataclasses, inspect and argparse modules loaded after
+    ``body`` runs in a fresh interpreter.  ``-S`` keeps the host's site
+    hooks from importing modules of their own."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", PROBE.format(body=body)],
@@ -120,6 +120,20 @@ def test_each_subcommand_loads_only_its_modules(inputs, argv, modules):
     assert loaded == {"edgeid", "edgeid.cli", "edgeid.graph_core"} | modules
     # the property checks serve the library and the tests only
     assert "edgeid.properties" not in loaded
+
+
+# argparse reads only what the plain reader leaves: help and command lines
+# off the plain shape, here a positional after an option
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["solve", "--help"], ["family", "cycle", "--with-code", "5"],
+], ids=["help", "solve-help", "positional-after-option"])
+def test_help_and_off_shape_calls_load_argparse(tmp_path, argv):
+    body = ("from edgeid.cli import main\n"
+            "try:\n"
+            f"    main({argv!r})\n"
+            "except SystemExit:\n"
+            "    pass")
+    assert "argparse" in loaded_by(body, tmp_path)
 
 
 def test_solver_import_loads_neither_kernel_nor_bounds(tmp_path):
