@@ -7,7 +7,9 @@ standard input.  Exit codes: 0 success (for ``verify``, a valid code;
 for ``solve``, status Optimal), 1 failed verification / Infeasible /
 unreachable target, 2 usage error, 3 malformed input file, 4 internal
 error (a fault in edgeid itself, reported on stderr), 141 standard output
-closed early by its reader (as in ``| head``), left without a message.
+closed early by its reader (as in ``| head``) or before the start (``>&-``),
+left without a message.  Two input arguments may not both read standard
+input.
 """
 
 import os
@@ -269,6 +271,10 @@ SUBCOMMANDS = {
 }
 
 
+# The arguments that name an input file, where ``-`` reads standard input.
+INPUTS = ("graph", "code", "hint", "cnf", "assignment", "multigraph")
+
+
 def build_parser():
     import argparse
 
@@ -362,6 +368,13 @@ def main(argv=None):
     if args is None:
         args = build_parser().parse_args(argv)
     try:
+        stdin = [name for name in INPUTS if getattr(args, name, None) == "-"]
+        if len(stdin) > 1:
+            # the first read would leave the second an empty input
+            raise _UsageError(f"{' and '.join(stdin)} both read standard input")
+        if sys.stdout is None:
+            # started with standard output closed (`>&-`): no reader at all
+            return EXIT_PIPE
         status = args.func(args)
         # a reader that went away shows here, not at the interpreter's exit
         sys.stdout.flush()
@@ -392,5 +405,24 @@ def main(argv=None):
         return EXIT_INTERNAL
 
 
+def run():
+    """The process entry of ``edgeid`` and ``python -m edgeid.cli``: main(),
+    then both standard streams flushed, then the process ends at once with
+    main()'s status.  Interpreter finalization (the last garbage collection
+    and the teardown of every loaded module) writes nothing: edgeid
+    registers no atexit handler, opens every file in a ``with`` block and
+    starts no thread.  A flush that fails because the reader has gone keeps
+    main()'s status.  argparse's exits (help and its usage errors) raise
+    SystemExit and end the normal way."""
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: pipelines, exit codes, determinism."""
 
 import io
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import edgeid
 from edgeid.cli import EXIT_INTERNAL, EXIT_PIPE, FAMILY_KINDS, main
 from edgeid.families import STANDARD_KINDS, known_code, standard_graph
 from edgeid.graph_core import EdgeSet, read_edge_list, write_edge_list
@@ -533,3 +537,118 @@ class TestDeterminism:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestStdinNamedTwice:
+    # the second read of standard input would see an empty input
+    @pytest.mark.parametrize("argv, names", [
+        (["verify", "-", "-"], "graph and code"),
+        (["solve", "-", "--hint", "-"], "graph and hint"),
+        (["solve", "--hint", "-"], "graph and hint"),
+        (["reduce", "-", "--assignment", "-"], "cnf and assignment"),
+        (["reduce", "--assignment", "-"], "cnf and assignment"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_is_usage_error_before_any_read(self, run_cli, argv, names):
+        text = CNF if argv[0] == "reduce" else write_edge_list(
+            standard_graph("cycle", 4), code=[0, 1, 2])
+        status, out, err = run_cli(argv, stdin=text)
+        assert (status, out) == (2, "")
+        assert err == f"usage error: {names} both read standard input\n"
+        assert sys.stdin.read() == text
+
+
+SRC = str(Path(edgeid.__file__).resolve().parents[1])
+
+
+def process(argv, cwd, stdin=None, stdout=subprocess.PIPE, redirect=None):
+    """(exit status, stdout, stderr) of ``python -m edgeid.cli ARGV`` in a
+    fresh interpreter, started by ``sh`` with ``redirect`` where one is
+    given."""
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    command = [sys.executable, "-m", "edgeid.cli", *argv]
+    if redirect is not None:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    proc = subprocess.run(command, cwd=cwd, env=env, input=stdin, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# (argv, standard input, exit status): the paths by which an edgeid process
+# ends, each through cli.run() or argparse's own exit
+PROCESS_PATHS = [
+    (["family", "petersen", "--with-code"], None, 0),
+    (["verify", "p.el"], None, 0),
+    (["verify", "c3.el"], None, 1),
+    (["solve"], "k4", 0),
+    (["solve", "p3.el"], None, 1),
+    (["verify", "k4"], None, 2),
+    (["bogus"], None, 2),
+    (["family", "cycle", "--with-code", "5"], None, 2),
+    (["bounds", "bad.el"], None, 3),
+    (["verify", "missing.el"], None, 3),
+    (["--help"], None, 0),
+    (["solve", "--help"], None, 0),
+    (["verify", "-", "-"], "p.el", 2),
+    (["solve", "--hint", "-"], "k4", 2),
+    (["reduce", "--assignment", "-"], "f.cnf", 2),
+]
+
+
+class TestProcess:
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        petersen = known_code("petersen", [])
+        graph_file(tmp_path, petersen.graph, "p.el",
+                   code=sorted(petersen.claimed_code.indices()))
+        graph_file(tmp_path, standard_graph("cycle", 3), "c3.el", code=[0])
+        graph_file(tmp_path, standard_graph("path", 3), "p3.el")
+        graph_file(tmp_path, standard_graph("complete", 4), "k4")
+        (tmp_path / "bad.el").write_text("not a graph\n")
+        (tmp_path / "f.cnf").write_text(CNF)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, stdin, status", PROCESS_PATHS,
+                             ids=[" ".join(argv) for argv, _, _ in PROCESS_PATHS])
+    def test_matches_main_in_process(self, run_cli, capsys, files, argv, stdin, status):
+        text = None if stdin is None else (files / stdin).read_text()
+        try:
+            expected = run_cli(argv, stdin=text)
+        except SystemExit as exc:
+            expected = (exc.code, *capsys.readouterr())
+        assert expected[0] == status
+        got = process(argv, files, None if text is None else text.encode())
+        assert got == (status, expected[1].encode(), expected[2].encode())
+
+    def test_run_flushes_then_skips_finalization(self, files):
+        # output written by print and by sys.stdout.write is all there, and
+        # an atexit handler never runs
+        body = ("import atexit, sys\n"
+                "atexit.register(print, 'finalized')\n"
+                "sys.argv[1:] = ['family', 'cycle', '3']\n"
+                "from edgeid.cli import run\n"
+                "run()")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", body], cwd=files, env=env,
+                              capture_output=True, timeout=60)
+        expected = write_edge_list(standard_graph("cycle", 3)).encode()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+    def test_pipe_closed_before_the_start(self, files):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            got = process(["family", "hypercube", "8"], files, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert got == (EXIT_PIPE, None, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "p.el"], ["family", "petersen"], ["solve", "k4"],
+    ], ids=" ".join)
+    def test_stdout_closed_by_the_shell(self, files, argv):
+        # `>&-` rather than a preexec_fn: a fork from the threaded test
+        # process can warn, which filterwarnings turns into an error
+        got = process(argv, files, redirect=">&-")
+        assert got == (EXIT_PIPE, b"", b"")
