@@ -118,14 +118,18 @@ so those graphs pay nothing.  And the table holds at most
 whatever the node budget.
 
 The plain loop prunes by symmetry instead.  ``least_optimum`` stores the
-position graph as the system's ``graph``, and the first plain-loop
-search builds from it a ``symmetry.BaseOrbits``, the system's ``group``.
-Its generators are automorphisms of the system, permutations of the
-positions that map the constraints onto themselves.  Take a search from
-``start`` that takes the exclude branch of ``q`` once the include branch
-is refuted, and let ``S`` be the positions included in ``[start, q)``.
-Let ``H`` be the group generated by the generators that map each of
-``[0, start)``, ``[0, q)`` and ``S`` onto itself.  Then no position of
+graph that the positions come from as the system's ``graph``, and the
+first plain-loop search builds from it the system's ``group``: for edge
+codes ``symmetry.edge_orbits``, the root graph's automorphisms found on
+its vertices and lifted to its edges, and for vertex codes a
+``symmetry.BaseOrbits`` of the graph's closed neighbourhoods.  A solve
+that runs the table loop builds no group and loads no ``symmetry``.
+The group's generators are automorphisms of the system, permutations of
+the positions that map the constraints onto themselves.  Take a search
+from ``start`` that takes the exclude branch of ``q`` once the include
+branch is refuted, and let ``S`` be the positions included in ``[start,
+q)``.  Let ``H`` be the group generated by the generators that map each
+of ``[0, start)``, ``[0, q)`` and ``S`` onto itself.  Then no position of
 the orbit of ``q`` under ``H`` may be included anywhere in that branch.
 For suppose a solution ``T`` there contained ``r = g(q)`` with ``g`` in
 ``H``: ``g⁻¹(T)`` agrees with ``T`` on ``[start, q)``, since ``g`` maps
@@ -233,7 +237,7 @@ run that returns not-found without exhaustion is a proof that no
 k-subset hits every constraint.
 """
 
-from .graph_core import bits
+from .graph_core import Graph, bits
 
 # The refuted-state table is kept at positions with at most this many
 # open constraints; see the module docstring.
@@ -252,12 +256,15 @@ class ConstraintSystem:
     universe)``, which are numbered from 0 up (see the module docstring).
     ``keys`` is None when no position ``p >= 1`` has at most
     ``KEY_LIMIT`` open constraints; the kernel then keeps no table.
-    ``graph`` is None or ``(masks, positions)``: closed neighbourhoods
-    whose automorphisms map the constraints onto themselves, and the
-    vertex each position stands for.  ``group`` is None or a
-    ``symmetry.BaseOrbits`` along the positions, which ``bans`` builds
-    from ``graph`` and reads for the plain loop at each start, and whose
-    generators ``mapped`` applies to one suffix witness at a time."""
+    ``graph`` is None or ``(graph, positions)``, a graph whose
+    automorphisms map the constraints onto themselves and what each
+    position stands for: an edge of ``graph`` when it is a ``Graph``,
+    else a vertex of the graph whose closed neighbourhoods ``graph``
+    lists.  ``group`` is None or the group that ``bans`` builds from
+    ``graph``, a ``symmetry.edge_orbits`` or a ``symmetry.BaseOrbits``
+    along the positions, which it reads for the plain loop at each
+    start, and whose generators ``mapped`` applies to one suffix witness
+    at a time."""
 
     __slots__ = ("universe", "full", "hits", "tops", "inside", "floor", "keys",
                  "tables", "stored", "graph", "group")
@@ -316,11 +323,14 @@ class ConstraintSystem:
 
         Returns ``(orbits, gens, movable)``, all empty when the system has
         neither a ``group`` nor a ``graph`` to build one from.  The first
-        call builds ``group`` from ``graph``.  ``orbits`` are the group's
-        orbits along the positions up to its ``reach``, the last nonempty
-        one, so that their length bounds the positions that ban one,
+        call builds ``group`` from ``graph``: the lift of its
+        automorphisms to its edges when it is a ``Graph``, else the
+        ``BaseOrbits`` of its closed neighbourhoods.  ``orbits`` are the
+        group's orbits along the positions up to its ``reach``, the last
+        nonempty one, so that their length bounds the positions that ban
+        one,
         ``gens`` its generators that map ``[0, start)`` onto itself, each
-        as ``(images, prefix, moved)`` (see ``symmetry.BaseOrbits``), and
+        as ``(images, prefix, moved)`` (see ``symmetry._on_base``), and
         ``movable`` the union of their ``moved`` masks: the positions
         whose ban a generator can make.
         """
@@ -328,9 +338,12 @@ class ConstraintSystem:
         if group is None:
             if self.graph is None:
                 return (), (), 0
-            from .symmetry import BaseOrbits
+            from . import symmetry
 
-            group = self.group = BaseOrbits(*self.graph)
+            graph, positions = self.graph
+            group = self.group = (
+                symmetry.edge_orbits(graph, positions) if isinstance(graph, Graph)
+                else symmetry.BaseOrbits(graph, positions))
         gens = [move for move in group.moves if move[1] >> start & 1]
         movable = 0
         for _, _, moved in gens:
@@ -860,7 +873,7 @@ def least_optimum(constraints, graph, lower, cap, budget):
     """Lex-least minimum hitting set of ``constraints`` of size at most
     ``cap``, by Russian-doll search (see the module docstring).
 
-    ``graph`` is ``(masks, positions)``, the system's ``graph``: its
+    ``graph`` is ``(graph, positions)``, the system's ``graph``: its
     universe is ``range(len(positions))``.  ``lower`` is a lower bound on
     the optimum, and ``budget`` caps the nodes of every search together.
     Returns ``(mask, nodes, exhausted)``; ``mask`` is None when every

@@ -200,8 +200,7 @@ def cmd_reduce(args):
     formula = reduction.read_dimacs(_read_text(args.cnf))
     problems = reduction.validate_formula(formula)
     if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+        _report("\n".join(problems))
         return EXIT_FORMAT
     if args.girth is not None:
         lam, mu = args.girth
@@ -362,6 +361,17 @@ def _read_plain(argv):
     return _Namespace(**values)
 
 
+def _report(text):
+    """Write ``text`` and a newline to standard error.  With stderr closed
+    (``2>&-``) the text is lost, and the exit status alone tells what
+    happened."""
+    if sys.stderr is not None:
+        try:
+            print(text, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_plain(argv)
@@ -387,21 +397,20 @@ def main(argv=None):
         os.close(devnull)
         return EXIT_PIPE
     except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_FORMAT
     except RejectedInput as exc:
         # a failed verification, not a usage slip
-        print(str(exc), file=sys.stderr)
+        _report(str(exc))
         return EXIT_FAIL
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report(f"usage error: {exc}")
         return EXIT_USAGE
     except Exception as exc:
         # a fault in edgeid, not in the input: keep the traceback for a report
         import traceback
 
-        traceback.print_exc(file=sys.stderr)
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _report(f"{traceback.format_exc()}internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
 

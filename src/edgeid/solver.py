@@ -53,9 +53,11 @@ class SolveOptions(namedtuple("SolveOptions", "budget upper_hint",
     does not bound the preparation before the first node: the constraint
     build grows faster than the number of constraints, and a solve on the
     plain loop builds the automorphism group of the positions at its
-    first search.  K_25's 45,150 constraints take about 0.10 s to build
-    and its group about 0.03 s, most of a 2,000-node solve of about 0.14 s
-    (best of 9 in-process runs on one core of a 2-core Xeon, Python 3.11).
+    first search.  K_25's 45,150 constraints take about 0.10 s to build,
+    most of a 2,000-node solve of about 0.10 s, and its group, found on
+    its 25 vertices and lifted to its 300 edges, about 0.003 s (0.026 s
+    on the line graph; best of 9 in-process runs on one core of a 2-core
+    Xeon, Python 3.11).
     """
 
     __slots__ = ()
@@ -123,7 +125,7 @@ def _strip_forced(universe, constraints):
     return forced, rest, positions
 
 
-def _solve_masks(universe, masks, lower, budget, hint_mask):
+def _solve_masks(universe, masks, lower, budget, hint_mask, graph):
     """Shared exact solve.  Returns ``(status, mask, size, bound_used, nodes)``.
 
     ``lower`` is a ``(value, name)`` analytic bound.  The caller has
@@ -133,10 +135,11 @@ def _solve_masks(universe, masks, lower, budget, hint_mask):
     so a hint that the lower bound already certifies costs no build.
     The forced positions are split off first, and the residual is
     searched with the bound and the cap lowered by their count; an
-    empty residual needs no search.  The residual goes with ``masks``
-    and its positions as its position graph, whose automorphisms the
-    plain loop bans by: an automorphism maps the forced positions, and
-    so the residual, onto themselves.
+    empty residual needs no search.  The residual goes with ``graph``
+    and its positions, ``graph`` being the ``Graph`` whose edges the
+    positions are or the closed neighbourhoods ``masks`` of the vertices
+    they are: the plain loop bans by its automorphisms, each of which
+    maps the forced positions, and so the residual, onto themselves.
     """
     start, name = lower
     bound_used = (name, start)
@@ -153,7 +156,7 @@ def _solve_masks(universe, masks, lower, budget, hint_mask):
             from ._search import least_optimum
 
             sub, nodes, exhausted = least_optimum(
-                rest, (masks, positions), start - size, cap - size, budget)
+                rest, (graph, positions), start - size, cap - size, budget)
             if sub is not None:
                 mask = forced | sum(1 << positions[i] for i in bits(sub))
     if mask is not None:
@@ -195,7 +198,7 @@ def min_edge_code(g, options=None):
             raise RejectedInput("upper_hint is not an edge-identifying code")
         hint_mask = hint.mask
     status, mask, size, bound_used, nodes = _solve_masks(
-        g.m, g.all_edge_masks(), lower, opts.budget, hint_mask
+        g.m, g.all_edge_masks(), lower, opts.budget, hint_mask, g
     )
     code = EdgeSet(g.fingerprint, mask) if mask is not None else None
     return SolveResult(status, code, size, bound_used, nodes)
@@ -222,7 +225,7 @@ def min_vertex_code(g, options=None):
     from .bounds import log_lower
 
     status, mask, size, bound_used, nodes = _solve_masks(
-        g.n, masks, (log_lower(g.n), "log-universe"), opts.budget, hint_mask
+        g.n, masks, (log_lower(g.n), "log-universe"), opts.budget, hint_mask, masks
     )
     code = tuple(bits(mask)) if mask is not None else None
     return SolveResult(status, code, size, bound_used, nodes)

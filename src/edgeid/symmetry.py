@@ -3,12 +3,41 @@
 The exact search may use the symmetries of its constraint system (see
 ``_search``).  It needs, for each position ``q`` of a base ``b_0, b_1,
 ...``, the orbit of ``b_q`` under the automorphisms that fix ``b_0, ...,
-b_{q-1}``.  This module computes those orbits from the closed
-neighbourhoods ``masks`` of the positions: for edge codes, the line
-graph.  An automorphism of that graph maps closed neighbourhoods to
+b_{q-1}``.  ``BaseOrbits`` computes those orbits from the closed
+neighbourhoods ``masks`` of the positions: for vertex codes, the graph's
+own.  An automorphism of that graph maps closed neighbourhoods to
 closed neighbourhoods, so it maps the domination and separation
 constraints onto themselves, and with them the singleton constraints,
 the positions they force and the positions left in the residual.
+
+For edge codes the positions are the edges of a graph ``G``, and the
+position graph is its line graph L(G).  ``edge_orbits`` finds the group
+on G's vertices instead and lifts it: an automorphism ``sigma`` of G
+maps each edge ``uv`` to ``sigma(u)sigma(v)``, which is an automorphism
+of L(G).  By Whitney's theorem (Whitney, "Congruent graphs and the
+connectivity of graphs", 1932) every automorphism of the line graph of
+a connected graph on five or more vertices is so induced.  Components
+K_4, K_4 - e and K_{1,3} + e have line graphs with more automorphisms;
+there the lifted group is a subgroup of L(G)'s, and bans by a subgroup
+are as sound as bans by the whole group.  G has fewer vertices than
+edges, often far fewer: K_8 has 8 against 28, and the lifted build of
+K_8, K_9 and Q_5 takes under half the time of the build on L(G) (see
+``BENCH_lift.json``).  The benchmark's graphs get the same orbits both
+ways, and the graphs of the 485-graph corpus and of the benchmark the
+same solves node for node.  The vertex build leaves out the vertices
+that have no edge.  Its searches for automorphisms that permute them
+would lift to the identity, and with 20 such vertices after K_8's they
+spent the build's budget before K_8's levels: K_8 then took 105,408
+nodes instead of 1,780.  The build's budget stays ``REFINE_LIMIT``
+refinements per edge, as on L(G); with that many per vertex it ran out
+on K_{2,b} for b >= 19, K_{3,b} for b >= 16 and K_{4,b} for b >= 15
+(of the K_{a,b} with ab <= 64), which then took more nodes.  The orbits
+along the edge positions are those of the lifted generators that fix
+the positions below: a lift fixes every position below the first one
+it moves, so the orbit of ``q`` is built by merging the lifts whose
+first moved position is ``q`` or above it.  On the K_n, K_{a,b} and
+Q_n small enough to enumerate, these are the orbits of L(G)'s
+pointwise stabilisers.
 
 The method is individualisation-refinement, after McKay and Piperno,
 "Practical graph isomorphism, II" (2014).  An ordered partition of the
@@ -73,6 +102,8 @@ degrees and so as many edges, as the leaf check needs; then the search
 follows the first graph's first path in the second graph from level 0,
 with no budget, so a miss proves that the graphs differ.
 """
+
+from collections import namedtuple
 
 from .graph_core import bits
 
@@ -250,15 +281,13 @@ def _is_automorphism(cells, masks, later):
     return True
 
 
-def _on_base(sigma, base, index):
-    """``sigma`` as a permutation of base indices: ``(images, prefix, moved)``.
+def _on_base(images):
+    """A permutation ``images`` of base indices as ``(images, prefix, moved)``.
 
-    ``images[i]`` is the index of ``sigma(base[i])``.  Bit ``p`` of
-    ``prefix`` is set iff ``sigma`` maps ``base[:p]`` onto itself, that is
-    iff ``max(images[:p]) == p - 1``, and bit ``p`` of ``moved`` iff it is
-    set in ``prefix`` and ``sigma`` moves ``p``.
+    Bit ``p`` of ``prefix`` is set iff it maps ``[0, p)`` onto itself, that
+    is iff ``max(images[:p]) == p - 1``, and bit ``p`` of ``moved`` iff it
+    is set in ``prefix`` and the permutation moves ``p``.
     """
-    images = [index[sigma[v]] for v in base]
     prefix = moved = 0
     top = -1
     for p, r in enumerate(images):
@@ -269,6 +298,20 @@ def _on_base(sigma, base, index):
         if r > top:
             top = r
     return images, prefix | 1 << len(images), moved
+
+
+def _join(orbit, sigma):
+    """Merge the orbits that the permutation ``sigma`` joins, where
+    ``orbit[v]`` lists the orbit of ``v``, one list shared by all of its
+    positions."""
+    for v, w in enumerate(sigma):
+        small, large = orbit[v], orbit[w]
+        if small is not large:
+            if len(small) > len(large):
+                small, large = large, small
+            large += small
+            for u in small:
+                orbit[u] = large
 
 
 class BaseOrbits:
@@ -287,10 +330,11 @@ class BaseOrbits:
     ``prefix`` and ``moved`` masks, and ``reach`` is one past the last
     level with a nonempty orbit, 0 if there is none; the plain loop of
     ``_search`` reads ``orbits``, ``reach`` and ``moves`` from outside the
-    class.
+    class.  ``budget`` is the number of refinements the searches may run,
+    ``REFINE_LIMIT`` per position unless given.
     """
 
-    def __init__(self, masks, base):
+    def __init__(self, masks, base, budget=None):
         n = len(masks)
         self.nbr = nbr = [m & ~(1 << v) for v, m in enumerate(masks)]
         cells = [0] * n
@@ -326,7 +370,7 @@ class BaseOrbits:
         for v in leaf:
             after ^= 1 << v  # the positions of the leaf after v
             later.append(list(map(where.__getitem__, bits(nbr[v] & after))))
-        self.budget = REFINE_LIMIT * n
+        self.budget = REFINE_LIMIT * n if budget is None else budget
         self.generators = gens = []
         self.moves = []
         self.orbits = orbits = [()] * len(base)
@@ -352,15 +396,8 @@ class BaseOrbits:
                     refuted.update(orbit[r])
                     continue
                 gens.append(sigma)
-                self.moves.append(_on_base(sigma, base, index))
-                for v, w in enumerate(sigma):
-                    small, large = orbit[v], orbit[w]
-                    if small is not large:
-                        if len(small) > len(large):
-                            small, large = large, small
-                        large += small
-                        for u in small:
-                            orbit[u] = large
+                self.moves.append(_on_base([index[sigma[v]] for v in base]))
+                _join(orbit, sigma)
             orbits[q] = tuple(sorted(index[v] for v in orbit[b] if index[v] > q))
         self.reach = max((q + 1 for q, found in enumerate(orbits) if found), default=0)
 
@@ -412,3 +449,59 @@ def isomorphic(masks1, masks2):
     partition = second.path[0][1]
     return first._find(0, partition, partition[0][first.path[0][2]], second.nbr,
                        masks2) is not None
+
+
+class EdgeOrbits(namedtuple("EdgeOrbits", "orbits moves reach")):
+    """The group of a graph's edge positions that ``edge_orbits`` lifts
+    from its vertices, with the fields that the plain loop of ``_search``
+    reads, as ``BaseOrbits`` has them."""
+
+    __slots__ = ()
+
+
+def edge_orbits(g, positions):
+    """Orbits along the edge positions ``positions`` of the graph ``g``,
+    under the automorphisms of ``g`` lifted to its edges (see the module
+    docstring), as an ``EdgeOrbits``.
+
+    The automorphisms are found by a ``BaseOrbits`` on the vertices that
+    have an edge, renumbered in order, along all of them.  Each generator
+    ``sigma`` lifts to the permutation that maps position ``i``, the edge
+    ``uv``, to the position of ``sigma(u)sigma(v)``; every automorphism of
+    ``g`` maps the positions among themselves, and lifts that fix every
+    position are dropped.  ``orbits[q]`` is the sorted tuple of the ``r >
+    q`` that the lifts fixing ``[0, q)`` pointwise map ``q`` to, closed
+    under them, ``moves`` the lifts as ``_on_base`` writes them, in the
+    order found, and ``reach`` one past the last nonempty orbit, 0 if
+    there is none.
+    """
+    ends = [v for v in range(g.n) if g.neighbors(v)]
+    where = [0] * g.n
+    for i, v in enumerate(ends):
+        where[v] = i
+    masks = [sum(1 << where[w] for w in g.neighbors(v)) | 1 << i
+             for i, v in enumerate(ends)]
+    # the renumbered ends of each position, and the index of the position
+    # by the mask of its ends
+    pairs = [(where[u], where[v]) for u, v in map(g.edges.__getitem__, positions)]
+    index = {1 << a | 1 << b: i for i, (a, b) in enumerate(pairs)}
+    lifts = []
+    levels = {}  # the lifts by their first moved position
+    for sigma in BaseOrbits(masks, range(len(ends)), REFINE_LIMIT * g.m).generators:
+        images = [index[1 << sigma[a] | 1 << sigma[b]] for a, b in pairs]
+        q = next((q for q, r in enumerate(images) if r != q), None)
+        if q is not None:
+            lifts.append(images)
+            levels.setdefault(q, []).append(images)
+    # a lift fixes every position below its first moved one, its level, so
+    # the lifts that fix [0, q) pointwise are those of level q and above,
+    # and the orbit of q is trivial where no lift has level q; merged from
+    # the top level down, orbit[i] lists the orbit of i under the lifts
+    # merged so far, one list shared by all of its positions
+    orbit = [[i] for i in range(len(pairs))]
+    orbits = [()] * len(pairs)
+    for q in sorted(levels, reverse=True):
+        for images in levels[q]:
+            _join(orbit, images)
+        orbits[q] = tuple(sorted(orbit[q])[1:])
+    return EdgeOrbits(orbits, list(map(_on_base, lifts)), max(levels, default=-1) + 1)

@@ -157,6 +157,28 @@ class TestSolve:
         assert out == ""
         assert err.splitlines()[-1] == "internal error: RuntimeError: kernel fault"
 
+    def test_closed_stderr_keeps_each_status(self, tmp_path, monkeypatch, capsys):
+        # with standard error closed every handler still returns its status,
+        # and its message is lost; the reduce problems and the internal
+        # fault go to stderr on paths of their own
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise OSError(9, "Bad file descriptor")
+
+        def broken(g, opts):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr("edgeid.solver.min_edge_code", broken)
+        (tmp_path / "bad.cnf").write_text("p cnf 1 1\n1 0\n")
+        gpath = graph_file(tmp_path, standard_graph("petersen"))
+        monkeypatch.setattr(sys, "stderr", Closed())
+        for argv, status in ((["verify", str(tmp_path / "missing.el")], 3),
+                             (["reduce", str(tmp_path / "bad.cnf")], 3),
+                             (["solve", gpath, "--budget", "0"], 2),
+                             (["solve", gpath], EXIT_INTERNAL)):
+            assert main(argv) == status, argv
+        assert capsys.readouterr().out == ""
+
     def test_closed_stdout_is_no_fault(self, tmp_path, monkeypatch, capsys):
         # `edgeid solve g.el | head -1` with unbuffered output: the reader
         # is gone, which is neither an internal error nor worth a traceback
@@ -643,6 +665,18 @@ class TestProcess:
         finally:
             os.close(write_end)
         assert got == (EXIT_PIPE, None, b"")
+
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+    @pytest.mark.parametrize("argv, status", [
+        (["verify", "/nonexistent"], 3), (["bounds", "bad.el"], 3),
+        (["solve", "k4", "--budget", "0"], 2), (["solve", "k4", "--hint", "hint"], 1),
+    ], ids=lambda case: " ".join(case) if isinstance(case, list) else str(case))
+    def test_stderr_closed_by_the_shell(self, files, argv, status, redirect):
+        # with stderr closed (Python sets sys.stderr to None) or open for
+        # reading only (each write fails), each message is lost and never
+        # lands on stdout, and each status stays what it means
+        (files / "hint").write_text("c 0\n")  # no code of K_4
+        assert process(argv, files, redirect=redirect) == (status, b"", b"")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "p.el"], ["family", "petersen"], ["solve", "k4"],

@@ -166,11 +166,16 @@ def test_cli_module_is_compiled_once(inputs):
      "g = standard_graph('hypercube', 4)\n"
      "res = min_edge_code(g, SolveOptions(upper_hint=hypercube_matching(4)))\n"
      "assert (res.status, res.nodes_used) == ('Optimal', 0)", False),
-    # K_7 runs the plain loop, which bans the orbits of its line graph
+    # K_7 runs the plain loop, which bans by K_7's automorphisms lifted to
+    # its edges
     ("from edgeid.families import standard_graph\n"
      "from edgeid.solver import min_edge_code\n"
      "assert min_edge_code(standard_graph('complete', 7)).size == 6", True),
-], ids=["import", "certified-hint", "plain-loop-search"])
+    # Petersen runs the table loop, which bans nothing
+    ("from edgeid.families import standard_graph\n"
+     "from edgeid.solver import min_edge_code\n"
+     "assert min_edge_code(standard_graph('petersen')).nodes_used > 0", False),
+], ids=["import", "certified-hint", "plain-loop-search", "table-loop-search"])
 def test_symmetry_loads_only_for_a_plain_loop_search(tmp_path, body, loads):
     assert ("edgeid.symmetry" in loaded_by(body, tmp_path)) == loads
 

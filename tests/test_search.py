@@ -18,7 +18,7 @@ from edgeid.graph_core import bits
 from edgeid.identify import verify_edge_code
 from edgeid.reduction import SatFormula, build_reduction
 from edgeid.solver import SolveOptions, _constraints_from_masks, min_edge_code
-from edgeid.symmetry import BaseOrbits
+from edgeid.symmetry import edge_orbits
 
 
 def brute_force(universe, constraints, k):
@@ -152,11 +152,10 @@ def test_plain_loop_matches_recursive_reference(system, data):
 
 
 def residual_of(g):
-    """``(masks, constraints, positions)`` of the edge-code residual of g."""
-    masks = g.all_edge_masks()
+    """``(constraints, positions)`` of the edge-code residual of g."""
     _, constraints, positions = solver._strip_forced(
-        g.m, _constraints_from_masks(masks))
-    return masks, constraints, positions
+        g.m, _constraints_from_masks(g.all_edge_masks()))
+    return constraints, positions
 
 
 def shifted_bans(group, start):
@@ -187,10 +186,11 @@ class Pointwise:
 
 def test_bans_keep_the_lex_least_subset():
     # each edge-code residual runs the plain loop with the bans of its
-    # position graph's group; from every start and at every size it
-    # returns the subset found without bans, in no more nodes than with
-    # no bans or with the pointwise bans alone (the plain loop without a
-    # group and with a Pointwise one match the reference node for node)
+    # graph's group lifted to its edges; from every start and at every
+    # size it returns the subset found without bans, in no more nodes
+    # than with no bans or with the pointwise bans alone (the plain loop
+    # without a group and with a Pointwise one match the reference node
+    # for node)
     graphs = pendant_free_unions(8) + [
         standard_graph(kind, params) for kind, params in (
             ("complete", 4), ("complete", 5), ("complete", 6), ("complete", 7),
@@ -200,12 +200,12 @@ def test_bans_keep_the_lex_least_subset():
     ]
     saved = 0
     for g in graphs:
-        masks, constraints, positions = residual_of(g)
+        constraints, positions = residual_of(g)
         universe = len(positions)
         plain = ConstraintSystem(universe, constraints)
         pointwise = ConstraintSystem(universe, constraints)
         system = ConstraintSystem(universe, constraints)
-        system.group = BaseOrbits(masks, positions)
+        system.group = edge_orbits(g, positions)
         pointwise.group = Pointwise(system.group)
         for start in range(universe + 1):
             for k in range(universe - start + 2):
@@ -219,10 +219,10 @@ def test_bans_keep_the_lex_least_subset():
 
 
 def test_bans_match_reference_node_for_node():
-    # the plain loop with the bans of the position graph's group, against
-    # the recursive reference applying the same bans: the same 4-tuple at
-    # every start, size and budget; with the Pointwise group, against the
-    # reference banning the pointwise orbits alone
+    # the plain loop with the bans of the graph's group lifted to its
+    # edges, against the recursive reference applying the same bans: the
+    # same 4-tuple at every start, size and budget; with the Pointwise
+    # group, against the reference banning the pointwise orbits alone
     graphs = [standard_graph(kind, params) for kind, params in (
         ("complete", 4), ("complete", 5), ("complete", 6),
         ("complete_bipartite", (3, 3)), ("complete_bipartite", (3, 4)),
@@ -230,9 +230,9 @@ def test_bans_match_reference_node_for_node():
     graphs += random.Random(14).sample(pendant_free_unions(8), 24)
     banned = 0
     for g in graphs:
-        masks, constraints, positions = residual_of(g)
+        constraints, positions = residual_of(g)
         universe = len(positions)
-        group = BaseOrbits(masks, positions)
+        group = edge_orbits(g, positions)
         system = ConstraintSystem(universe, constraints)
         system.group = group
         pointwise = ConstraintSystem(universe, constraints)
@@ -263,9 +263,10 @@ def test_bans_match_reference_node_for_node():
 def test_every_budget_through_the_scan(kind, params):
     # a search of N nodes exhausts at every budget b < N with b + 1 nodes,
     # also where b falls inside a last-level scan, and finishes at N
-    masks, constraints, positions = residual_of(standard_graph(kind, params))
+    g = standard_graph(kind, params)
+    constraints, positions = residual_of(g)
     universe = len(positions)
-    group = BaseOrbits(masks, positions)
+    group = edge_orbits(g, positions)
     for bans in (False, True):
         for start in range(4):
             system = ConstraintSystem(universe, constraints)
@@ -552,7 +553,7 @@ def test_budget_boundary_is_exact(kernel):
     if kernel == "plain":
         # the same searches with the system's group set, so that orbit
         # bans are active up to the boundary and cut the node count
-        group = BaseOrbits(g.all_edge_masks(), range(universe))
+        group = edge_orbits(g, range(universe))
         for k, start in searches:
             unbanned = search_exact_size(universe, ConstraintSystem(universe, constraints),
                                          k, 10**7, start)

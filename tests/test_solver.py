@@ -349,7 +349,7 @@ def _plain_residual(g):
     masks = g.all_edge_masks()
     _, rest, positions = solver._strip_forced(g.m, _constraints_from_masks(masks))
     system = ConstraintSystem(len(positions), rest)
-    system.graph = masks, positions
+    system.graph = g, positions
     return system, rest
 
 

@@ -1,5 +1,6 @@
 """Automorphism orbits along a base: checked generators, orbits against
-brute force, and the solves that ban them."""
+brute force, their lift from a graph's vertices to its edges, and the
+solves that ban them."""
 
 import hashlib
 import itertools
@@ -92,6 +93,17 @@ def brute_force_automorphisms(masks):
     return out
 
 
+def pointwise_orbits(masks, base):
+    """``orbits[q]``: the indices ``r > q`` of the positions of ``base`` to
+    which an automorphism of the graph with closed neighbourhoods
+    ``masks`` fixing ``base[:q]`` maps ``base[q]``, found by brute force."""
+    auts = brute_force_automorphisms(masks)
+    index = {v: i for i, v in enumerate(base)}
+    return [tuple(sorted({index[sigma[base[q]]] for sigma in auts
+                          if all(sigma[b] == b for b in base[:q])} - {q}))
+            for q in range(len(base))]
+
+
 def residual_bases(graphs):
     """``(masks, positions)`` for each graph that has forced positions and
     a residual: the positions the solver's residual keeps, in order."""
@@ -129,12 +141,7 @@ def test_orbits_along_a_partial_base_match_brute_force(pendant_free_all):
     for masks, base in cases:
         group = symmetry.BaseOrbits(masks, base)
         past += any(q is None for q, *_ in group.path)
-        auts = brute_force_automorphisms(masks)
-        index = {v: i for i, v in enumerate(base)}
-        want = [tuple(sorted({index[sigma[base[q]]] for sigma in auts
-                              if all(sigma[b] == b for b in base[:q])} - {q}))
-                for q in range(len(base))]
-        assert group.orbits == want, (masks, base)
+        assert group.orbits == pointwise_orbits(masks, base), (masks, base)
     assert past > 30
 
 
@@ -403,13 +410,13 @@ def test_min_vertex_code_maps_suffix_witnesses(monkeypatch):
 def test_orbit_build_is_skipped_by_the_table_loop(monkeypatch):
     # Petersen and cycles run the table loop, which bans nothing, so their
     # solves compute no group; K_7 runs the plain loop, whose searches
-    # share the group built at the first of them
+    # share the group built at the first of them on K_7's 7 vertices
     built = []
     base_orbits = symmetry.BaseOrbits
 
-    def spy(masks, base):
+    def spy(masks, *args):
         built.append(len(masks))
-        return base_orbits(masks, base)
+        return base_orbits(masks, *args)
 
     monkeypatch.setattr(symmetry, "BaseOrbits", spy)
     for g in (standard_graph("petersen"), standard_graph("cycle", 30)):
@@ -425,4 +432,128 @@ def test_orbit_build_is_skipped_by_the_table_loop(monkeypatch):
     monkeypatch.setattr(_search, "_search", count)
     res = solver.min_edge_code(standard_graph("complete", 7))
     assert res.status == "Optimal" and res.size == 6
-    assert len(searches) > 1 and built == [21]
+    assert len(searches) > 1 and built == [7]
+
+
+def _with_isolated(g, before, after):
+    """``g`` with isolated vertices, ``before`` of them numbered before its
+    own and ``after`` after them."""
+    return Graph(before + g.n + after, [(u + before, v + before) for u, v in g.edges])
+
+
+# Whitney's exceptions, whose line graphs have automorphisms that no
+# automorphism of the graph induces, alone and as components; a K_2
+# component; and isolated vertices before, between and after the others
+LIFTED = [
+    standard_graph("complete", 4),
+    Graph(4, [e for e in itertools.combinations(range(4), 2) if e != (2, 3)]),  # K_4 - e
+    Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]),  # K_{1,3} + e
+    # K_{1,3} + e and K_3
+    Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (4, 5), (4, 6), (5, 6)]),
+    Graph(8, list(itertools.combinations(range(4), 2))
+          + [(4, 5), (4, 6), (4, 7), (5, 6), (5, 7)]),  # K_4 and K_4 - e
+    Graph(6, [(0, 1), (2, 3), (2, 4), (3, 4)]),  # K_2, K_3 and a vertex
+    _with_isolated(standard_graph("hypercube", 3), 3, 2),
+    Graph(9, [(1, 3), (1, 5), (1, 7), (3, 5), (5, 7)]),  # K_4 - e, spread out
+]
+
+
+def plain_loop_residuals():
+    """``(g, residual constraints, positions)`` of the corpus graphs whose
+    residual runs the plain loop."""
+    for _, g in corpus():
+        _, rest, positions = solver._strip_forced(
+            g.m, solver._constraints_from_masks(g.all_edge_masks()))
+        if rest and _search.ConstraintSystem(len(positions), rest).keys is None:
+            yield g, rest, positions
+
+
+@pytest.mark.parametrize("g", LIFTED, ids=lambda g: str(g.edges))
+def test_lifts_map_closed_edge_neighbourhoods(g):
+    # every lift moves some edge and maps each closed edge neighbourhood
+    # onto one, also where the line graph has more automorphisms than the
+    # graph and where vertices have no edge
+    group = symmetry.edge_orbits(g, range(g.m))
+    assert group.moves
+    for images, _, _ in group.moves:
+        assert images != list(range(g.m)) and maps_masks(images, g.all_edge_masks())
+
+
+def test_lifts_map_each_residual_onto_itself():
+    # on the corpus graphs that reach the plain loop, each lift of the
+    # residual's positions permutes them, maps its constraints onto
+    # themselves, and so is an automorphism of the system it bans in
+    lifted = 0
+    for g, rest, positions in plain_loop_residuals():
+        assert all(maps_masks(images, g.all_edge_masks())
+                   for images, _, _ in symmetry.edge_orbits(g, range(g.m)).moves)
+        for images, _, _ in symmetry.edge_orbits(g, positions).moves:
+            assert sorted(images) == list(range(len(positions)))
+            assert sorted(sum(1 << images[q] for q in bits(c)) for c in rest) == rest
+            lifted += 1
+    assert lifted > 100
+
+
+def test_lifted_orbits_lie_in_the_line_graphs_orbits(pendant_free_all):
+    # along every base, a lifted orbit holds only positions that some
+    # automorphism of the line graph fixing the lower ones maps q to; on
+    # K_n, K_{a,b} and Q_n it holds all of them
+    for kind, params in BRUTE:
+        g = standard_graph(kind, params)
+        assert symmetry.edge_orbits(g, range(g.m)).orbits == pointwise_orbits(
+            g.all_edge_masks(), range(g.m)), (kind, params)
+    cases = [(g, range(g.m)) for g in LIFTED]
+    for g in pendant_free_all:
+        forced, rest, positions = solver._strip_forced(
+            g.m, solver._constraints_from_masks(g.all_edge_masks()))
+        if forced and rest:
+            cases.append((g, positions))
+    smaller = 0
+    for g, positions in cases:
+        orbits = symmetry.edge_orbits(g, positions).orbits
+        want = pointwise_orbits(g.all_edge_masks(), positions)
+        assert all(set(got) <= set(full) for got, full in zip(orbits, want)), g.edges
+        smaller += orbits != want
+    assert smaller >= 3
+
+
+def test_isolated_vertices_keep_the_bans():
+    # the group is found on the vertices with an edge only: with the 20
+    # isolated vertices after K_8's in its base, the searches for
+    # automorphisms that permute them, which lift to the identity, spent
+    # the build's budget before K_8's levels, and K_8 took 105,408 nodes
+    k8 = standard_graph("complete", 8)
+    want = solver.min_edge_code(k8).code.indices()
+    for before, after in ((0, 20), (20, 0), (10, 10)):
+        res = solver.min_edge_code(_with_isolated(k8, before, after))
+        assert (res.status, res.size, res.nodes_used) == ("Optimal", 7, 1780)
+        assert res.code.indices() == want
+
+
+# (SHA-256 of the lifted orbits, moves and reach of the residual of each
+# graph of the benchmark's solve_exact and solve_budget families in turn)
+PINNED_LIFTS = "65c8d67ba0c2e4e20b6eb35251f1b6f72e026101738f1231a365afa3f78d47ac"
+
+
+def test_lifted_groups_are_pinned():
+    # a change to how the group is found or lifted must give the same
+    # orbits and the same lifts in the same order, which the bans and the
+    # mapped suffix witnesses read
+    digest = hashlib.sha256()
+    for kind, params in (("petersen", None), ("complete", 7), ("complete", 8),
+                         ("complete_bipartite", (4, 5)), ("complete_bipartite", (5, 5)),
+                         ("hypercube", 4), ("cycle", 30), ("cycle", 40), ("complete", 9),
+                         ("hypercube", 5), ("cycle", 60), ("cycle", 100)):
+        g = standard_graph(kind, params)
+        _, _, positions = solver._strip_forced(
+            g.m, solver._constraints_from_masks(g.all_edge_masks()))
+        digest.update(repr(tuple(symmetry.edge_orbits(g, positions))).encode())
+    assert digest.hexdigest() == PINNED_LIFTS
+
+
+def test_build_budget_counts_edge_positions():
+    # the vertex build may run REFINE_LIMIT refinements per edge position,
+    # as the line-graph build could; with REFINE_LIMIT per vertex its
+    # budget ran out on K_{2,19}, which then took 180 nodes
+    res = solver.min_edge_code(standard_graph("complete_bipartite", (2, 19)))
+    assert (res.status, res.size, res.nodes_used) == ("Optimal", 36, 145)
