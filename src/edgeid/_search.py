@@ -417,9 +417,10 @@ def _transpose(masks, universe):
     if not masks or 32 * pairs < len(masks) * universe:
         for i, c in enumerate(masks):
             bit = 1 << i
-            low = (c & -c).bit_length() - 1
-            for q in bits(c >> low):
-                hits[low + q] |= bit
+            while c:
+                low = c & -c
+                hits[low.bit_length() - 1] |= bit
+                c ^= low
         return hits
     rows = max(1, BLOCK // universe)
     last = universe - 1

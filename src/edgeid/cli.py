@@ -376,6 +376,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_plain(argv)
     if args is None:
+        if sys.stderr is None:
+            # argparse prints its usage errors to stdout where stderr is None
+            import io
+
+            sys.stderr = io.StringIO()
         args = build_parser().parse_args(argv)
     try:
         stdin = [name for name in INPUTS if getattr(args, name, None) == "-"]

@@ -82,19 +82,39 @@ first, K_8 took 4,071 nodes instead of 1,780 and K_9 23,662 instead of
 Levels are processed deepest first, so the generators found so far all
 fix the positions below the current level.  A candidate already in the
 orbit they generate needs no search, nor does one in the orbit of a
-candidate refuted before.  The orbits of the generators found so far
-are kept as lists, one shared by all positions of an orbit, and a new
-generator merges the lists of the positions it joins, so no level
-computes a closure.  A search that finds an automorphism for every
-candidate not yet reached gives the exact orbit, since the generators of
-deeper levels generate the stabiliser of ``b_q``.  The searches share a
-budget of ``REFINE_LIMIT`` refinements per position; once it is spent,
-the orbits stay what the generators found so far give.  That loses
-speed, never correctness, since every generator is a checked
-automorphism.  A new ``BaseOrbits`` finds every level, since the plain
-loop of ``_search`` bans by the generators of all of them; each
-generator is also kept as a permutation of base indices with two masks,
-computed once when it is found, which the loop reads.
+candidate refuted before.  Nor does a twin of ``b_q``: a candidate ``r``
+with the neighbours of ``b_q`` but for the two of them, ``N(r) - {b_q} ==
+N(b_q) - {r}``, whether the two are adjacent (closed twins) or not (open
+ones).  Swapping them maps every closed neighbourhood onto one and fixes
+every other position, ``b_0, ..., b_{q-1}`` among them, so the
+transposition is an automorphism of the level, found with no search and
+no budget spent.  Every two vertices of K_n are twins, and every two on
+one side of K_{a,b}, so their vertex builds search at most for the swap
+of the two sides: ``edge_orbits`` of K_8 takes about 0.11 ms instead of
+0.20 (``BENCH_twins.json``).  The search, which tries candidates lowest
+first, had found the same transpositions, so the solves of the 485-graph
+corpus get the same lifts in the same order and the same node counts.
+The orbits of the generators found so far are kept as lists, one shared
+by all positions of an orbit, and a new generator merges the lists of
+the positions it joins, so no level computes a closure.  A search that
+finds an automorphism for every candidate not yet reached gives the
+exact orbit, since the generators of deeper levels generate the
+stabiliser of ``b_q``.  The searches share a budget of ``REFINE_LIMIT``
+refinements per position; once it is spent, the orbits stay what the
+generators found so far give.  That loses speed, never correctness,
+since every generator is a checked automorphism.  A new ``BaseOrbits``
+finds every level, since the plain loop of ``_search`` bans by the
+generators of all of them.
+
+What the plain loop reads is laid out from the generators by one helper,
+``_layout``, which ``edge_orbits`` runs on its lifts too.  A generator of
+level ``q`` fixes ``b_0, ..., b_{q-1}`` and moves ``b_q``, so in base
+indices the first index it moves is its level, and the orbits along the
+base are those of the generators merged from the top level down.  Each
+generator is also written as a permutation of base indices with two
+masks, which the loop reads.  A ``BaseOrbits`` lays these out when they
+are first read, so the lift, which reads the vertex generators only,
+never pays for them.
 
 ``isomorphic`` runs the same search between two graphs.  Their unit
 partitions must refine with the same trace, which gives them the same
@@ -105,7 +125,6 @@ with no budget, so a miss proves that the graphs differ.
 
 from collections import namedtuple
 
-from .graph_core import bits
 
 # Refinements per position that the automorphism searches of one build
 # may run, so that a graph whose refinement is weak costs a bounded
@@ -314,24 +333,57 @@ def _join(orbit, sigma):
                 orbit[u] = large
 
 
+def _layout(n, perms):
+    """``(orbits, moves, reach)`` of the permutations ``perms`` of ``range(n)``.
+
+    A permutation fixes every index below the first one it moves, its
+    level, so the permutations that fix ``[0, q)`` pointwise are those of
+    level ``q`` and above, and the orbit of ``q`` is trivial where none
+    has level ``q``.  ``orbits[q]`` is the sorted tuple of the ``r > q``
+    that the permutations of level ``q`` and above map ``q`` to, closed
+    under them, ``moves`` the permutations that move an index as
+    ``_on_base`` writes them, in the order given, and ``reach`` one past
+    the last nonempty orbit, 0 if there is none.
+    """
+    moves = []
+    levels = {}
+    for images in perms:
+        move = _on_base(images)
+        moved = move[2]  # its lowest bit is the level
+        if moved:
+            moves.append(move)
+            levels.setdefault((moved & -moved).bit_length() - 1, []).append(images)
+    # merged from the top level down, orbit[i] lists the orbit of i under
+    # the permutations merged so far, one list shared by all of its indices
+    orbit = [[i] for i in range(n)]
+    orbits = [()] * n
+    for q in sorted(levels, reverse=True):
+        for images in levels[q]:
+            _join(orbit, images)
+        orbits[q] = tuple(sorted(orbit[q])[1:])
+    return orbits, moves, max(levels, default=-1) + 1
+
+
 class BaseOrbits:
     """Orbits of ``base[q]`` under the automorphisms fixing ``base[:q]``.
 
     ``masks[v]`` is the closed neighbourhood of position ``v`` as a
     bitmask, and every automorphism of the graph they describe must map
     the positions of ``base`` among themselves.  A new object runs the
-    first path, then finds the orbits level by level, deepest first.
-    ``orbits[q]`` is the sorted tuple of the indices ``r > q`` whose
-    ``base[r]`` some automorphism fixing ``base[:q]`` maps ``base[q]``
-    to; it may miss such an ``r`` only when the search budget ran out.
-    ``generators`` lists the automorphisms found, each as the list of
-    images of ``0, ..., len(masks) - 1``, and ``moves`` the same
-    automorphisms as ``_on_base`` writes them, in base indices with their
-    ``prefix`` and ``moved`` masks, and ``reach`` is one past the last
-    level with a nonempty orbit, 0 if there is none; the plain loop of
-    ``_search`` reads ``orbits``, ``reach`` and ``moves`` from outside the
-    class.  ``budget`` is the number of refinements the searches may run,
-    ``REFINE_LIMIT`` per position unless given.
+    first path, then finds the generators level by level, deepest first,
+    swapping each level's twins with no search (see the module
+    docstring).  ``generators`` lists the automorphisms found, each as
+    the list of images of ``0, ..., len(masks) - 1``.  Laid out from them
+    by ``_layout`` when first read, ``orbits[q]`` is the sorted tuple of
+    the indices ``r > q`` whose ``base[r]`` some automorphism fixing
+    ``base[:q]`` maps ``base[q]`` to, which may miss such an ``r`` only
+    when the search budget ran out, ``moves`` the generators as
+    ``_on_base`` writes them, in base indices with their ``prefix`` and
+    ``moved`` masks, and ``reach`` one past the last level with a
+    nonempty orbit, 0 if there is none; the plain loop of ``_search``
+    reads ``orbits``, ``reach`` and ``moves`` from outside the class.
+    ``budget`` is the number of refinements the searches may run,
+    ``REFINE_LIMIT`` per position unless given, less those they ran.
     """
 
     def __init__(self, masks, base, budget=None):
@@ -369,12 +421,16 @@ class BaseOrbits:
         after = (1 << n) - 1
         for v in leaf:
             after ^= 1 << v  # the positions of the leaf after v
-            later.append(list(map(where.__getitem__, bits(nbr[v] & after))))
+            ahead = nbr[v] & after
+            row = []
+            while ahead:
+                low = ahead & -ahead
+                row.append(where[low.bit_length() - 1])
+                ahead ^= low
+            later.append(row)
         self.budget = REFINE_LIMIT * n if budget is None else budget
+        self.base = base
         self.generators = gens = []
-        self.moves = []
-        self.orbits = orbits = [()] * len(base)
-        index = {v: i for i, v in enumerate(base)}
         # orbit[v] lists the orbit of v under the generators found so far,
         # one list shared by all of its positions
         orbit = [[v] for v in range(n)]
@@ -383,6 +439,7 @@ class BaseOrbits:
             if q is None:
                 continue
             b = base[q]
+            near = nbr[b]
             refuted = set()
             rest = before[0][s]
             while rest:
@@ -391,15 +448,27 @@ class BaseOrbits:
                 r = low.bit_length() - 1
                 if orbit[r] is orbit[b] or r in refuted:
                     continue
-                sigma = self._find(t, before, low, nbr, masks)
-                if sigma is None:
-                    refuted.update(orbit[r])
-                    continue
+                pair = 1 << b | low
+                if nbr[r] | pair == near | pair:
+                    # a twin of b: swapping the two is an automorphism
+                    sigma = list(range(n))
+                    sigma[b], sigma[r] = r, b
+                else:
+                    sigma = self._find(t, before, low, nbr, masks)
+                    if sigma is None:
+                        refuted.update(orbit[r])
+                        continue
                 gens.append(sigma)
-                self.moves.append(_on_base([index[sigma[v]] for v in base]))
                 _join(orbit, sigma)
-            orbits[q] = tuple(sorted(index[v] for v in orbit[b] if index[v] > q))
-        self.reach = max((q + 1 for q, found in enumerate(orbits) if found), default=0)
+
+    def __getattr__(self, name):
+        # orbits, moves and reach, laid out from the generators on first use
+        if name not in ("orbits", "moves", "reach"):
+            raise AttributeError(name)
+        index = {v: i for i, v in enumerate(self.base)}
+        self.orbits, self.moves, self.reach = _layout(
+            len(self.base), [[index[sigma[v]] for v in self.base] for sigma in self.generators])
+        return getattr(self, name)
 
     def _find(self, t, partition, candidates, nbr, masks):
         """A checked map onto the graph with neighbour masks ``nbr`` and
@@ -468,10 +537,10 @@ def edge_orbits(g, positions):
     have an edge, renumbered in order, along all of them.  Each generator
     ``sigma`` lifts to the permutation that maps position ``i``, the edge
     ``uv``, to the position of ``sigma(u)sigma(v)``; every automorphism of
-    ``g`` maps the positions among themselves, and lifts that fix every
-    position are dropped.  ``orbits[q]`` is the sorted tuple of the ``r >
-    q`` that the lifts fixing ``[0, q)`` pointwise map ``q`` to, closed
-    under them, ``moves`` the lifts as ``_on_base`` writes them, in the
+    ``g`` maps the positions among themselves.  ``_layout`` lays the lifts
+    out: ``orbits[q]`` is the sorted tuple of the ``r > q`` that the lifts
+    fixing ``[0, q)`` pointwise map ``q`` to, closed under them, ``moves``
+    the lifts that move a position as ``_on_base`` writes them, in the
     order found, and ``reach`` one past the last nonempty orbit, 0 if
     there is none.
     """
@@ -485,23 +554,6 @@ def edge_orbits(g, positions):
     # by the mask of its ends
     pairs = [(where[u], where[v]) for u, v in map(g.edges.__getitem__, positions)]
     index = {1 << a | 1 << b: i for i, (a, b) in enumerate(pairs)}
-    lifts = []
-    levels = {}  # the lifts by their first moved position
-    for sigma in BaseOrbits(masks, range(len(ends)), REFINE_LIMIT * g.m).generators:
-        images = [index[1 << sigma[a] | 1 << sigma[b]] for a, b in pairs]
-        q = next((q for q, r in enumerate(images) if r != q), None)
-        if q is not None:
-            lifts.append(images)
-            levels.setdefault(q, []).append(images)
-    # a lift fixes every position below its first moved one, its level, so
-    # the lifts that fix [0, q) pointwise are those of level q and above,
-    # and the orbit of q is trivial where no lift has level q; merged from
-    # the top level down, orbit[i] lists the orbit of i under the lifts
-    # merged so far, one list shared by all of its positions
-    orbit = [[i] for i in range(len(pairs))]
-    orbits = [()] * len(pairs)
-    for q in sorted(levels, reverse=True):
-        for images in levels[q]:
-            _join(orbit, images)
-        orbits[q] = tuple(sorted(orbit[q])[1:])
-    return EdgeOrbits(orbits, list(map(_on_base, lifts)), max(levels, default=-1) + 1)
+    images = [[index[1 << sigma[a] | 1 << sigma[b]] for a, b in pairs]
+              for sigma in BaseOrbits(masks, range(len(ends)), REFINE_LIMIT * g.m).generators]
+    return EdgeOrbits(*_layout(len(pairs), images))

@@ -679,6 +679,15 @@ class TestProcess:
         assert process(argv, files, redirect=redirect) == (status, b"", b"")
 
     @pytest.mark.parametrize("argv", [
+        ["bogus"], ["family", "cycle", "--with-code", "5"], ["solve", "--budget"],
+    ], ids=" ".join)
+    def test_usage_error_with_stderr_closed(self, files, argv):
+        # argparse's usage errors exit 2 with stderr closed too, and their
+        # usage text, which argparse writes to stdout where sys.stderr is
+        # None, lands nowhere
+        assert process(argv, files, redirect="2>&-") == (2, b"", b"")
+
+    @pytest.mark.parametrize("argv", [
         ["verify", "p.el"], ["family", "petersen"], ["solve", "k4"],
     ], ids=" ".join)
     def test_stdout_closed_by_the_shell(self, files, argv):

@@ -180,6 +180,54 @@ def test_discrete_refinement_gives_trivial_orbits():
     assert full_orbits(masks, range(g.m)) == ([()] * g.m, [])
 
 
+def _planted_twins(rng, count):
+    """Random graphs on 4 to 6 vertices, each with one or two vertices
+    added as twins of random vertices: open ones, with the same
+    neighbours, or closed ones, adjacent besides."""
+    for _ in range(count):
+        n = rng.randint(4, 6)
+        edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5}
+        for _ in range(rng.randint(1, 2)):
+            v = rng.randrange(n)
+            edges |= {(u + w - v, n) for u, w in edges if v in (u, w)}
+            if rng.random() < 0.5:
+                edges.add((v, n))
+            n += 1
+        yield Graph(n, sorted(edges))
+
+
+def test_twin_swaps_match_brute_force():
+    # a candidate with the base vertex's neighbours but for the two of
+    # them is swapped with it, with no search: every generator must still
+    # be an automorphism and the orbits those of brute force
+    graphs = [standard_graph("complete", n) for n in range(3, 7)]
+    graphs += [standard_graph("complete_bipartite", ab) for ab in ((2, 2), (2, 3), (3, 3), (2, 4))]
+    graphs.append(standard_graph("cycle", 4))
+    graphs += _planted_twins(random.Random(32), 40)
+    swaps = 0
+    for g in graphs:
+        masks = vertex_closed_masks(g)
+        group = symmetry.BaseOrbits(masks, range(g.n))
+        for sigma in group.generators:
+            assert sorted(sigma) == list(range(g.n)) and maps_masks(sigma, masks), g.edges
+            swaps += sum(v != w for v, w in enumerate(sigma)) == 2
+        assert group.orbits == pointwise_orbits(masks, range(g.n)), g.edges
+    assert swaps > 60
+
+
+def test_twins_spend_no_budget(monkeypatch):
+    # every two vertices of K_8 are twins, so each level of its vertex
+    # build swaps them and no automorphism search runs
+    def find(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(symmetry.BaseOrbits, "_find", find)
+    g = standard_graph("complete", 8)
+    group = symmetry.BaseOrbits(vertex_closed_masks(g), range(g.n))
+    assert len(group.generators) == 7 and group.budget == symmetry.REFINE_LIMIT * g.n
+    assert symmetry.edge_orbits(g, range(g.m)).orbits[0] == tuple(range(1, g.m))
+
+
 def as_lists(cells):
     """The partition ``cells`` as the reference's ``(order, cell, end)``,
     each cell's positions in ascending order."""
@@ -256,23 +304,38 @@ def _pinned_builds(pendant_free_all):
     yield from residual_bases(pendant_free_all)
 
 
-# (builds, SHA-256 of their orbits, moves and spent budgets in turn)
-PINNED = (273, "f4d9a8b5f189e3fec6615e7ddf79fc45f2c1174108b32d452ded42583864ad69")
+# (builds, SHA-256 of their orbits and moves in turn)
+PINNED = (273, "6b95eee645483abde2d46eda8a92bf3f8c0e8d683d2c5302356b2bc760e678d1")
 
 
 def test_group_generators_are_pinned(pendant_free_all):
     # a change to how the group is built must find the same generators in
-    # the same order, the same orbits and spend the same budget; the
-    # residuals include every build of the corpus's small unions whose
-    # path goes on past its base
+    # the same order and the same orbits; the residuals include every
+    # build of the corpus's small unions whose path goes on past its base
     digest = hashlib.sha256()
     count = 0
     for masks, base in _pinned_builds(pendant_free_all):
         group = symmetry.BaseOrbits(masks, base)
-        digest.update(repr((group.orbits, group.moves, group.budget)).encode())
+        digest.update(repr((group.orbits, group.moves)).encode())
         count += 1
     assert count == PINNED[0]
     assert digest.hexdigest() == PINNED[1]
+
+
+# (refinements spent in all, SHA-256 of the budgets left in turn)
+PINNED_BUDGETS = (637, "14c62332fc79347ac78c705e107a0b4eedcbed9e0665b1bfa087108e739e401f")
+
+
+def test_group_budgets_are_pinned(pendant_free_all):
+    # the same builds must spend the same refinements: a swap of twins
+    # spends none, and a cheaper search may lower these
+    digest = hashlib.sha256()
+    spent = 0
+    for masks, base in _pinned_builds(pendant_free_all):
+        group = symmetry.BaseOrbits(masks, base)
+        digest.update(repr(group.budget).encode())
+        spent += symmetry.REFINE_LIMIT * len(masks) - group.budget
+    assert (spent, digest.hexdigest()) == PINNED_BUDGETS
 
 
 def _pinned_systems():
