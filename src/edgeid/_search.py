@@ -119,11 +119,11 @@ whatever the node budget.
 
 The plain loop prunes by symmetry instead.  ``least_optimum`` stores the
 graph that the positions come from as the system's ``graph``, and the
-first plain-loop search builds from it the system's ``group``: for edge
-codes ``symmetry.edge_orbits``, the root graph's automorphisms found on
-its vertices and lifted to its edges, and for vertex codes a
-``symmetry.BaseOrbits`` of the graph's closed neighbourhoods.  A solve
-that runs the table loop builds no group and loads no ``symmetry``.
+first plain-loop search builds from it the system's ``symmetry.Group``:
+``symmetry.edge_orbits`` for edge codes, the root graph's automorphisms
+found on its vertices and lifted to its edges, and for vertex codes
+``symmetry.vertex_orbits`` of the graph's closed neighbourhoods.  A
+solve that runs the table loop builds no group and loads no ``symmetry``.
 The group's generators are automorphisms of the system, permutations of
 the positions that map the constraints onto themselves.  Take a search
 from ``start`` that takes the exclude branch of ``q`` once the include
@@ -260,11 +260,10 @@ class ConstraintSystem:
     automorphisms map the constraints onto themselves and what each
     position stands for: an edge of ``graph`` when it is a ``Graph``,
     else a vertex of the graph whose closed neighbourhoods ``graph``
-    lists.  ``group`` is None or the group that ``bans`` builds from
-    ``graph``, a ``symmetry.edge_orbits`` or a ``symmetry.BaseOrbits``
-    along the positions, which it reads for the plain loop at each
-    start, and whose generators ``mapped`` applies to one suffix witness
-    at a time."""
+    lists.  ``group`` is None or the ``symmetry.Group`` along the
+    positions that ``bans`` builds from ``graph``, which it reads for
+    the plain loop at each start, and whose generators ``mapped``
+    applies to one suffix witness at a time."""
 
     __slots__ = ("universe", "full", "hits", "tops", "inside", "floor", "keys",
                  "tables", "stored", "graph", "group")
@@ -323,14 +322,14 @@ class ConstraintSystem:
 
         Returns ``(orbits, gens, movable)``, all empty when the system has
         neither a ``group`` nor a ``graph`` to build one from.  The first
-        call builds ``group`` from ``graph``: the lift of its
-        automorphisms to its edges when it is a ``Graph``, else the
-        ``BaseOrbits`` of its closed neighbourhoods.  ``orbits`` are the
-        group's orbits along the positions up to its ``reach``, the last
-        nonempty one, so that their length bounds the positions that ban
-        one,
-        ``gens`` its generators that map ``[0, start)`` onto itself, each
-        as ``(images, prefix, moved)`` (see ``symmetry._on_base``), and
+        call builds ``group`` from ``graph``: ``symmetry.edge_orbits``,
+        the lift of its automorphisms to its edges, when it is a
+        ``Graph``, else ``symmetry.vertex_orbits`` of its closed
+        neighbourhoods.  ``orbits`` are the group's orbits along the
+        positions up to its ``reach``, the last nonempty one, so that
+        their length bounds the positions that ban one, ``gens`` its
+        generators that map ``[0, start)`` onto itself, each as
+        ``(images, prefix, moved)`` (see ``symmetry._on_base``), and
         ``movable`` the union of their ``moved`` masks: the positions
         whose ban a generator can make.
         """
@@ -343,7 +342,7 @@ class ConstraintSystem:
             graph, positions = self.graph
             group = self.group = (
                 symmetry.edge_orbits(graph, positions) if isinstance(graph, Graph)
-                else symmetry.BaseOrbits(graph, positions))
+                else symmetry.vertex_orbits(graph, positions))
         gens = [move for move in group.moves if move[1] >> start & 1]
         movable = 0
         for _, _, moved in gens:

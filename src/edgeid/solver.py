@@ -170,6 +170,14 @@ def _solve_masks(universe, masks, lower, budget, hint_mask, graph):
     return STATUS_BUDGET, None, None, None, nodes
 
 
+def _options(options):
+    """``options``, or the defaults if None, once its budget is checked."""
+    opts = options if options is not None else SolveOptions()
+    if not isinstance(opts.budget, int) or opts.budget < 1:
+        raise ValueError("need a positive node budget")
+    return opts
+
+
 def min_edge_code(g, options=None):
     """Minimum edge-identifying code of ``g``.
 
@@ -180,7 +188,7 @@ def min_edge_code(g, options=None):
     Infeasible.  With default options the returned code is the
     lexicographically least optimum by edge index.
     """
-    opts = options if options is not None else SolveOptions()
+    opts = _options(options)
     if g.m == 0:
         return SolveResult(STATUS_OPTIMAL, EdgeSet.from_indices(g, ()), 0, None, 0)
     from .bounds import solver_lower_bound
@@ -211,7 +219,7 @@ def min_vertex_code(g, options=None):
     Twins (vertices with equal closed neighborhoods) make the instance
     Infeasible.  ``code`` is a sorted tuple of vertices on success.
     """
-    opts = options if options is not None else SolveOptions()
+    opts = _options(options)
     if g.n == 0:
         return SolveResult(STATUS_OPTIMAL, (), 0, None, 0)
     masks = vertex_closed_masks(g)

@@ -3,10 +3,10 @@
 The exact search may use the symmetries of its constraint system (see
 ``_search``).  It needs, for each position ``q`` of a base ``b_0, b_1,
 ...``, the orbit of ``b_q`` under the automorphisms that fix ``b_0, ...,
-b_{q-1}``.  ``BaseOrbits`` computes those orbits from the closed
-neighbourhoods ``masks`` of the positions: for vertex codes, the graph's
-own.  An automorphism of that graph maps closed neighbourhoods to
-closed neighbourhoods, so it maps the domination and separation
+b_{q-1}``.  ``vertex_orbits`` lays them out as a ``Group`` from the
+closed neighbourhoods ``masks`` of the positions: for vertex codes, the
+graph's own.  An automorphism of that graph maps closed neighbourhoods
+to closed neighbourhoods, so it maps the domination and separation
 constraints onto themselves, and with them the singleton constraints,
 the positions they force and the positions left in the residual.
 
@@ -102,19 +102,19 @@ exact orbit, since the generators of deeper levels generate the
 stabiliser of ``b_q``.  The searches share a budget of ``REFINE_LIMIT``
 refinements per position; once it is spent, the orbits stay what the
 generators found so far give.  That loses speed, never correctness,
-since every generator is a checked automorphism.  A new ``BaseOrbits``
-finds every level, since the plain loop of ``_search`` bans by the
-generators of all of them.
+since every generator is a checked automorphism.  ``BaseOrbits`` runs
+this search and finds every level, since the plain loop of ``_search``
+bans by the generators of all of them.
 
-What the plain loop reads is laid out from the generators by one helper,
-``_layout``, which ``edge_orbits`` runs on its lifts too.  A generator of
-level ``q`` fixes ``b_0, ..., b_{q-1}`` and moves ``b_q``, so in base
-indices the first index it moves is its level, and the orbits along the
-base are those of the generators merged from the top level down.  Each
-generator is also written as a permutation of base indices with two
-masks, which the loop reads.  A ``BaseOrbits`` lays these out when they
-are first read, so the lift, which reads the vertex generators only,
-never pays for them.
+What the plain loop reads, a ``Group``, is laid out from permutations
+of base indices by one helper, ``_layout``: ``vertex_orbits`` runs it on
+the generators of a ``BaseOrbits`` and ``edge_orbits`` on their lifts.
+A generator of level ``q`` fixes ``b_0, ..., b_{q-1}`` and moves
+``b_q``, so in base indices the first index it moves is its level, and
+the orbits along the base are those of the generators merged from the
+top level down.  Each generator is also written as a permutation of
+base indices with two masks, which the loop reads.  The lift reads only
+the vertex generators, so it never pays for a vertex-level layout.
 
 ``isomorphic`` runs the same search between two graphs.  Their unit
 partitions must refine with the same trace, which gives them the same
@@ -333,8 +333,13 @@ def _join(orbit, sigma):
                 orbit[u] = large
 
 
+# the group along a base that the plain loop of ``_search`` bans by, as
+# ``_layout`` lays it out
+Group = namedtuple("Group", "orbits moves reach")
+
+
 def _layout(n, perms):
-    """``(orbits, moves, reach)`` of the permutations ``perms`` of ``range(n)``.
+    """The ``Group`` of the permutations ``perms`` of ``range(n)``.
 
     A permutation fixes every index below the first one it moves, its
     level, so the permutations that fix ``[0, q)`` pointwise are those of
@@ -361,11 +366,11 @@ def _layout(n, perms):
         for images in levels[q]:
             _join(orbit, images)
         orbits[q] = tuple(sorted(orbit[q])[1:])
-    return orbits, moves, max(levels, default=-1) + 1
+    return Group(orbits, moves, max(levels, default=-1) + 1)
 
 
 class BaseOrbits:
-    """Orbits of ``base[q]`` under the automorphisms fixing ``base[:q]``.
+    """Generators of the automorphisms fixing ``base[:q]``, for each ``q``.
 
     ``masks[v]`` is the closed neighbourhood of position ``v`` as a
     bitmask, and every automorphism of the graph they describe must map
@@ -373,17 +378,11 @@ class BaseOrbits:
     first path, then finds the generators level by level, deepest first,
     swapping each level's twins with no search (see the module
     docstring).  ``generators`` lists the automorphisms found, each as
-    the list of images of ``0, ..., len(masks) - 1``.  Laid out from them
-    by ``_layout`` when first read, ``orbits[q]`` is the sorted tuple of
-    the indices ``r > q`` whose ``base[r]`` some automorphism fixing
-    ``base[:q]`` maps ``base[q]`` to, which may miss such an ``r`` only
-    when the search budget ran out, ``moves`` the generators as
-    ``_on_base`` writes them, in base indices with their ``prefix`` and
-    ``moved`` masks, and ``reach`` one past the last level with a
-    nonempty orbit, 0 if there is none; the plain loop of ``_search``
-    reads ``orbits``, ``reach`` and ``moves`` from outside the class.
-    ``budget`` is the number of refinements the searches may run,
+    the list of images of ``0, ..., len(masks) - 1``; the orbits they
+    generate along the base miss some only when the search budget ran
+    out.  ``budget`` is the number of refinements the searches may run,
     ``REFINE_LIMIT`` per position unless given, less those they ran.
+    The first path stays for ``_find`` and ``isomorphic``.
     """
 
     def __init__(self, masks, base, budget=None):
@@ -429,7 +428,6 @@ class BaseOrbits:
                 ahead ^= low
             later.append(row)
         self.budget = REFINE_LIMIT * n if budget is None else budget
-        self.base = base
         self.generators = gens = []
         # orbit[v] lists the orbit of v under the generators found so far,
         # one list shared by all of its positions
@@ -460,15 +458,6 @@ class BaseOrbits:
                         continue
                 gens.append(sigma)
                 _join(orbit, sigma)
-
-    def __getattr__(self, name):
-        # orbits, moves and reach, laid out from the generators on first use
-        if name not in ("orbits", "moves", "reach"):
-            raise AttributeError(name)
-        index = {v: i for i, v in enumerate(self.base)}
-        self.orbits, self.moves, self.reach = _layout(
-            len(self.base), [[index[sigma[v]] for v in self.base] for sigma in self.generators])
-        return getattr(self, name)
 
     def _find(self, t, partition, candidates, nbr, masks):
         """A checked map onto the graph with neighbour masks ``nbr`` and
@@ -509,40 +498,40 @@ def isomorphic(masks1, masks2):
     ``masks2`` are isomorphic."""
     if len(masks1) != len(masks2):
         return False
-    first, second = BaseOrbits(masks1, ()), BaseOrbits(masks2, ())
+    first, second = BaseOrbits(masks1, (), float("inf")), BaseOrbits(masks2, ())
     if first.trace != second.trace:
         return False
     if not first.path:
         return _is_automorphism([1 << v for v in second.leaf], masks2, first.later)
-    first.budget = float("inf")
     partition = second.path[0][1]
     return first._find(0, partition, partition[0][first.path[0][2]], second.nbr,
                        masks2) is not None
 
 
-class EdgeOrbits(namedtuple("EdgeOrbits", "orbits moves reach")):
-    """The group of a graph's edge positions that ``edge_orbits`` lifts
-    from its vertices, with the fields that the plain loop of ``_search``
-    reads, as ``BaseOrbits`` has them."""
-
-    __slots__ = ()
+def vertex_orbits(masks, base):
+    """The ``Group`` along ``base`` of the graph with closed neighbourhoods
+    ``masks``: ``_layout`` of a ``BaseOrbits``' generators in base indices,
+    so ``orbits[q]`` holds the indices ``r > q`` whose ``base[r]`` some
+    automorphism fixing ``base[:q]`` maps ``base[q]`` to, but for those a
+    spent budget missed."""
+    index = {v: i for i, v in enumerate(base)}
+    return _layout(len(base), [[index[sigma[v]] for v in base]
+                               for sigma in BaseOrbits(masks, base).generators])
 
 
 def edge_orbits(g, positions):
-    """Orbits along the edge positions ``positions`` of the graph ``g``,
-    under the automorphisms of ``g`` lifted to its edges (see the module
-    docstring), as an ``EdgeOrbits``.
+    """The ``Group`` along the edge positions ``positions`` of the graph
+    ``g``, of the automorphisms of ``g`` lifted to its edges (see the
+    module docstring).
 
     The automorphisms are found by a ``BaseOrbits`` on the vertices that
     have an edge, renumbered in order, along all of them.  Each generator
     ``sigma`` lifts to the permutation that maps position ``i``, the edge
     ``uv``, to the position of ``sigma(u)sigma(v)``; every automorphism of
     ``g`` maps the positions among themselves.  ``_layout`` lays the lifts
-    out: ``orbits[q]`` is the sorted tuple of the ``r > q`` that the lifts
-    fixing ``[0, q)`` pointwise map ``q`` to, closed under them, ``moves``
-    the lifts that move a position as ``_on_base`` writes them, in the
-    order found, and ``reach`` one past the last nonempty orbit, 0 if
-    there is none.
+    out as ``vertex_orbits`` lays out its generators: ``orbits[q]`` holds
+    the ``r > q`` that the lifts fixing ``[0, q)`` pointwise map ``q`` to,
+    closed under them.
     """
     ends = [v for v in range(g.n) if g.neighbors(v)]
     where = [0] * g.n
@@ -556,4 +545,4 @@ def edge_orbits(g, positions):
     index = {1 << a | 1 << b: i for i, (a, b) in enumerate(pairs)}
     images = [[index[1 << sigma[a] | 1 << sigma[b]] for a, b in pairs]
               for sigma in BaseOrbits(masks, range(len(ends)), REFINE_LIMIT * g.m).generators]
-    return EdgeOrbits(*_layout(len(pairs), images))
+    return _layout(len(pairs), images)

@@ -476,6 +476,19 @@ def test_budget_exhaustion_and_hint_fallback():
     assert rescued.code == full and rescued.size == g.m
 
 
+@pytest.mark.parametrize("budget", [None, 0, -3, 1.5])
+def test_solvers_reject_a_budget_that_is_no_positive_int(budget):
+    # both solvers check the budget before any work, with the kernel's
+    # message, so a graph with no edge or no vertex is rejected too; an
+    # unchecked 1.5 counted 2.5 nodes, and None failed inside the search
+    options = SolveOptions(budget=budget)
+    cycle = Graph(7, [(i, (i + 1) % 7) for i in range(7)])
+    for solve, g in ((min_edge_code, complete(5)), (min_edge_code, Graph(3, [])),
+                     (min_vertex_code, cycle), (min_vertex_code, Graph(0, []))):
+        with pytest.raises(ValueError, match="need a positive node budget"):
+            solve(g, options)
+
+
 def test_hint_caps_the_sweep():
     g = complete(5)
     opt = min_edge_code(g)

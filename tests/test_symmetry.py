@@ -12,7 +12,7 @@ from conftest import naive_min_vertex_code, random_connected_pendant_free, refer
 from corpus_nodes import corpus
 from edgeid import _search, solver, symmetry
 from edgeid.families import standard_graph
-from edgeid.graph_core import Graph, bits
+from edgeid.graph_core import Graph, bits, line_graph
 from edgeid.identify import vertex_closed_masks
 from edgeid.solver import min_vertex_code
 
@@ -40,9 +40,10 @@ def brute_force_orbits(g):
 
 
 def full_orbits(masks, base):
-    """``(orbits, generators)`` with every level found."""
-    group = symmetry.BaseOrbits(masks, base)
-    return group.orbits, group.generators
+    """``(orbits, generators)`` with every level found, the generators in
+    base indices: the positions themselves along ``range(len(masks))``."""
+    group = symmetry.vertex_orbits(masks, base)
+    return group.orbits, [images for images, _, _ in group.moves]
 
 
 def maps_masks(sigma, masks):
@@ -139,9 +140,9 @@ def test_orbits_along_a_partial_base_match_brute_force(pendant_free_all):
                 cases.append((masks, [u for u in range(g.m) if u not in orbit]))
     past = 0
     for masks, base in cases:
-        group = symmetry.BaseOrbits(masks, base)
-        past += any(q is None for q, *_ in group.path)
-        assert group.orbits == pointwise_orbits(masks, base), (masks, base)
+        past += any(q is None for q, *_ in symmetry.BaseOrbits(masks, base).path)
+        assert symmetry.vertex_orbits(masks, base).orbits == pointwise_orbits(
+            masks, base), (masks, base)
     assert past > 30
 
 
@@ -154,14 +155,15 @@ def test_orbits_follow_the_base():
     g = standard_graph("complete", 5)
     masks = g.all_edge_masks()
     flipped = [g.m - 1 - i for i in range(g.m)]
-    group = symmetry.BaseOrbits(masks, flipped)
+    group = symmetry.vertex_orbits(masks, flipped)
+    generators = symmetry.BaseOrbits(masks, flipped).generators
     orbits = group.orbits
     relabelled = [masks[i] for i in flipped]
     relabelled = [sum(1 << flipped[j] for j in bits(m)) for m in relabelled]
     assert orbits == full_orbits(relabelled, range(g.m))[0]
     assert [len(o) for o in orbits if o] == [9, 5, 1]
-    assert len(group.moves) == len(group.generators)
-    for (images, prefix, moved), sigma in zip(group.moves, group.generators):
+    assert len(group.moves) == len(generators)
+    for (images, prefix, moved), sigma in zip(group.moves, generators):
         assert images == [flipped.index(sigma[v]) for v in flipped]
         for p in range(g.m + 1):
             onto = set(images[:p]) == set(range(p))
@@ -207,11 +209,11 @@ def test_twin_swaps_match_brute_force():
     swaps = 0
     for g in graphs:
         masks = vertex_closed_masks(g)
-        group = symmetry.BaseOrbits(masks, range(g.n))
-        for sigma in group.generators:
+        orbits, generators = full_orbits(masks, range(g.n))
+        for sigma in generators:
             assert sorted(sigma) == list(range(g.n)) and maps_masks(sigma, masks), g.edges
             swaps += sum(v != w for v, w in enumerate(sigma)) == 2
-        assert group.orbits == pointwise_orbits(masks, range(g.n)), g.edges
+        assert orbits == pointwise_orbits(masks, range(g.n)), g.edges
     assert swaps > 60
 
 
@@ -315,7 +317,7 @@ def test_group_generators_are_pinned(pendant_free_all):
     digest = hashlib.sha256()
     count = 0
     for masks, base in _pinned_builds(pendant_free_all):
-        group = symmetry.BaseOrbits(masks, base)
+        group = symmetry.vertex_orbits(masks, base)
         digest.update(repr((group.orbits, group.moves)).encode())
         count += 1
     assert count == PINNED[0]
@@ -468,6 +470,67 @@ def test_min_vertex_code_maps_suffix_witnesses(monkeypatch):
         assert res.status == "Optimal" and res.code == naive_min_vertex_code(g), g.edges
     assert plain == [True] * len(graphs)
     assert sum(accepted) >= 3
+
+
+def _pinned_vertex_graphs():
+    """The graphs whose vertex-code solves are pinned: K_5 to K_7, K_{3,4},
+    Q_3, Petersen and C_9, their line graphs, and 40 seeded circulants."""
+    graphs = [standard_graph("complete", n) for n in (5, 6, 7)]
+    graphs += [standard_graph(kind, params) for kind, params in (
+        ("complete_bipartite", (3, 4)), ("hypercube", 3), ("petersen", None),
+        ("cycle", 9))]
+    graphs += [line_graph(g)[0] for g in graphs]
+    rng = random.Random(33)
+    for _ in range(40):
+        n = rng.randint(12, 24)
+        graphs.append(_circulant(n, rng.sample(range(1, n // 2 + 1), rng.randint(2, 4))))
+    return graphs
+
+
+# (solves, nodes in all, SHA-256 of (status, code, nodes) of each in turn)
+PINNED_VERTEX_SOLVES = (54, 342638,
+                        "dea0c9c0040d1f01fea869db459d4b7a63d09c97c120543e1ec17fbc1de9540e")
+
+
+def test_vertex_code_solves_are_pinned(monkeypatch):
+    # a change to how a vertex-code solve builds or reads its group must
+    # keep every status, code and node count; 19 of these solves reach
+    # the plain loop and build a group (K_n has twins and is Infeasible)
+    built = []
+    base_orbits = symmetry.BaseOrbits
+
+    def spy(masks, *args):
+        built.append(len(masks))
+        return base_orbits(masks, *args)
+
+    monkeypatch.setattr(symmetry, "BaseOrbits", spy)
+    digest = hashlib.sha256()
+    count = nodes = 0
+    for g in _pinned_vertex_graphs():
+        res = min_vertex_code(g)
+        digest.update(repr((res.status, res.code, res.nodes_used)).encode())
+        count += 1
+        nodes += res.nodes_used
+    assert (count, nodes, digest.hexdigest()) == PINNED_VERTEX_SOLVES
+    assert len(built) == 19
+
+
+def test_plain_loop_reads_a_group_for_both_kinds(monkeypatch):
+    # edge and vertex codes give the plain loop the same type: after the
+    # solves of K_7's edge code and of a circulant's vertex code, each
+    # system holds a symmetry.Group
+    systems = []
+    sweep = _search._sweep
+
+    def spy(system, *args):
+        systems.append(system)
+        return sweep(system, *args)
+
+    monkeypatch.setattr(_search, "_sweep", spy)
+    assert solver.min_edge_code(standard_graph("complete", 7)).status == "Optimal"
+    assert min_vertex_code(_circulant(17, (1, 2, 4, 8))).status == "Optimal"
+    assert [type(system.group) for system in systems] == [symmetry.Group] * 2
+    assert all(system.keys is None and system.group.moves for system in systems)
 
 
 def test_orbit_build_is_skipped_by_the_table_loop(monkeypatch):
