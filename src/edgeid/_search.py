@@ -752,9 +752,9 @@ def search_exact_size(universe, constraints, k, budget, start=0):
     last-level scan counts nodes that the loop never visits (see the
     module docstring).  A new system's floors never rise to the right.
     """
-    if k < 0:
+    if not isinstance(k, int) or k < 0:
         raise ValueError("need k >= 0")
-    if budget < 1:
+    if not isinstance(budget, int) or budget < 1:
         raise ValueError("need a positive node budget")
     if not 0 <= start <= universe:
         raise ValueError("start lies outside the universe")

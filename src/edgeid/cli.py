@@ -136,32 +136,21 @@ def _family_instance(args):
         if args.with_code:
             return families.known_code(kind, params)
         return families.FamilyInstance(graph=families.standard_graph(kind, params))
+    if len(params) != 1 or kind == "subdivided" and args.multigraph is None:
+        name = "d" if kind == "matching" else "k"
+        need = " and --multigraph FILE" if kind == "subdivided" else ""
+        raise _UsageError(f"{kind} takes one parameter {name}{need}")
+    (p,) = params
     if kind == "matching":
-        if len(params) != 1:
-            raise _UsageError("matching takes one parameter d")
-        matching = families.hypercube_matching(params[0])
-        return families.FamilyInstance(
-            graph=families.standard_graph("hypercube", params[0]),
-            claimed_code=matching,
-            claimed_gamma=len(matching),
-        )
-    if kind == "jk":
-        if len(params) != 1:
-            raise _UsageError("jk takes one parameter k")
-        return families.jk_graph(params[0])
-    if kind == "extremal1":
-        if len(params) != 1:
-            raise _UsageError("extremal1 takes one parameter k")
-        return families.extremal_low1(params[0])
-    if kind == "clawfree":
-        if len(params) != 1:
-            raise _UsageError("clawfree takes one parameter k")
-        return families.claw_free_example(params[0])
+        matching = families.hypercube_matching(p)
+        return families.FamilyInstance(graph=families.standard_graph("hypercube", p),
+                                       claimed_code=matching, claimed_gamma=len(matching))
     if kind == "subdivided":
-        if len(params) != 1 or args.multigraph is None:
-            raise _UsageError("subdivided takes one parameter k and --multigraph FILE")
         mg = read_multigraph(_read_text(args.multigraph))
-        return families.subdivided_regular_code(mg, params[0])
+        return families.subdivided_regular_code(mg, p)
+    builds = {"jk": families.jk_graph, "extremal1": families.extremal_low1,
+              "clawfree": families.claw_free_example}
+    return builds[kind](p)
 
 
 def cmd_family(args):

@@ -57,7 +57,10 @@ class SolveOptions(namedtuple("SolveOptions", "budget upper_hint",
     most of a 2,000-node solve of about 0.10 s, and its group, found on
     its 25 vertices and lifted to its 300 edges, about 0.003 s (0.026 s
     on the line graph; best of 9 in-process runs on one core of a 2-core
-    Xeon, Python 3.11).
+    Xeon, Python 3.11).  A group build that finds nothing costs most: on
+    the random Latin-square graphs of order 9 measured (81 vertices, 972
+    edges, no automorphism but the identity) it spends its whole budget
+    of 648 refinements in about 0.09 s (best of 3, same host).
     """
 
     __slots__ = ()

@@ -28,16 +28,19 @@ same solves node for node.  The vertex build leaves out the vertices
 that have no edge.  Its searches for automorphisms that permute them
 would lift to the identity, and with 20 such vertices after K_8's they
 spent the build's budget before K_8's levels: K_8 then took 105,408
-nodes instead of 1,780.  The build's budget stays ``REFINE_LIMIT``
-refinements per edge, as on L(G); with that many per vertex it ran out
-on K_{2,b} for b >= 19, K_{3,b} for b >= 16 and K_{4,b} for b >= 15
-(of the K_{a,b} with ab <= 64), which then took more nodes.  The orbits
-along the edge positions are those of the lifted generators that fix
-the positions below: a lift fixes every position below the first one
-it moves, so the orbit of ``q`` is built by merging the lifts whose
-first moved position is ``q`` or above it.  On the K_n, K_{a,b} and
-Q_n small enough to enumerate, these are the orbits of L(G)'s
-pointwise stabilisers.
+nodes instead of 1,780.  The budget is ``REFINE_LIMIT`` refinements
+per vertex, as in every build.  K_{a,b}, whose searches once ran it
+out, swaps twins (below) with no search, and the corpus, K_n, Q_n,
+cycles and circulants spend under half of it.  It binds on rigid graphs
+whose refinement is weak, where a budget per edge ran longer searches
+that mostly found nothing: 1,288 refinements against 392 on the order-7
+Latin-square graph of ``tests/test_symmetry.py``, for the same empty
+group.  The orbits along the edge positions are those of the lifted
+generators that fix the positions below: a lift fixes every position
+below the first one it moves, so the orbit of ``q`` is built by merging
+the lifts whose first moved position is ``q`` or above it.  On the K_n,
+K_{a,b} and Q_n small enough to enumerate, these are the orbits of
+L(G)'s pointwise stabilisers.
 
 The method is individualisation-refinement, after McKay and Piperno,
 "Practical graph isomorphism, II" (2014).  An ordered partition of the
@@ -381,8 +384,9 @@ class BaseOrbits:
     the list of images of ``0, ..., len(masks) - 1``; the orbits they
     generate along the base miss some only when the search budget ran
     out.  ``budget`` is the number of refinements the searches may run,
-    ``REFINE_LIMIT`` per position unless given, less those they ran.
-    The first path stays for ``_find`` and ``isomorphic``.
+    ``REFINE_LIMIT`` per position unless given, less those they ran; only
+    ``isomorphic`` gives one.  The first path stays for ``_find`` and
+    ``isomorphic``.
     """
 
     def __init__(self, masks, base, budget=None):
@@ -525,13 +529,13 @@ def edge_orbits(g, positions):
     module docstring).
 
     The automorphisms are found by a ``BaseOrbits`` on the vertices that
-    have an edge, renumbered in order, along all of them.  Each generator
-    ``sigma`` lifts to the permutation that maps position ``i``, the edge
-    ``uv``, to the position of ``sigma(u)sigma(v)``; every automorphism of
-    ``g`` maps the positions among themselves.  ``_layout`` lays the lifts
-    out as ``vertex_orbits`` lays out its generators: ``orbits[q]`` holds
-    the ``r > q`` that the lifts fixing ``[0, q)`` pointwise map ``q`` to,
-    closed under them.
+    have an edge, renumbered in order, along all of them, with the
+    default budget.  Each generator ``sigma`` lifts to the permutation
+    that maps position ``i``, the edge ``uv``, to the position of
+    ``sigma(u)sigma(v)``; every automorphism of ``g`` maps the positions
+    among themselves.  ``_layout`` lays the lifts out as ``vertex_orbits``
+    lays out its generators: ``orbits[q]`` holds the ``r > q`` that the
+    lifts fixing ``[0, q)`` pointwise map ``q`` to, closed under them.
     """
     ends = [v for v in range(g.n) if g.neighbors(v)]
     where = [0] * g.n
@@ -544,5 +548,5 @@ def edge_orbits(g, positions):
     pairs = [(where[u], where[v]) for u, v in map(g.edges.__getitem__, positions)]
     index = {1 << a | 1 << b: i for i, (a, b) in enumerate(pairs)}
     images = [[index[1 << sigma[a] | 1 << sigma[b]] for a, b in pairs]
-              for sigma in BaseOrbits(masks, range(len(ends)), REFINE_LIMIT * g.m).generators]
+              for sigma in BaseOrbits(masks, range(len(ends))).generators]
     return _layout(len(pairs), images)

@@ -371,6 +371,15 @@ class TestFamily:
         status, _, _ = run_cli(["family", "matching"])
         assert status == 2
 
+    @pytest.mark.parametrize("params", [[], ["4", "4"]])
+    @pytest.mark.parametrize("kind, usage", [
+        ("matching", "one parameter d"), ("jk", "one parameter k"),
+        ("extremal1", "one parameter k"), ("clawfree", "one parameter k"),
+        ("subdivided", "one parameter k and --multigraph FILE")])
+    def test_other_kinds_take_one_parameter(self, run_cli, kind, usage, params):
+        status, out, err = run_cli(["family", kind, *params])
+        assert (status, out, err) == (2, "", f"usage error: {kind} takes {usage}\n")
+
     def test_unknown_kind_rejected_by_parser(self, run_cli):
         with pytest.raises(SystemExit) as exc:
             main(["family", "moebius", "3"])

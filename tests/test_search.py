@@ -602,6 +602,21 @@ def test_trivial_cases():
         search_exact_size(5, [], 1, 100, 6)
 
 
+@pytest.mark.parametrize("budget", [None, 0, -3, 1.5])
+def test_kernel_rejects_a_budget_that_is_no_positive_int(budget):
+    # the solvers' own check: an unchecked 1.5 counted 2.5 nodes, and None
+    # failed in the comparison
+    with pytest.raises(ValueError, match="need a positive node budget"):
+        search_exact_size(3, [1, 2, 4], 3, budget)
+
+
+@pytest.mark.parametrize("k", [-1, 1.5])
+def test_kernel_rejects_a_size_that_is_no_int_from_zero(k):
+    # an unchecked 1.5 failed deep in the search, multiplying a list by it
+    with pytest.raises(ValueError, match="need k >= 0"):
+        search_exact_size(3, [1, 2, 4], k, 100)
+
+
 def test_python_kernel_handles_wide_universe():
     # wider than a machine word
     universe = 70

@@ -677,9 +677,39 @@ def test_lifted_groups_are_pinned():
     assert digest.hexdigest() == PINNED_LIFTS
 
 
-def test_build_budget_counts_edge_positions():
-    # the vertex build may run REFINE_LIMIT refinements per edge position,
-    # as the line-graph build could; with REFINE_LIMIT per vertex its
-    # budget ran out on K_{2,19}, which then took 180 nodes
+def test_twin_swaps_keep_k_2_19_at_145_nodes():
+    # every two vertices on one side of K_{2,19} are twins, so the vertex
+    # build swaps them with no search and spends none of its budget; when
+    # its searches found them instead, a budget of REFINE_LIMIT per vertex
+    # ran out and K_{2,19} took 180 nodes
     res = solver.min_edge_code(standard_graph("complete_bipartite", (2, 19)))
     assert (res.status, res.size, res.nodes_used) == ("Optimal", 36, 145)
+
+
+# a Latin square of order 7 whose graph has no automorphism but the
+# identity, yet whose refinement is weak: every cell has 18 neighbours
+RIGID_SQUARE = [[0, 4, 2, 3, 1, 5, 6], [5, 2, 4, 1, 0, 6, 3], [6, 1, 3, 0, 2, 4, 5],
+                [1, 3, 5, 6, 4, 0, 2], [2, 6, 1, 4, 5, 3, 0], [4, 0, 6, 5, 3, 2, 1],
+                [3, 5, 0, 2, 6, 1, 4]]
+
+
+def test_lifted_build_spends_its_budget_per_vertex(monkeypatch):
+    # the lifted build of the square's graph, 49 cells adjacent when they
+    # share a row, a column or a symbol, spends at most REFINE_LIMIT
+    # refinements per vertex and finds nothing; a budget of REFINE_LIMIT
+    # per edge let it run 1,288 refinements for the same empty group
+    n = len(RIGID_SQUARE)
+    cells = [(r, c, RIGID_SQUARE[r][c]) for r in range(n) for c in range(n)]
+    g = Graph(len(cells), [(i, j) for i, j in itertools.combinations(range(len(cells)), 2)
+                           if any(a == b for a, b in zip(cells[i], cells[j]))])
+    spent = []
+
+    class Spy(symmetry.BaseOrbits):
+        def __init__(self, masks, base, budget=None):
+            super().__init__(masks, base, budget)
+            given = symmetry.REFINE_LIMIT * len(masks) if budget is None else budget
+            spent.append(given - self.budget)
+
+    monkeypatch.setattr(symmetry, "BaseOrbits", Spy)
+    assert symmetry.edge_orbits(g, range(g.m)).moves == []
+    assert len(spent) == 1 and spent[0] <= symmetry.REFINE_LIMIT * 49
