@@ -119,11 +119,11 @@ whatever the node budget.
 
 The plain loop prunes by symmetry instead.  ``least_optimum`` stores the
 graph that the positions come from as the system's ``graph``, and the
-first plain-loop search builds from it the system's ``symmetry.Group``:
-``symmetry.edge_orbits`` for edge codes, the root graph's automorphisms
-found on its vertices and lifted to its edges, and for vertex codes
-``symmetry.vertex_orbits`` of the graph's closed neighbourhoods.  A
-solve that runs the table loop builds no group and loads no ``symmetry``.
+first plain-loop search builds from it the system's ``symmetry.Group``
+by ``symmetry.edge_orbits``: the root graph's automorphisms, found on
+its vertices and lifted to the positions, each of which is a pair of
+its vertices, an edge's two ends or a vertex twice.  A solve that runs
+the table loop builds no group and loads no ``symmetry``.
 The group's generators are automorphisms of the system, permutations of
 the positions that map the constraints onto themselves.  Take a search
 from ``start`` that takes the exclude branch of ``q`` once the include
@@ -237,7 +237,7 @@ run that returns not-found without exhaustion is a proof that no
 k-subset hits every constraint.
 """
 
-from .graph_core import Graph, bits
+from .graph_core import bits
 
 # The refuted-state table is kept at positions with at most this many
 # open constraints; see the module docstring.
@@ -256,14 +256,14 @@ class ConstraintSystem:
     universe)``, which are numbered from 0 up (see the module docstring).
     ``keys`` is None when no position ``p >= 1`` has at most
     ``KEY_LIMIT`` open constraints; the kernel then keeps no table.
-    ``graph`` is None or ``(graph, positions)``, a graph whose
+    ``graph`` is None or ``(g, ends, positions)``, a ``Graph`` ``g`` whose
     automorphisms map the constraints onto themselves and what each
-    position stands for: an edge of ``graph`` when it is a ``Graph``,
-    else a vertex of the graph whose closed neighbourhoods ``graph``
-    lists.  ``group`` is None or the ``symmetry.Group`` along the
-    positions that ``bans`` builds from ``graph``, which it reads for
-    the plain loop at each start, and whose generators ``mapped``
-    applies to one suffix witness at a time."""
+    position stands for: position ``i`` is the pair of vertices
+    ``ends[positions[i]]`` of ``g``, an edge's ends or a vertex twice.
+    ``group`` is None or the ``symmetry.Group`` along the positions that
+    ``bans`` builds from ``graph``, which it reads for the plain loop at
+    each start, and whose generators ``mapped`` applies to one suffix
+    witness at a time."""
 
     __slots__ = ("universe", "full", "hits", "tops", "inside", "floor", "keys",
                  "tables", "stored", "graph", "group")
@@ -322,16 +322,14 @@ class ConstraintSystem:
 
         Returns ``(orbits, gens, movable)``, all empty when the system has
         neither a ``group`` nor a ``graph`` to build one from.  The first
-        call builds ``group`` from ``graph``: ``symmetry.edge_orbits``,
-        the lift of its automorphisms to its edges, when it is a
-        ``Graph``, else ``symmetry.vertex_orbits`` of its closed
-        neighbourhoods.  ``orbits`` are the group's orbits along the
-        positions up to its ``reach``, the last nonempty one, so that
-        their length bounds the positions that ban one, ``gens`` its
-        generators that map ``[0, start)`` onto itself, each as
-        ``(images, prefix, moved)`` (see ``symmetry._on_base``), and
-        ``movable`` the union of their ``moved`` masks: the positions
-        whose ban a generator can make.
+        call builds ``group`` from ``graph`` by ``symmetry.edge_orbits``,
+        the lift of ``g``'s automorphisms to the positions.  ``orbits``
+        are the group's orbits along the positions up to its ``reach``,
+        the last nonempty one, so that their length bounds the positions
+        that ban one, ``gens`` its generators that map ``[0, start)``
+        onto itself, each as ``(images, prefix, moved)`` (see
+        ``symmetry._on_base``), and ``movable`` the union of their
+        ``moved`` masks: the positions whose ban a generator can make.
         """
         group = self.group
         if group is None:
@@ -339,10 +337,7 @@ class ConstraintSystem:
                 return (), (), 0
             from . import symmetry
 
-            graph, positions = self.graph
-            group = self.group = (
-                symmetry.edge_orbits(graph, positions) if isinstance(graph, Graph)
-                else symmetry.vertex_orbits(graph, positions))
+            group = self.group = symmetry.edge_orbits(*self.graph)
         gens = [move for move in group.moves if move[1] >> start & 1]
         movable = 0
         for _, _, moved in gens:
@@ -752,9 +747,9 @@ def search_exact_size(universe, constraints, k, budget, start=0):
     last-level scan counts nodes that the loop never visits (see the
     module docstring).  A new system's floors never rise to the right.
     """
-    if not isinstance(k, int) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError("need k >= 0")
-    if not isinstance(budget, int) or budget < 1:
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError("need a positive node budget")
     if not 0 <= start <= universe:
         raise ValueError("start lies outside the universe")
@@ -873,12 +868,12 @@ def least_optimum(constraints, graph, lower, cap, budget):
     """Lex-least minimum hitting set of ``constraints`` of size at most
     ``cap``, by Russian-doll search (see the module docstring).
 
-    ``graph`` is ``(graph, positions)``, the system's ``graph``: its
+    ``graph`` is ``(g, ends, positions)``, the system's ``graph``: its
     universe is ``range(len(positions))``.  ``lower`` is a lower bound on
     the optimum, and ``budget`` caps the nodes of every search together.
     Returns ``(mask, nodes, exhausted)``; ``mask`` is None when every
     size up to ``cap`` was refuted or the budget ran out first.
     """
-    system = ConstraintSystem(len(graph[1]), constraints)
+    system = ConstraintSystem(len(graph[2]), constraints)
     system.graph = graph
     return _sweep(system, lower, cap, budget)

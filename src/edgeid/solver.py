@@ -49,18 +49,20 @@ class SolveOptions(namedtuple("SolveOptions", "budget upper_hint",
     vertex indices for ``min_vertex_code``).  Only sizes below it are
     searched, and if every one is refuted the hint is returned as optimal.
 
-    ``budget`` caps search nodes only, over every search of a solve.  It
+    ``budget`` caps search nodes only, over every search of a solve; it
+    must be an int of at least 1, and a bool is not taken for one.  It
     does not bound the preparation before the first node: the constraint
     build grows faster than the number of constraints, and a solve on the
-    plain loop builds the automorphism group of the positions at its
-    first search.  K_25's 45,150 constraints take about 0.10 s to build,
-    most of a 2,000-node solve of about 0.10 s, and its group, found on
-    its 25 vertices and lifted to its 300 edges, about 0.003 s (0.026 s
-    on the line graph; best of 9 in-process runs on one core of a 2-core
-    Xeon, Python 3.11).  A group build that finds nothing costs most: on
-    the random Latin-square graphs of order 9 measured (81 vertices, 972
-    edges, no automorphism but the identity) it spends its whole budget
-    of 648 refinements in about 0.09 s (best of 3, same host).
+    plain loop builds the graph's automorphism group, lifted to the
+    positions, at its first search.  K_25's 45,150 constraints take about
+    0.10 s to build, most of a 2,000-node solve of about 0.10 s, and its
+    group, found on its 25 vertices and lifted to its 300 edges, about
+    0.003 s (0.026 s on the line graph; best of 9 in-process runs on one
+    core of a 2-core Xeon, Python 3.11).  A group build that finds
+    nothing costs most: on the random Latin-square graphs of order 9
+    measured (81 vertices, 972 edges, no automorphism but the identity)
+    it spends its whole budget of 648 refinements in about 0.09 s (best
+    of 3, same host).
     """
 
     __slots__ = ()
@@ -128,29 +130,30 @@ def _strip_forced(universe, constraints):
     return forced, rest, positions
 
 
-def _solve_masks(universe, masks, lower, budget, hint_mask, graph):
+def _solve_masks(masks, lower, budget, hint_mask, g, ends):
     """Shared exact solve.  Returns ``(status, mask, size, bound_used, nodes)``.
 
-    ``lower`` is a ``(value, name)`` analytic bound.  The caller has
+    ``masks`` are the closed neighbourhoods of the universe's positions,
+    and ``lower`` is a ``(value, name)`` analytic bound.  The caller has
     excluded twins and verified the hint.  Without a hint the cap is the
     full universe, which is always a code here, so the search cannot
     come back empty.  Constraints are built only when a search is due,
     so a hint that the lower bound already certifies costs no build.
     The forced positions are split off first, and the residual is
     searched with the bound and the cap lowered by their count; an
-    empty residual needs no search.  The residual goes with ``graph``
-    and its positions, ``graph`` being the ``Graph`` whose edges the
-    positions are or the closed neighbourhoods ``masks`` of the vertices
-    they are: the plain loop bans by its automorphisms, each of which
+    empty residual needs no search.  The residual goes with the
+    ``Graph`` ``g``, the ends ``ends[p]`` in ``g`` of each position ``p``
+    (an edge's two, or a vertex twice) and its positions: the plain loop
+    bans by ``g``'s automorphisms lifted to the positions, each of which
     maps the forced positions, and so the residual, onto themselves.
     """
     start, name = lower
     bound_used = (name, start)
-    cap = hint_mask.bit_count() - 1 if hint_mask is not None else universe
+    cap = hint_mask.bit_count() - 1 if hint_mask is not None else len(masks)
     mask, nodes, exhausted = None, 0, False
     if start <= cap:
         forced, rest, positions = _strip_forced(
-            universe, _constraints_from_masks(masks)
+            len(masks), _constraints_from_masks(masks)
         )
         size = forced.bit_count()
         if not rest:
@@ -159,7 +162,7 @@ def _solve_masks(universe, masks, lower, budget, hint_mask, graph):
             from ._search import least_optimum
 
             sub, nodes, exhausted = least_optimum(
-                rest, (graph, positions), start - size, cap - size, budget)
+                rest, (g, ends, positions), start - size, cap - size, budget)
             if sub is not None:
                 mask = forced | sum(1 << positions[i] for i in bits(sub))
     if mask is not None:
@@ -176,7 +179,8 @@ def _solve_masks(universe, masks, lower, budget, hint_mask, graph):
 def _options(options):
     """``options``, or the defaults if None, once its budget is checked."""
     opts = options if options is not None else SolveOptions()
-    if not isinstance(opts.budget, int) or opts.budget < 1:
+    budget = opts.budget
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError("need a positive node budget")
     return opts
 
@@ -209,7 +213,7 @@ def min_edge_code(g, options=None):
             raise RejectedInput("upper_hint is not an edge-identifying code")
         hint_mask = hint.mask
     status, mask, size, bound_used, nodes = _solve_masks(
-        g.m, g.all_edge_masks(), lower, opts.budget, hint_mask, g
+        g.all_edge_masks(), lower, opts.budget, hint_mask, g, g.edges
     )
     code = EdgeSet(g.fingerprint, mask) if mask is not None else None
     return SolveResult(status, code, size, bound_used, nodes)
@@ -236,7 +240,8 @@ def min_vertex_code(g, options=None):
     from .bounds import log_lower
 
     status, mask, size, bound_used, nodes = _solve_masks(
-        g.n, masks, (log_lower(g.n), "log-universe"), opts.budget, hint_mask, masks
+        masks, (log_lower(g.n), "log-universe"), opts.budget, hint_mask, g,
+        [(v, v) for v in range(g.n)]
     )
     code = tuple(bits(mask)) if mask is not None else None
     return SolveResult(status, code, size, bound_used, nodes)

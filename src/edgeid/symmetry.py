@@ -1,46 +1,45 @@
-"""Orbits of a position graph's automorphisms along a base of positions.
+"""Orbits of a graph's automorphisms along the positions of a search.
 
 The exact search may use the symmetries of its constraint system (see
-``_search``).  It needs, for each position ``q`` of a base ``b_0, b_1,
-...``, the orbit of ``b_q`` under the automorphisms that fix ``b_0, ...,
-b_{q-1}``.  ``vertex_orbits`` lays them out as a ``Group`` from the
-closed neighbourhoods ``masks`` of the positions: for vertex codes, the
-graph's own.  An automorphism of that graph maps closed neighbourhoods
-to closed neighbourhoods, so it maps the domination and separation
-constraints onto themselves, and with them the singleton constraints,
-the positions they force and the positions left in the residual.
+``_search``).  It needs, for each position ``q``, the orbit of ``q``
+under the automorphisms that fix the positions below it.  Each position
+is a pair of vertices of a graph ``G``: an edge ``uv`` for edge codes,
+a vertex ``v`` as ``vv`` for vertex codes.  ``edge_orbits`` finds the
+group on G's vertices and lifts it: an automorphism ``sigma`` of G maps
+each position ``uv`` to ``sigma(u)sigma(v)``.  It maps the closed
+neighbourhoods of G's vertices onto themselves, and so those of its
+edges, which are the closed neighbourhoods of its line graph L(G).  It
+therefore maps the domination and separation constraints of either code
+onto themselves, and with them the singleton constraints, the positions
+they force and the positions left in the residual.
 
-For edge codes the positions are the edges of a graph ``G``, and the
-position graph is its line graph L(G).  ``edge_orbits`` finds the group
-on G's vertices instead and lifts it: an automorphism ``sigma`` of G
-maps each edge ``uv`` to ``sigma(u)sigma(v)``, which is an automorphism
-of L(G).  By Whitney's theorem (Whitney, "Congruent graphs and the
-connectivity of graphs", 1932) every automorphism of the line graph of
-a connected graph on five or more vertices is so induced.  Components
-K_4, K_4 - e and K_{1,3} + e have line graphs with more automorphisms;
-there the lifted group is a subgroup of L(G)'s, and bans by a subgroup
-are as sound as bans by the whole group.  G has fewer vertices than
-edges, often far fewer: K_8 has 8 against 28, and the lifted build of
-K_8, K_9 and Q_5 takes under half the time of the build on L(G) (see
-``BENCH_lift.json``).  The benchmark's graphs get the same orbits both
-ways, and the graphs of the 485-graph corpus and of the benchmark the
-same solves node for node.  The vertex build leaves out the vertices
-that have no edge.  Its searches for automorphisms that permute them
-would lift to the identity, and with 20 such vertices after K_8's they
-spent the build's budget before K_8's levels: K_8 then took 105,408
-nodes instead of 1,780.  The budget is ``REFINE_LIMIT`` refinements
-per vertex, as in every build.  K_{a,b}, whose searches once ran it
-out, swaps twins (below) with no search, and the corpus, K_n, Q_n,
-cycles and circulants spend under half of it.  It binds on rigid graphs
-whose refinement is weak, where a budget per edge ran longer searches
-that mostly found nothing: 1,288 refinements against 392 on the order-7
-Latin-square graph of ``tests/test_symmetry.py``, for the same empty
-group.  The orbits along the edge positions are those of the lifted
-generators that fix the positions below: a lift fixes every position
-below the first one it moves, so the orbit of ``q`` is built by merging
-the lifts whose first moved position is ``q`` or above it.  On the K_n,
-K_{a,b} and Q_n small enough to enumerate, these are the orbits of
-L(G)'s pointwise stabilisers.
+For vertex codes the lifts are G's automorphisms themselves.  For edge
+codes the position graph is L(G), and by Whitney's theorem (Whitney,
+"Congruent graphs and the connectivity of graphs", 1932) every
+automorphism of the line graph of a connected graph on five or more
+vertices is a lift.  Components K_4, K_4 - e and K_{1,3} + e have line
+graphs with more automorphisms; there the lifted group is a subgroup of
+L(G)'s, and bans by a subgroup are as sound as bans by the whole group.
+G has fewer vertices than edges, often far fewer: K_8 has 8 against 28,
+and the lifted build of K_8, K_9 and Q_5 takes under half the time of
+the build on L(G) (see ``BENCH_lift.json``).  The benchmark's graphs get
+the same orbits both ways, and the graphs of the 485-graph corpus and
+of the benchmark the same solves node for node.  The vertex build
+leaves out the vertices that have no edge, which no residual position
+holds: such a vertex is no edge's end, and as a position of a vertex
+code it is alone in its closed neighbourhood, so forced.  Searches for
+automorphisms that permute them would lift to the identity, and with 20
+such vertices after K_8's they spent the build's budget before K_8's
+levels: K_8 then took 105,408 nodes instead of 1,780.  The budget
+is ``REFINE_LIMIT`` refinements per vertex, as in every build.
+K_{a,b}, whose searches once ran it out, swaps twins (below) with no
+search, and the corpus, K_n, Q_n, cycles and circulants spend under
+half of it.  It binds on rigid graphs whose refinement is weak, where a
+budget per edge ran longer searches that mostly found nothing: 1,288
+refinements against 392 on the order-7 Latin-square graph of
+``tests/test_symmetry.py``, for the same empty group.  On the K_n,
+K_{a,b} and Q_n small enough to enumerate, the lifted orbits along the
+edge positions are the orbits of L(G)'s pointwise stabilisers.
 
 The method is individualisation-refinement, after McKay and Piperno,
 "Practical graph isomorphism, II" (2014).  An ordered partition of the
@@ -109,15 +108,13 @@ since every generator is a checked automorphism.  ``BaseOrbits`` runs
 this search and finds every level, since the plain loop of ``_search``
 bans by the generators of all of them.
 
-What the plain loop reads, a ``Group``, is laid out from permutations
-of base indices by one helper, ``_layout``: ``vertex_orbits`` runs it on
-the generators of a ``BaseOrbits`` and ``edge_orbits`` on their lifts.
-A generator of level ``q`` fixes ``b_0, ..., b_{q-1}`` and moves
-``b_q``, so in base indices the first index it moves is its level, and
-the orbits along the base are those of the generators merged from the
-top level down.  Each generator is also written as a permutation of
-base indices with two masks, which the loop reads.  The lift reads only
-the vertex generators, so it never pays for a vertex-level layout.
+What the plain loop reads, a ``Group``, is laid out from the lifts,
+permutations of the positions, by one helper, ``_layout``.  A lift
+fixes every position below the first one it moves, its level, so the
+orbit of ``q`` is built by merging the lifts of level ``q`` and above,
+from the top level down.  Each lift is also written with two masks,
+which the loop reads.  The lift reads only the vertex generators, so
+it never pays for a layout along the vertices.
 
 ``isomorphic`` runs the same search between two graphs.  Their unit
 partitions must refine with the same trace, which gives them the same
@@ -512,41 +509,32 @@ def isomorphic(masks1, masks2):
                        masks2) is not None
 
 
-def vertex_orbits(masks, base):
-    """The ``Group`` along ``base`` of the graph with closed neighbourhoods
-    ``masks``: ``_layout`` of a ``BaseOrbits``' generators in base indices,
-    so ``orbits[q]`` holds the indices ``r > q`` whose ``base[r]`` some
-    automorphism fixing ``base[:q]`` maps ``base[q]`` to, but for those a
-    spent budget missed."""
-    index = {v: i for i, v in enumerate(base)}
-    return _layout(len(base), [[index[sigma[v]] for v in base]
-                               for sigma in BaseOrbits(masks, base).generators])
+def edge_orbits(g, ends, positions):
+    """The ``Group`` along ``positions`` of the automorphisms of the graph
+    ``g`` lifted to them (see the module docstring).
 
-
-def edge_orbits(g, positions):
-    """The ``Group`` along the edge positions ``positions`` of the graph
-    ``g``, of the automorphisms of ``g`` lifted to its edges (see the
-    module docstring).
-
-    The automorphisms are found by a ``BaseOrbits`` on the vertices that
-    have an edge, renumbered in order, along all of them, with the
-    default budget.  Each generator ``sigma`` lifts to the permutation
-    that maps position ``i``, the edge ``uv``, to the position of
-    ``sigma(u)sigma(v)``; every automorphism of ``g`` maps the positions
-    among themselves.  ``_layout`` lays the lifts out as ``vertex_orbits``
-    lays out its generators: ``orbits[q]`` holds the ``r > q`` that the
-    lifts fixing ``[0, q)`` pointwise map ``q`` to, closed under them.
+    ``ends[p]`` is the pair of vertices of ``g`` that position ``p``
+    stands for: an edge ``(u, v)``, or ``(v, v)`` for the vertex ``v``;
+    every automorphism of ``g`` maps the positions of ``positions`` among
+    themselves, and each of their ends has an edge.  The automorphisms
+    are found by a ``BaseOrbits`` on the vertices that have an edge,
+    renumbered in order, along all of them, with the default budget.
+    Each generator ``sigma`` lifts to the permutation that maps index
+    ``i``, the position with ends ``{a, b}``, to the index of the position
+    with ends ``{sigma(a), sigma(b)}``.  ``_layout`` lays the lifts out:
+    ``orbits[q]`` holds the ``r > q`` that the lifts fixing ``[0, q)``
+    pointwise map ``q`` to, closed under them.
     """
-    ends = [v for v in range(g.n) if g.neighbors(v)]
+    vertices = [v for v in range(g.n) if g.neighbors(v)]
     where = [0] * g.n
-    for i, v in enumerate(ends):
+    for i, v in enumerate(vertices):
         where[v] = i
     masks = [sum(1 << where[w] for w in g.neighbors(v)) | 1 << i
-             for i, v in enumerate(ends)]
+             for i, v in enumerate(vertices)]
     # the renumbered ends of each position, and the index of the position
-    # by the mask of its ends
-    pairs = [(where[u], where[v]) for u, v in map(g.edges.__getitem__, positions)]
+    # by the mask of its ends, one bit for a vertex
+    pairs = [(where[u], where[v]) for u, v in map(ends.__getitem__, positions)]
     index = {1 << a | 1 << b: i for i, (a, b) in enumerate(pairs)}
     images = [[index[1 << sigma[a] | 1 << sigma[b]] for a, b in pairs]
-              for sigma in BaseOrbits(masks, range(len(ends))).generators]
+              for sigma in BaseOrbits(masks, range(len(vertices))).generators]
     return _layout(len(pairs), images)

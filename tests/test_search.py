@@ -205,7 +205,7 @@ def test_bans_keep_the_lex_least_subset():
         plain = ConstraintSystem(universe, constraints)
         pointwise = ConstraintSystem(universe, constraints)
         system = ConstraintSystem(universe, constraints)
-        system.group = edge_orbits(g, positions)
+        system.group = edge_orbits(g, g.edges, positions)
         pointwise.group = Pointwise(system.group)
         for start in range(universe + 1):
             for k in range(universe - start + 2):
@@ -232,7 +232,7 @@ def test_bans_match_reference_node_for_node():
     for g in graphs:
         constraints, positions = residual_of(g)
         universe = len(positions)
-        group = edge_orbits(g, positions)
+        group = edge_orbits(g, g.edges, positions)
         system = ConstraintSystem(universe, constraints)
         system.group = group
         pointwise = ConstraintSystem(universe, constraints)
@@ -266,7 +266,7 @@ def test_every_budget_through_the_scan(kind, params):
     g = standard_graph(kind, params)
     constraints, positions = residual_of(g)
     universe = len(positions)
-    group = edge_orbits(g, positions)
+    group = edge_orbits(g, g.edges, positions)
     for bans in (False, True):
         for start in range(4):
             system = ConstraintSystem(universe, constraints)
@@ -553,7 +553,7 @@ def test_budget_boundary_is_exact(kernel):
     if kernel == "plain":
         # the same searches with the system's group set, so that orbit
         # bans are active up to the boundary and cut the node count
-        group = edge_orbits(g, range(universe))
+        group = edge_orbits(g, g.edges, range(universe))
         for k, start in searches:
             unbanned = search_exact_size(universe, ConstraintSystem(universe, constraints),
                                          k, 10**7, start)
@@ -602,17 +602,18 @@ def test_trivial_cases():
         search_exact_size(5, [], 1, 100, 6)
 
 
-@pytest.mark.parametrize("budget", [None, 0, -3, 1.5])
+@pytest.mark.parametrize("budget", [None, 0, -3, 1.5, True])
 def test_kernel_rejects_a_budget_that_is_no_positive_int(budget):
-    # the solvers' own check: an unchecked 1.5 counted 2.5 nodes, and None
-    # failed in the comparison
+    # the solvers' own check: an unchecked 1.5 counted 2.5 nodes, None
+    # failed in the comparison, and True searched with a budget of 1
     with pytest.raises(ValueError, match="need a positive node budget"):
         search_exact_size(3, [1, 2, 4], 3, budget)
 
 
-@pytest.mark.parametrize("k", [-1, 1.5])
+@pytest.mark.parametrize("k", [-1, 1.5, True])
 def test_kernel_rejects_a_size_that_is_no_int_from_zero(k):
-    # an unchecked 1.5 failed deep in the search, multiplying a list by it
+    # an unchecked 1.5 failed deep in the search, multiplying a list by
+    # it, and True searched with k = 1
     with pytest.raises(ValueError, match="need k >= 0"):
         search_exact_size(3, [1, 2, 4], k, 100)
 

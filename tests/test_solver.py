@@ -349,7 +349,7 @@ def _plain_residual(g):
     masks = g.all_edge_masks()
     _, rest, positions = solver._strip_forced(g.m, _constraints_from_masks(masks))
     system = ConstraintSystem(len(positions), rest)
-    system.graph = g, positions
+    system.graph = g, g.edges, positions
     return system, rest
 
 
@@ -476,11 +476,12 @@ def test_budget_exhaustion_and_hint_fallback():
     assert rescued.code == full and rescued.size == g.m
 
 
-@pytest.mark.parametrize("budget", [None, 0, -3, 1.5])
+@pytest.mark.parametrize("budget", [None, 0, -3, 1.5, True])
 def test_solvers_reject_a_budget_that_is_no_positive_int(budget):
     # both solvers check the budget before any work, with the kernel's
     # message, so a graph with no edge or no vertex is rejected too; an
-    # unchecked 1.5 counted 2.5 nodes, and None failed inside the search
+    # unchecked 1.5 counted 2.5 nodes, None failed inside the search, and
+    # True, an int to isinstance, ran as a budget of 1
     options = SolveOptions(budget=budget)
     cycle = Graph(7, [(i, (i + 1) % 7) for i in range(7)])
     for solve, g in ((min_edge_code, complete(5)), (min_edge_code, Graph(3, [])),

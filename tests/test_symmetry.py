@@ -39,10 +39,21 @@ def brute_force_orbits(g):
     ]
 
 
+def base_group(masks, base):
+    """The ``Group`` along ``base`` of a ``BaseOrbits``' generators, laid
+    out in base indices: ``orbits[q]`` holds the indices ``r > q`` whose
+    ``base[r]`` some generated automorphism fixing ``base[:q]`` maps
+    ``base[q]`` to."""
+    index = {v: i for i, v in enumerate(base)}
+    return symmetry._layout(len(base), [
+        [index[sigma[v]] for v in base]
+        for sigma in symmetry.BaseOrbits(masks, base).generators])
+
+
 def full_orbits(masks, base):
     """``(orbits, generators)`` with every level found, the generators in
     base indices: the positions themselves along ``range(len(masks))``."""
-    group = symmetry.vertex_orbits(masks, base)
+    group = base_group(masks, base)
     return group.orbits, [images for images, _, _ in group.moves]
 
 
@@ -141,7 +152,7 @@ def test_orbits_along_a_partial_base_match_brute_force(pendant_free_all):
     past = 0
     for masks, base in cases:
         past += any(q is None for q, *_ in symmetry.BaseOrbits(masks, base).path)
-        assert symmetry.vertex_orbits(masks, base).orbits == pointwise_orbits(
+        assert base_group(masks, base).orbits == pointwise_orbits(
             masks, base), (masks, base)
     assert past > 30
 
@@ -155,7 +166,7 @@ def test_orbits_follow_the_base():
     g = standard_graph("complete", 5)
     masks = g.all_edge_masks()
     flipped = [g.m - 1 - i for i in range(g.m)]
-    group = symmetry.vertex_orbits(masks, flipped)
+    group = base_group(masks, flipped)
     generators = symmetry.BaseOrbits(masks, flipped).generators
     orbits = group.orbits
     relabelled = [masks[i] for i in flipped]
@@ -227,7 +238,7 @@ def test_twins_spend_no_budget(monkeypatch):
     g = standard_graph("complete", 8)
     group = symmetry.BaseOrbits(vertex_closed_masks(g), range(g.n))
     assert len(group.generators) == 7 and group.budget == symmetry.REFINE_LIMIT * g.n
-    assert symmetry.edge_orbits(g, range(g.m)).orbits[0] == tuple(range(1, g.m))
+    assert symmetry.edge_orbits(g, g.edges, range(g.m)).orbits[0] == tuple(range(1, g.m))
 
 
 def as_lists(cells):
@@ -317,7 +328,7 @@ def test_group_generators_are_pinned(pendant_free_all):
     digest = hashlib.sha256()
     count = 0
     for masks, base in _pinned_builds(pendant_free_all):
-        group = symmetry.vertex_orbits(masks, base)
+        group = base_group(masks, base)
         digest.update(repr((group.orbits, group.moves)).encode())
         count += 1
     assert count == PINNED[0]
@@ -594,50 +605,91 @@ def plain_loop_residuals():
             yield g, rest, positions
 
 
+def vertex_residuals(graphs):
+    """``(g, ends, residual constraints, positions)`` of the vertex-code
+    residuals of ``graphs`` that have forced vertices, ``ends`` naming
+    each vertex twice; graphs with twins have no code and are left
+    out."""
+    for g in graphs:
+        masks = vertex_closed_masks(g)
+        if len(set(masks)) == g.n:
+            forced, rest, positions = solver._strip_forced(
+                g.n, solver._constraints_from_masks(masks))
+            if forced and rest:
+                yield g, [(v, v) for v in range(g.n)], rest, positions
+
+
+# two graphs whose vertex-code residuals run the table loop: lifted along
+# all the vertices, the first's group misses a pointwise orbit along the
+# residual's positions that brute force finds, and the second's
+# generators come in another order than a build along those positions
+# gives
+VERTEX_RESIDUALS = [
+    Graph(8, [(0, 2), (0, 7), (1, 3), (1, 5), (2, 6), (3, 4)]),
+    Graph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (1, 5), (2, 3),
+              (2, 4), (3, 5), (4, 5)]),
+]
+
+
 @pytest.mark.parametrize("g", LIFTED, ids=lambda g: str(g.edges))
 def test_lifts_map_closed_edge_neighbourhoods(g):
     # every lift moves some edge and maps each closed edge neighbourhood
     # onto one, also where the line graph has more automorphisms than the
     # graph and where vertices have no edge
-    group = symmetry.edge_orbits(g, range(g.m))
+    group = symmetry.edge_orbits(g, g.edges, range(g.m))
     assert group.moves
     for images, _, _ in group.moves:
         assert images != list(range(g.m)) and maps_masks(images, g.all_edge_masks())
 
 
-def test_lifts_map_each_residual_onto_itself():
+def checked_lifts(g, ends, rest, positions):
+    """The number of lifts to ``positions``, once each is checked to
+    permute them and to map the residual's constraints ``rest`` onto
+    themselves."""
+    moves = symmetry.edge_orbits(g, ends, positions).moves
+    for images, _, _ in moves:
+        assert sorted(images) == list(range(len(positions))), g.edges
+        assert sorted(sum(1 << images[q] for q in bits(c)) for c in rest) == rest, g.edges
+    return len(moves)
+
+
+def test_lifts_map_each_residual_onto_itself(pendant_free_all):
     # on the corpus graphs that reach the plain loop, each lift of the
     # residual's positions permutes them, maps its constraints onto
-    # themselves, and so is an automorphism of the system it bans in
+    # themselves, and so is an automorphism of the system it bans in; so
+    # is each lift to the positions of a vertex-code residual
     lifted = 0
     for g, rest, positions in plain_loop_residuals():
         assert all(maps_masks(images, g.all_edge_masks())
-                   for images, _, _ in symmetry.edge_orbits(g, range(g.m)).moves)
-        for images, _, _ in symmetry.edge_orbits(g, positions).moves:
-            assert sorted(images) == list(range(len(positions)))
-            assert sorted(sum(1 << images[q] for q in bits(c)) for c in rest) == rest
-            lifted += 1
+                   for images, _, _ in symmetry.edge_orbits(g, g.edges, range(g.m)).moves)
+        lifted += checked_lifts(g, g.edges, rest, positions)
     assert lifted > 100
+    assert sum(checked_lifts(*case) for case in
+               vertex_residuals(pendant_free_all + VERTEX_RESIDUALS)) > 80
 
 
 def test_lifted_orbits_lie_in_the_line_graphs_orbits(pendant_free_all):
     # along every base, a lifted orbit holds only positions that some
     # automorphism of the line graph fixing the lower ones maps q to; on
-    # K_n, K_{a,b} and Q_n it holds all of them
+    # K_n, K_{a,b} and Q_n it holds all of them; along the positions of a
+    # vertex-code residual, only vertices that some automorphism of the
+    # graph fixing the lower ones maps q to
     for kind, params in BRUTE:
         g = standard_graph(kind, params)
-        assert symmetry.edge_orbits(g, range(g.m)).orbits == pointwise_orbits(
+        assert symmetry.edge_orbits(g, g.edges, range(g.m)).orbits == pointwise_orbits(
             g.all_edge_masks(), range(g.m)), (kind, params)
-    cases = [(g, range(g.m)) for g in LIFTED]
+    cases = [(g, g.edges, g.all_edge_masks(), range(g.m)) for g in LIFTED]
     for g in pendant_free_all:
         forced, rest, positions = solver._strip_forced(
             g.m, solver._constraints_from_masks(g.all_edge_masks()))
         if forced and rest:
-            cases.append((g, positions))
+            cases.append((g, g.edges, g.all_edge_masks(), positions))
+    cases += [(g, ends, vertex_closed_masks(g), positions) for g, ends, _, positions
+              in vertex_residuals(pendant_free_all + VERTEX_RESIDUALS)]
     smaller = 0
-    for g, positions in cases:
-        orbits = symmetry.edge_orbits(g, positions).orbits
-        want = pointwise_orbits(g.all_edge_masks(), positions)
+    for g, ends, masks, positions in cases:
+        orbits = symmetry.edge_orbits(g, ends, positions).orbits
+        want = pointwise_orbits(masks, positions)
         assert all(set(got) <= set(full) for got, full in zip(orbits, want)), g.edges
         smaller += orbits != want
     assert smaller >= 3
@@ -673,7 +725,7 @@ def test_lifted_groups_are_pinned():
         g = standard_graph(kind, params)
         _, _, positions = solver._strip_forced(
             g.m, solver._constraints_from_masks(g.all_edge_masks()))
-        digest.update(repr(tuple(symmetry.edge_orbits(g, positions))).encode())
+        digest.update(repr(tuple(symmetry.edge_orbits(g, g.edges, positions))).encode())
     assert digest.hexdigest() == PINNED_LIFTS
 
 
@@ -711,5 +763,5 @@ def test_lifted_build_spends_its_budget_per_vertex(monkeypatch):
             spent.append(given - self.budget)
 
     monkeypatch.setattr(symmetry, "BaseOrbits", Spy)
-    assert symmetry.edge_orbits(g, range(g.m)).moves == []
+    assert symmetry.edge_orbits(g, g.edges, range(g.m)).moves == []
     assert len(spent) == 1 and spent[0] <= symmetry.REFINE_LIMIT * 49
