@@ -117,13 +117,13 @@ so those graphs pay nothing.  And the table holds at most
 ``TABLE_CAP`` states and is cleared when full, which bounds its memory
 whatever the node budget.
 
-The plain loop prunes by symmetry instead.  ``least_optimum`` stores the
-graph that the positions come from as the system's ``graph``, and the
-first plain-loop search builds from it the system's ``symmetry.Group``
-by ``symmetry.edge_orbits``: the root graph's automorphisms, found on
-its vertices and lifted to the positions, each of which is a pair of
-its vertices, an edge's two ends or a vertex twice.  A solve that runs
-the table loop builds no group and loads no ``symmetry``.
+The plain loop prunes by symmetry instead.  ``least_optimum`` builds the
+system with the graph that the positions come from, and a system that
+runs the plain loop builds its ``symmetry.Group`` from it at once, by
+``symmetry.edge_orbits``: the root graph's automorphisms, found on its
+vertices and lifted to the positions, each of which is a pair of its
+vertices, an edge's two ends or a vertex twice.  A system that runs the
+table loop builds no group, so its solve loads no ``symmetry``.
 The group's generators are automorphisms of the system, permutations of
 the positions that map the constraints onto themselves.  Take a search
 from ``start`` that takes the exclude branch of ``q`` once the include
@@ -252,33 +252,33 @@ BLOCK = 1 << 20
 class ConstraintSystem:
     """Constraint masks over ``range(universe)`` in the form the kernel
     searches, built once and shared by searches at every size k and from
-    every start.  ``inside[p]`` is the number of constraints inside ``[p,
-    universe)``, which are numbered from 0 up (see the module docstring).
-    ``keys`` is None when no position ``p >= 1`` has at most
-    ``KEY_LIMIT`` open constraints; the kernel then keeps no table.
+    every start.  The masks come in any order, repeats allowed, and are
+    numbered from 0 up (see the module docstring); ``inside[p]`` is the
+    number of them inside ``[p, universe)``.  ``keys`` is None when no
+    position ``p >= 1`` has at most ``KEY_LIMIT`` open constraints; the
+    kernel then keeps no table.
     ``graph`` is None or ``(g, ends, positions)``, a ``Graph`` ``g`` whose
     automorphisms map the constraints onto themselves and what each
     position stands for: position ``i`` is the pair of vertices
     ``ends[positions[i]]`` of ``g``, an edge's ends or a vertex twice.
-    ``group`` is None or the ``symmetry.Group`` along the positions that
-    ``bans`` builds from ``graph``, which it reads for the plain loop at
-    each start, and whose generators ``mapped`` applies to one suffix
-    witness at a time."""
+    A system that runs the plain loop builds from it its ``group``, the
+    ``symmetry.Group`` along the positions, which ``bans`` reads at each
+    start and whose generators ``mapped`` applies to one suffix witness
+    at a time; ``group`` is None on any other system."""
 
     __slots__ = ("universe", "full", "hits", "tops", "inside", "floor", "keys",
-                 "tables", "stored", "graph", "group")
+                 "tables", "stored", "group")
 
-    def __init__(self, universe, constraints):
-        # equal constraints would each count as containing the other; the
-        # solver's are sorted and unique already, so the pass that groups
-        # them by lowest bit checks them too
-        masks = list(constraints)
-        runs = _runs(masks, universe)
-        if runs is None:
-            masks = sorted(set(masks))
-            if masks and masks[0] <= 0:
-                raise ValueError("constraint masks must be nonzero")
-            runs = _runs(masks, universe)
+    def __init__(self, universe, constraints, graph=None):
+        # equal constraints would each count as containing the other
+        masks = sorted(set(constraints))
+        if masks and masks[0] <= 0:
+            raise ValueError("constraint masks must be nonzero")
+        if masks and masks[-1].bit_length() > universe:
+            raise ValueError("constraint mask exceeds the universe")
+        runs = [[] for _ in range(universe)]
+        for c in masks:
+            runs[(c & -c).bit_length() - 1].append(c)
         # number the constraints by lowest bit, highest first, and by
         # ascending mask within one lowest bit; inside[p] counts those with
         # lowest bit at least p, and the least mask of a run has its least
@@ -314,30 +314,26 @@ class ConstraintSystem:
             key if key is None else {} for key in keys
         ]
         self.stored = 0
-        self.graph = None
         self.group = None
+        if keys is None and graph is not None:
+            from . import symmetry
+
+            self.group = symmetry.edge_orbits(*graph)
 
     def bans(self, start):
         """What the plain loop bans with in a search from ``start``.
 
         Returns ``(orbits, gens, movable)``, all empty when the system has
-        neither a ``group`` nor a ``graph`` to build one from.  The first
-        call builds ``group`` from ``graph`` by ``symmetry.edge_orbits``,
-        the lift of ``g``'s automorphisms to the positions.  ``orbits``
-        are the group's orbits along the positions up to its ``reach``,
-        the last nonempty one, so that their length bounds the positions
-        that ban one, ``gens`` its generators that map ``[0, start)``
-        onto itself, each as ``(images, prefix, moved)`` (see
-        ``symmetry._on_base``), and ``movable`` the union of their
+        no ``group``.  ``orbits`` are the group's orbits along the positions
+        up to its ``reach``, the last nonempty one, so that their length
+        bounds the positions that ban one, ``gens`` its generators that map
+        ``[0, start)`` onto itself, each as ``(images, prefix, moved)``
+        (see ``symmetry._on_base``), and ``movable`` the union of their
         ``moved`` masks: the positions whose ban a generator can make.
         """
         group = self.group
         if group is None:
-            if self.graph is None:
-                return (), (), 0
-            from . import symmetry
-
-            group = self.group = symmetry.edge_orbits(*self.graph)
+            return (), (), 0
         gens = [move for move in group.moves if move[1] >> start & 1]
         movable = 0
         for _, _, moved in gens:
@@ -351,9 +347,9 @@ class ConstraintSystem:
         The images tried are those under each generator of ``group``.  The
         first that lies in ``[start, universe)`` and, with the constraints
         below ``start``, hits every constraint is returned.  Every image is
-        checked in full, so it is a solution whatever the maps are.  There
-        is nothing to map by before a plain-loop search has built the
-        group, nor ever on a system that runs the table loop.
+        checked in full, so it is a solution whatever the maps are.  A
+        system without a group, one that runs the table loop or was given
+        no graph, has nothing to map by.
         """
         group = self.group
         if group is None:
@@ -379,24 +375,6 @@ class ConstraintSystem:
         every number from the count of those inside ``[start, universe)``
         up."""
         return self.full ^ ((1 << self.inside[start]) - 1)
-
-
-def _runs(masks, universe):
-    """``runs[p]``: the masks whose lowest bit is ``p``, in ascending order,
-    or None when ``masks`` do not ascend strictly from above 0."""
-    runs = [[] for _ in range(universe)]
-    last = 0
-    try:
-        for c in masks:
-            if c <= last:
-                return None
-            runs[(c & -c).bit_length() - 1].append(c)
-            last = c
-    except IndexError:  # the lowest bit of c lies past the universe
-        last = c
-    if last.bit_length() > universe:
-        raise ValueError("constraint mask exceeds the universe")
-    return runs
 
 
 def _transpose(masks, universe):
@@ -751,7 +729,8 @@ def search_exact_size(universe, constraints, k, budget, start=0):
         raise ValueError("need k >= 0")
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError("need a positive node budget")
-    if not 0 <= start <= universe:
+    if (isinstance(start, bool) or not isinstance(start, int)
+            or not 0 <= start <= universe):
         raise ValueError("start lies outside the universe")
     if not isinstance(constraints, ConstraintSystem):
         constraints = ConstraintSystem(universe, constraints)
@@ -868,12 +847,12 @@ def least_optimum(constraints, graph, lower, cap, budget):
     """Lex-least minimum hitting set of ``constraints`` of size at most
     ``cap``, by Russian-doll search (see the module docstring).
 
-    ``graph`` is ``(g, ends, positions)``, the system's ``graph``: its
-    universe is ``range(len(positions))``.  ``lower`` is a lower bound on
-    the optimum, and ``budget`` caps the nodes of every search together.
-    Returns ``(mask, nodes, exhausted)``; ``mask`` is None when every
-    size up to ``cap`` was refuted or the budget ran out first.
+    ``graph`` is ``(g, ends, positions)``, which the system is built with
+    (see ``ConstraintSystem``): its universe is ``range(len(positions))``.
+    ``lower`` is a lower bound on the optimum, and ``budget`` caps the
+    nodes of every search together.  Returns ``(mask, nodes,
+    exhausted)``; ``mask`` is None when every size up to ``cap`` was
+    refuted or the budget ran out first.
     """
-    system = ConstraintSystem(len(graph[2]), constraints)
-    system.graph = graph
+    system = ConstraintSystem(len(graph[2]), constraints, graph)
     return _sweep(system, lower, cap, budget)

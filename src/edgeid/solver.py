@@ -54,13 +54,13 @@ class SolveOptions(namedtuple("SolveOptions", "budget upper_hint",
     does not bound the preparation before the first node: the constraint
     build grows faster than the number of constraints, and a solve on the
     plain loop builds the graph's automorphism group, lifted to the
-    positions, at its first search.  K_25's 45,150 constraints take about
-    0.10 s to build, most of a 2,000-node solve of about 0.10 s, and its
-    group, found on its 25 vertices and lifted to its 300 edges, about
-    0.003 s (0.026 s on the line graph; best of 9 in-process runs on one
-    core of a 2-core Xeon, Python 3.11).  A group build that finds
-    nothing costs most: on the random Latin-square graphs of order 9
-    measured (81 vertices, 972 edges, no automorphism but the identity)
+    positions, with its constraint system.  K_25's 45,150 constraints
+    take about 0.10 s to build, most of a 2,000-node solve of about
+    0.10 s, and its group, found on its 25 vertices and lifted to its 300
+    edges, about 0.003 s (0.026 s on the line graph; best of 9 in-process
+    runs on one core of a 2-core Xeon, Python 3.11).  A group build that
+    finds nothing costs most: on the random Latin-square graphs of order
+    9 measured (81 vertices, 972 edges, no automorphism but the identity)
     it spends its whole budget of 648 refinements in about 0.09 s (best
     of 3, same host).
     """
@@ -80,6 +80,8 @@ def _constraints_from_masks(masks):
     Only pairs whose masks intersect give a separation constraint.  Since
     ``j`` is in ``masks[x]`` exactly when ``x`` is in ``masks[j]``, the
     partners of ``i`` are the two-hop reach of ``i`` above index ``i``.
+    Returns the constraints as a set; the kernel numbers them in its own
+    order.
     """
     cons = set(masks)
     for i, mi in enumerate(masks):
@@ -98,7 +100,7 @@ def _constraints_from_masks(masks):
             if d == 0:
                 raise ValueError("universe contains twins")
             cons.add(d)
-    return sorted(cons)
+    return cons
 
 
 def _strip_forced(universe, constraints):

@@ -369,9 +369,9 @@ def test_each_suffix_numbers_its_constraints_first():
 
 
 def test_build_takes_constraints_in_any_order():
-    # sorted, unique constraints, as the solver hands them over, are used
-    # as they come; shuffled ones and repeated ones build the same system,
-    # and a zero or too wide constraint is refused wherever it stands
+    # sorted, shuffled and repeated constraints, a set of them or an
+    # iterator over them build the same system, and a zero or too wide
+    # constraint is refused wherever it stands
     rng = random.Random(16)
     for _ in range(60):
         universe = rng.randint(1, 20)
@@ -380,7 +380,8 @@ def test_build_takes_constraints_in_any_order():
         want = ConstraintSystem(universe, constraints)
         shuffled = rng.sample(constraints, len(constraints))
         repeated = shuffled + rng.choices(constraints, k=3)
-        for given in (shuffled, repeated, constraints[::-1], iter(constraints)):
+        for given in (shuffled, repeated, constraints[::-1], iter(constraints),
+                      set(shuffled)):
             got = ConstraintSystem(universe, given)
             assert (got.full, got.hits, got.tops, got.inside, got.floor, got.keys) == (
                 want.full, want.hits, want.tops, want.inside, want.floor, want.keys)
@@ -462,8 +463,8 @@ def test_table_holds_at_most_cap_entries(monkeypatch):
             super().clear()
 
     class Watched(ConstraintSystem):
-        def __init__(self, universe, constraints):
-            super().__init__(universe, constraints)
+        def __init__(self, universe, constraints, graph=None):
+            super().__init__(universe, constraints, graph)
             self.tables = [t if t is None else Counted() for t in self.tables]
 
     monkeypatch.setattr(_search, "ConstraintSystem", Watched)
@@ -616,6 +617,14 @@ def test_kernel_rejects_a_size_that_is_no_int_from_zero(k):
     # it, and True searched with k = 1
     with pytest.raises(ValueError, match="need k >= 0"):
         search_exact_size(3, [1, 2, 4], k, 100)
+
+
+@pytest.mark.parametrize("start", [-1, 4, 1.5, True])
+def test_kernel_rejects_a_start_that_is_no_position(start):
+    # an unchecked True searched from start 1, and 1.5 failed inside the
+    # kernel, indexing a list by it
+    with pytest.raises(ValueError, match="start lies outside the universe"):
+        search_exact_size(3, [1, 2, 4], 3, 100, start)
 
 
 def test_python_kernel_handles_wide_universe():

@@ -344,23 +344,23 @@ def test_solver_with_orbits_matches_naive_sweep(monkeypatch):
 
 
 def _plain_residual(g):
-    """The residual that ``_solve_masks`` sweeps for ``g``, with its graph,
-    and the residual's constraints."""
+    """The system that ``_solve_masks`` sweeps for ``g``'s residual, built
+    with its graph, and the residual's constraints."""
     masks = g.all_edge_masks()
     _, rest, positions = solver._strip_forced(g.m, _constraints_from_masks(masks))
-    system = ConstraintSystem(len(positions), rest)
-    system.graph = g, g.edges, positions
-    return system, rest
+    return ConstraintSystem(len(positions), rest, (g, g.edges, positions)), rest
 
 
 @pytest.mark.parametrize("kind, params", [
     ("complete", 5), ("complete_bipartite", (3, 4)), ("hypercube", 3)])
-def test_mapped_returns_a_checked_image(kind, params):
+def test_mapped_returns_a_checked_image(monkeypatch, kind, params):
     # every answer is an image under a generator that lies in the suffix
     # and hits every constraint inside it, and None means that no image
-    # does; the witnesses straddle the start on purpose
+    # does; the witnesses straddle the start on purpose.  With no keyed
+    # position allowed, these residuals run the plain loop and are built
+    # with a group
+    monkeypatch.setattr(_search, "KEY_LIMIT", -1)
     system, rest = _plain_residual(standard_graph(kind, params))
-    system.bans(0)  # builds the group
     universe = system.universe
     rng = random.Random(7)
     answers = set()
@@ -375,6 +375,25 @@ def test_mapped_returns_a_checked_image(kind, params):
         assert out in good if good else out is None, (start, witness)
         answers.add(out is None)
     assert answers == {True, False}
+
+
+def test_system_is_built_with_its_group():
+    # a plain-loop system built with its graph holds its group before any
+    # search, and maps a code from 0 at once: every generator maps the
+    # constraints onto themselves, so the first generator's image is
+    # returned; a table-loop system, or one built without a graph, holds
+    # no group and maps nothing
+    k7 = standard_graph("complete", 7)
+    system, rest = _plain_residual(k7)
+    assert system.keys is None and system.group.moves
+    code, _, _ = _sweep(_plain_residual(k7)[0], 0, system.universe, 10**6)
+    images = system.group.moves[0][0]
+    assert system.mapped(code, 0) == sum(1 << images[q] for q in bits(code))
+    table, _ = _plain_residual(standard_graph("petersen"))
+    bare = ConstraintSystem(system.universe, rest)
+    for other in (table, bare):
+        assert other.group is None and other.mapped(code, 0) is None
+    assert table.keys is not None and bare.keys is None
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -581,7 +600,7 @@ def test_constraints_match_all_pairs_build():
                 with pytest.raises(ValueError, match="twins"):
                     _constraints_from_masks(masks)
                 continue
-            assert _constraints_from_masks(masks) == expect
+            assert sorted(_constraints_from_masks(masks)) == expect
     # K_3's closed vertex neighborhoods are all equal
     with pytest.raises(ValueError, match="twins"):
         _constraints_from_masks(vertex_closed_masks(complete(3)))
