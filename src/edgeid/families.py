@@ -63,7 +63,8 @@ def _int_params(kind, params, count):
         tup = (params,)
     else:
         tup = tuple(params)
-    if len(tup) != count or not all(isinstance(p, int) for p in tup):
+    if len(tup) != count or not all(isinstance(p, int) and not isinstance(p, bool)
+                                    for p in tup):
         raise ValueError(f"{kind} expects {count} integer parameter(s)")
     return tup
 

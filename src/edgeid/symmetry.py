@@ -24,14 +24,16 @@ G has fewer vertices than edges, often far fewer: K_8 has 8 against 28,
 and the lifted build of K_8, K_9 and Q_5 takes under half the time of
 the build on L(G) (see ``BENCH_lift.json``).  The benchmark's graphs get
 the same orbits both ways, and the graphs of the 485-graph corpus and
-of the benchmark the same solves node for node.  The vertex build
-leaves out the vertices that have no edge, which no residual position
-holds: such a vertex is no edge's end, and as a position of a vertex
-code it is alone in its closed neighbourhood, so forced.  Searches for
-automorphisms that permute them would lift to the identity, and with 20
-such vertices after K_8's they spent the build's budget before K_8's
-levels: K_8 then took 105,408 nodes instead of 1,780.  The budget
-is ``REFINE_LIMIT`` refinements per vertex, as in every build.
+of the benchmark the same solves node for node.  The vertex build runs
+on all of G's vertices.  One with no edge is no residual position's
+end: it is no edge's end, and as a position of a vertex code it is
+alone in its closed neighbourhood, so forced.  Any two such vertices
+are open twins, which the build swaps with no search (below), and the
+swap lifts to the identity, which the layout drops.  When searches
+found those automorphisms instead, with 20 such vertices after K_8's
+they spent the build's budget before K_8's levels: K_8 then took
+105,408 nodes instead of 1,780.  The budget is ``REFINE_LIMIT``
+refinements per vertex, as in every build.
 K_{a,b}, whose searches once ran it out, swaps twins (below) with no
 search, and the corpus, K_n, Q_n, cycles and circulants spend under
 half of it.  It binds on rigid graphs whose refinement is weak, where a
@@ -45,13 +47,13 @@ The method is individualisation-refinement, after McKay and Piperno,
 "Practical graph isomorphism, II" (2014).  An ordered partition of the
 positions is refined until it is equitable: every position of a cell has
 as many neighbours in any given cell as every other.  The first path
-individualises ``b_0, b_1, ...`` in turn, refining after each, and then
-the lowest position of the first cell left with several, until every
-cell is a singleton.  Refinement depends only on the partition and the
-graph, so an automorphism that fixes ``b_0, ..., b_{q-1}`` and maps
-``b_q`` to ``r`` maps the first path to a path that individualises ``r``
-in place of ``b_q``, along which every refinement splits the cells the
-same way.  The search for such an automorphism follows the first path's
+individualises, in turn, the lowest position that lies in a cell of
+several, refining after each, until every cell is a singleton; call
+the positions it individualises ``b_0, b_1, ...``.  Refinement depends
+only on the partition and the graph, so an automorphism that fixes
+``b_0, ..., b_{q-1}`` and maps ``b_q`` to ``r`` maps the first path to a
+path that individualises ``r`` in place of ``b_q``, along which every
+refinement splits the cells the same way.  The search for such an automorphism follows the first path's
 cells, one candidate at a time, and prunes a branch as soon as its
 refinement splits differently; at a discrete partition it reads the
 permutation off the two orderings and keeps it only if it maps every
@@ -104,9 +106,9 @@ exact orbit, since the generators of deeper levels generate the
 stabiliser of ``b_q``.  The searches share a budget of ``REFINE_LIMIT``
 refinements per position; once it is spent, the orbits stay what the
 generators found so far give.  That loses speed, never correctness,
-since every generator is a checked automorphism.  ``BaseOrbits`` runs
-this search and finds every level, since the plain loop of ``_search``
-bans by the generators of all of them.
+since every generator is a checked automorphism.
+``BaseOrbits.generators`` runs this search and finds every level, since
+the plain loop of ``_search`` bans by the generators of all of them.
 
 What the plain loop reads, a ``Group``, is laid out from the lifts,
 permutations of the positions, by one helper, ``_layout``.  A lift
@@ -120,10 +122,13 @@ it never pays for a layout along the vertices.
 partitions must refine with the same trace, which gives them the same
 degrees and so as many edges, as the leaf check needs; then the search
 follows the first graph's first path in the second graph from level 0,
-with no budget, so a miss proves that the graphs differ.
+with no budget, so a miss proves that the graphs differ.  It runs no
+generator search.
 """
 
 from collections import namedtuple
+
+from .graph_core import vertex_closed_masks
 
 
 # Refinements per position that the automorphism searches of one build
@@ -370,47 +375,35 @@ def _layout(n, perms):
 
 
 class BaseOrbits:
-    """Generators of the automorphisms fixing ``base[:q]``, for each ``q``.
+    """The first path of an automorphism search, and the search along it.
 
     ``masks[v]`` is the closed neighbourhood of position ``v`` as a
-    bitmask, and every automorphism of the graph they describe must map
-    the positions of ``base`` among themselves.  A new object runs the
-    first path, then finds the generators level by level, deepest first,
-    swapping each level's twins with no search (see the module
-    docstring).  ``generators`` lists the automorphisms found, each as
-    the list of images of ``0, ..., len(masks) - 1``; the orbits they
-    generate along the base miss some only when the search budget ran
-    out.  ``budget`` is the number of refinements the searches may run,
-    ``REFINE_LIMIT`` per position unless given, less those they ran; only
-    ``isomorphic`` gives one.  The first path stays for ``_find`` and
-    ``isomorphic``.
+    bitmask.  A new object refines the unit partition and runs the first
+    path: it individualises, in turn, the lowest position that lies in a
+    cell of several, refining after each, until every cell is a
+    singleton.  ``path`` lists its steps as ``(position, partition
+    before, start of the individualised cell, trace of the refinement
+    after)``, for ``_find`` and ``isomorphic``.  ``budget`` is the number
+    of refinements the searches may run, ``REFINE_LIMIT`` per position
+    unless given, less those they ran; only ``isomorphic`` gives one.
     """
 
-    def __init__(self, masks, base, budget=None):
+    def __init__(self, masks, budget=None):
         n = len(masks)
+        self.masks = masks
         self.nbr = nbr = [m & ~(1 << v) for v, m in enumerate(masks)]
         cells = [0] * n
         if n:
             cells[0] = (1 << n) - 1
         live = [0] if n > 1 else []
         self.trace = _refine(cells, live, [0], nbr)
-        # the first path: (base index or None, partition before, start of
-        # the individualised cell, trace of the refinement after)
         self.path = path = []
-
-        def individualise(q, bit):
+        while live:
+            rest = sum(map(cells.__getitem__, live))
+            bit = rest & -rest
             before = (cells[:], live[:])
             s = _individualise(cells, live, bit)
-            path.append((q, before, s, _refine(cells, live, [s], nbr)))
-
-        for q, v in enumerate(base):
-            if not live:
-                break
-            if any(cells[c] >> v & 1 for c in live):
-                individualise(q, 1 << v)
-        while live:
-            first = cells[live[0]]
-            individualise(None, first & -first)
+            path.append((bit.bit_length() - 1, before, s, _refine(cells, live, [s], nbr)))
         self.leaf = leaf = [c.bit_length() - 1 for c in cells]
         # later[i]: the indices j > i of the order whose leaf positions are
         # adjacent to leaf[i]
@@ -429,15 +422,22 @@ class BaseOrbits:
                 ahead ^= low
             later.append(row)
         self.budget = REFINE_LIMIT * n if budget is None else budget
-        self.generators = gens = []
+
+    def generators(self):
+        """Generators of the automorphisms that fix the first path's
+        positions below ``b``, for each step's position ``b``, found level
+        by level, deepest first, with a twin of ``b`` swapped with no
+        search (see the module docstring), each as the list of images of
+        ``0, ..., len(masks) - 1``.  The orbits they generate miss some
+        only when the budget ran out."""
+        nbr = self.nbr
+        n = len(nbr)
+        gens = []
         # orbit[v] lists the orbit of v under the generators found so far,
         # one list shared by all of its positions
         orbit = [[v] for v in range(n)]
-        for t in range(len(path) - 1, -1, -1):
-            q, before, s, _ = path[t]
-            if q is None:
-                continue
-            b = base[q]
+        for t in range(len(self.path) - 1, -1, -1):
+            b, before, s, _ = self.path[t]
             near = nbr[b]
             refuted = set()
             rest = before[0][s]
@@ -453,19 +453,20 @@ class BaseOrbits:
                     sigma = list(range(n))
                     sigma[b], sigma[r] = r, b
                 else:
-                    sigma = self._find(t, before, low, nbr, masks)
+                    sigma = self._find(t, before, low, nbr, self.masks)
                     if sigma is None:
                         refuted.update(orbit[r])
                         continue
                 gens.append(sigma)
                 _join(orbit, sigma)
+        return gens
 
     def _find(self, t, partition, candidates, nbr, masks):
         """A checked map onto the graph with neighbour masks ``nbr`` and
         closed neighbourhoods ``masks``, found below ``partition`` (shaped
         as the first path's before ``path[t]``) by individualising one of
         the positions of the mask ``candidates``, the lowest first, in
-        place of ``path[t]``'s vertex."""
+        place of ``path[t]``'s position."""
         path = self.path
         frames = [[t, partition, candidates]]
         while frames:
@@ -499,7 +500,7 @@ def isomorphic(masks1, masks2):
     ``masks2`` are isomorphic."""
     if len(masks1) != len(masks2):
         return False
-    first, second = BaseOrbits(masks1, (), float("inf")), BaseOrbits(masks2, ())
+    first, second = BaseOrbits(masks1, float("inf")), BaseOrbits(masks2)
     if first.trace != second.trace:
         return False
     if not first.path:
@@ -516,25 +517,17 @@ def edge_orbits(g, ends, positions):
     ``ends[p]`` is the pair of vertices of ``g`` that position ``p``
     stands for: an edge ``(u, v)``, or ``(v, v)`` for the vertex ``v``;
     every automorphism of ``g`` maps the positions of ``positions`` among
-    themselves, and each of their ends has an edge.  The automorphisms
-    are found by a ``BaseOrbits`` on the vertices that have an edge,
-    renumbered in order, along all of them, with the default budget.
-    Each generator ``sigma`` lifts to the permutation that maps index
-    ``i``, the position with ends ``{a, b}``, to the index of the position
-    with ends ``{sigma(a), sigma(b)}``.  ``_layout`` lays the lifts out:
+    themselves.  The automorphisms are the generators of a ``BaseOrbits``
+    on all of ``g``'s vertices, with the default budget.  Each generator
+    ``sigma`` lifts to the permutation that maps index ``i``, the position
+    with ends ``{a, b}``, to the index of the position with ends
+    ``{sigma(a), sigma(b)}``.  ``_layout`` lays the lifts out:
     ``orbits[q]`` holds the ``r > q`` that the lifts fixing ``[0, q)``
     pointwise map ``q`` to, closed under them.
     """
-    vertices = [v for v in range(g.n) if g.neighbors(v)]
-    where = [0] * g.n
-    for i, v in enumerate(vertices):
-        where[v] = i
-    masks = [sum(1 << where[w] for w in g.neighbors(v)) | 1 << i
-             for i, v in enumerate(vertices)]
-    # the renumbered ends of each position, and the index of the position
-    # by the mask of its ends, one bit for a vertex
-    pairs = [(where[u], where[v]) for u, v in map(ends.__getitem__, positions)]
+    pairs = [ends[p] for p in positions]
+    # the index of each position by the mask of its ends, one bit for a vertex
     index = {1 << a | 1 << b: i for i, (a, b) in enumerate(pairs)}
     images = [[index[1 << sigma[a] | 1 << sigma[b]] for a, b in pairs]
-              for sigma in BaseOrbits(masks, range(len(vertices))).generators]
+              for sigma in BaseOrbits(vertex_closed_masks(g)).generators()]
     return _layout(len(pairs), images)

@@ -68,6 +68,15 @@ class TestStandardGraphs:
         with pytest.raises(ValueError):
             standard_graph("wheel", 5)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("path", True), ("cycle", (True,)), ("complete", False),
+        ("complete_bipartite", (2, True)), ("hypercube", True)])
+    def test_bool_is_no_parameter(self, kind, params):
+        # True passed as an int: path(True) was Graph(n=True), whose edge
+        # list header "True 0" read_edge_list rejects
+        with pytest.raises(ValueError, match="integer parameter"):
+            standard_graph(kind, params)
+
 
 class TestKnownCodes:
     def assert_claim_consistent(self, inst):

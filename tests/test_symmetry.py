@@ -1,6 +1,6 @@
-"""Automorphism orbits along a base: checked generators, orbits against
-brute force, their lift from a graph's vertices to its edges, and the
-solves that ban them."""
+"""Automorphism orbits along the positions: checked generators, orbits
+against brute force, their lift from a graph's vertices to its edges,
+and the solves that ban them."""
 
 import hashlib
 import itertools
@@ -39,21 +39,16 @@ def brute_force_orbits(g):
     ]
 
 
-def base_group(masks, base):
-    """The ``Group`` along ``base`` of a ``BaseOrbits``' generators, laid
-    out in base indices: ``orbits[q]`` holds the indices ``r > q`` whose
-    ``base[r]`` some generated automorphism fixing ``base[:q]`` maps
-    ``base[q]`` to."""
-    index = {v: i for i, v in enumerate(base)}
-    return symmetry._layout(len(base), [
-        [index[sigma[v]] for v in base]
-        for sigma in symmetry.BaseOrbits(masks, base).generators])
+def group_of(masks):
+    """The ``Group`` of a ``BaseOrbits``' generators along the positions:
+    ``orbits[q]`` holds the positions ``r > q`` that some generated
+    automorphism fixing ``[0, q)`` maps ``q`` to."""
+    return symmetry._layout(len(masks), symmetry.BaseOrbits(masks).generators())
 
 
-def full_orbits(masks, base):
-    """``(orbits, generators)`` with every level found, the generators in
-    base indices: the positions themselves along ``range(len(masks))``."""
-    group = base_group(masks, base)
+def full_orbits(masks):
+    """``(orbits, generators)`` with every level found."""
+    group = group_of(masks)
     return group.orbits, [images for images, _, _ in group.moves]
 
 
@@ -69,7 +64,7 @@ def maps_masks(sigma, masks):
 def test_generators_are_automorphisms(kind, params):
     g = standard_graph(kind, params)
     masks = g.all_edge_masks()
-    orbits, gens = full_orbits(masks, range(g.m))
+    orbits, gens = full_orbits(masks)
     assert gens and orbits[0]
     for sigma in gens:
         assert sorted(sigma) == list(range(g.m)) and maps_masks(sigma, masks)
@@ -78,7 +73,7 @@ def test_generators_are_automorphisms(kind, params):
 @pytest.mark.parametrize("kind, params", BRUTE)
 def test_orbits_match_brute_force(kind, params):
     g = standard_graph(kind, params)
-    orbits, _ = full_orbits(g.all_edge_masks(), range(g.m))
+    orbits, _ = full_orbits(g.all_edge_masks())
     assert orbits == brute_force_orbits(g)
 
 
@@ -116,66 +111,17 @@ def pointwise_orbits(masks, base):
             for q in range(len(base))]
 
 
-def residual_bases(graphs):
-    """``(masks, positions)`` for each graph that has forced positions and
-    a residual: the positions the solver's residual keeps, in order."""
-    for g in graphs:
-        masks = g.all_edge_masks()
-        forced, rest, positions = solver._strip_forced(
-            g.m, solver._constraints_from_masks(masks))
-        if forced and rest:
-            yield masks, positions
-
-
-def test_orbits_along_a_partial_base_match_brute_force(pendant_free_all):
-    # a base that leaves positions out, as the solver's residuals leave
-    # out forced ones, ends the first path with steps past the base that
-    # individualise positions outside it; the orbits along the base must
-    # still be those of the automorphisms that fix its earlier positions
-    cases = list(residual_bases(pendant_free_all))
-    cube = list(standard_graph("hypercube", 3).edges)
-    for g in [Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                        (0, 3), (1, 4), (2, 5)]),  # the prism
-              Graph(6, [(i, (i + 1) % 5) for i in range(5)]
-                    + [(i, 5) for i in range(5)]),  # the wheel W_5
-              Graph(5, [e for e in itertools.combinations(range(5), 2)
-                        if e != (0, 1)]),  # K_5 minus an edge
-              Graph(6, [(u, v) for u in range(3) for v in range(3, 6)] + [(0, 1)]),
-              Graph(8, cube + [(0, 7)])]:
-        masks = g.all_edge_masks()
-        # leave out one orbit of the whole group at a time
-        auts = brute_force_automorphisms(masks)
-        for v in range(g.m):
-            orbit = {sigma[v] for sigma in auts}
-            if min(orbit) == v:
-                cases.append((masks, [u for u in range(g.m) if u not in orbit]))
-    past = 0
-    for masks, base in cases:
-        past += any(q is None for q, *_ in symmetry.BaseOrbits(masks, base).path)
-        assert base_group(masks, base).orbits == pointwise_orbits(
-            masks, base), (masks, base)
-    assert past > 30
-
-
-def test_orbits_follow_the_base():
-    # along a base that is not 0, 1, 2, ..., orbits hold base indices:
-    # reversing the base of K_5's line graph mirrors its stabiliser chain;
-    # so do the moves, each its generator in base indices with the
-    # prefixes it maps onto themselves and the ones whose next index it
-    # moves
+def test_moves_mark_the_prefixes_they_map_onto_themselves():
+    # each move is its generator with the prefixes [0, p) it maps onto
+    # themselves and the ones whose next position it moves
     g = standard_graph("complete", 5)
     masks = g.all_edge_masks()
-    flipped = [g.m - 1 - i for i in range(g.m)]
-    group = base_group(masks, flipped)
-    generators = symmetry.BaseOrbits(masks, flipped).generators
-    orbits = group.orbits
-    relabelled = [masks[i] for i in flipped]
-    relabelled = [sum(1 << flipped[j] for j in bits(m)) for m in relabelled]
-    assert orbits == full_orbits(relabelled, range(g.m))[0]
-    assert [len(o) for o in orbits if o] == [9, 5, 1]
+    generators = symmetry.BaseOrbits(masks).generators()
+    group = symmetry._layout(g.m, generators)
+    assert [len(o) for o in group.orbits if o] == [9, 5, 1]
     assert len(group.moves) == len(generators)
     for (images, prefix, moved), sigma in zip(group.moves, generators):
-        assert images == [flipped.index(sigma[v]) for v in flipped]
+        assert images == sigma
         for p in range(g.m + 1):
             onto = set(images[:p]) == set(range(p))
             assert prefix >> p & 1 == onto, p
@@ -190,7 +136,7 @@ def test_discrete_refinement_gives_trivial_orbits():
     cells, live = [(1 << g.m) - 1] + [0] * (g.m - 1), [0]
     symmetry._refine(cells, live, [0], nbr)
     assert all(c and not c & (c - 1) for c in cells) and live == []
-    assert full_orbits(masks, range(g.m)) == ([()] * g.m, [])
+    assert full_orbits(masks) == ([()] * g.m, [])
 
 
 def _planted_twins(rng, count):
@@ -220,7 +166,7 @@ def test_twin_swaps_match_brute_force():
     swaps = 0
     for g in graphs:
         masks = vertex_closed_masks(g)
-        orbits, generators = full_orbits(masks, range(g.n))
+        orbits, generators = full_orbits(masks)
         for sigma in generators:
             assert sorted(sigma) == list(range(g.n)) and maps_masks(sigma, masks), g.edges
             swaps += sum(v != w for v, w in enumerate(sigma)) == 2
@@ -236,8 +182,8 @@ def test_twins_spend_no_budget(monkeypatch):
 
     monkeypatch.setattr(symmetry.BaseOrbits, "_find", find)
     g = standard_graph("complete", 8)
-    group = symmetry.BaseOrbits(vertex_closed_masks(g), range(g.n))
-    assert len(group.generators) == 7 and group.budget == symmetry.REFINE_LIMIT * g.n
+    group = symmetry.BaseOrbits(vertex_closed_masks(g))
+    assert len(group.generators()) == 7 and group.budget == symmetry.REFINE_LIMIT * g.n
     assert symmetry.edge_orbits(g, g.edges, range(g.m)).orbits[0] == tuple(range(1, g.m))
 
 
@@ -288,7 +234,7 @@ def test_refine_matches_the_reference(monkeypatch):
     rng = random.Random(19)
     graphs += [random_connected_pendant_free(rng, 10) for _ in range(50)]
     for g in graphs:
-        symmetry.BaseOrbits(g.all_edge_masks(), range(g.m))
+        symmetry.BaseOrbits(g.all_edge_masks()).generators()
     splits = {True: 0, False: 0}  # by whether the first splitter is one position
     for (cells, live, queue), nbr, want in calls:
         assert live == [s for s, c in enumerate(cells) if c & (c - 1)]
@@ -301,54 +247,96 @@ def test_refine_matches_the_reference(monkeypatch):
     assert splits[True] > 400 and splits[False] > 40
 
 
-def _pinned_builds(pendant_free_all):
-    """``(masks, base)`` of the builds whose generators are pinned: full
-    bases of small families, Petersen and random graphs, and the residual
-    positions that the solver's strip of forced positions leaves."""
-    graphs = [standard_graph("complete", n) for n in range(4, 10)]
-    graphs += [standard_graph("complete_bipartite", (a, b))
+def _pinned_builds():
+    """``(name, masks)`` of the builds whose generators are pinned: the
+    line graph and then the vertices of small families, Petersen and
+    random graphs, each graph in turn."""
+    graphs = [(f"K_{n}", standard_graph("complete", n)) for n in range(4, 10)]
+    graphs += [(f"K_{a},{b}", standard_graph("complete_bipartite", (a, b)))
                for a in range(1, 6) for b in range(a, 6)]
-    graphs += [standard_graph("hypercube", d) for d in range(2, 6)]
-    graphs.append(standard_graph("petersen"))
+    graphs += [(f"Q_{d}", standard_graph("hypercube", d)) for d in range(2, 6)]
+    graphs.append(("Petersen", standard_graph("petersen")))
     rng = random.Random(19)
-    graphs += [random_connected_pendant_free(rng, 10) for _ in range(50)]
-    for g in graphs:
-        yield g.all_edge_masks(), range(g.m)
-    yield from residual_bases(pendant_free_all)
+    graphs += [(f"random {i}", random_connected_pendant_free(rng, 10)) for i in range(50)]
+    for name, g in graphs:
+        yield f"{name} line graph", g.all_edge_masks()
+        yield f"{name} vertices", vertex_closed_masks(g)
 
 
-# (builds, SHA-256 of their orbits and moves in turn)
-PINNED = (273, "6b95eee645483abde2d46eda8a92bf3f8c0e8d683d2c5302356b2bc760e678d1")
+# the first 12 hex digits of the SHA-256 of each build's orbits and moves
+PINNED = [
+    '304091a5834a', 'b48a6bea2fd4', 'acc0d0148ac8', '0b355994bb48', 'ee2ef6058f5e',
+    '848a6600132c', '59dea356ad80', '2cc009600a76', '2402e63b8a04', '1568e7e3ae47',
+    '275681da7035', '4de78d82a67d', '882b13f3b1ba', '8c2a023e7366', '8c2a023e7366',
+    '1aecd6871065', '3527ca8e265a', '8ed9fd0ee033', 'b48a6bea2fd4', '9c089a203b2b',
+    '0b355994bb48', '113b1a095105', '78db18415394', 'f3758b0fad25', 'e8a7393ef66e',
+    '8126703caa09', '66c6489cf33f', '3a8575600cef', '642ea07faad6', '95af63e1db65',
+    'ae958d257a62', 'aea080520e53', 'e4191667d98d', '4acce223de25', '1e177695b810',
+    'bd528db4aeb5', 'e399b8bc0a1c', '99e956046a72', 'd7beb6756861', '40f95ea1f35a',
+    'c250c04af841', '6d223e28657e', '78db18415394', '78db18415394', '76516eb09ccb',
+    '2026d1826abb', 'b26c9cfa6fa9', 'b9325892a0b5', 'b08bf3601921', '8592235b8314',
+    'f4ac54bb6998', '6251b29fd911', 'cd153e06b6d4', '6c55d67a8066', '3546c699b8d0',
+    '6a062b115aa1', '7d0a4563a34b', 'd1c10acafc19', '46c1854b0873', '35f7525159f3',
+    'e478ca82439a', 'c1e824163017', '4f9128e4bf3f', 'c47a8ae85220', 'db0a595a5569',
+    '14571259d3f3', 'cf960be88487', 'cf71b5031b59', '4935951590af', '6c55d67a8066',
+    '56e96e3d5756', 'f1c44d409747', '37c790310ea1', 'df9bfdd82559', '5c91ea150639',
+    '4dec54911103', '6a062b115aa1', '007ece3536fd', '69a512dfdca6', '766320015fa1',
+    'dbbd27616a02', '345918ca7b7d', '0337c7c38f87', '2af22f0086de', '6581a4083327',
+    '54c4eecbe41c', '3ec7ade20e8e', 'adfd0e0e14a2', 'd33a4106b11d', 'e0f1cbe3aee7',
+    '766320015fa1', '3dabab403cbf', 'dfb78e90f981', '28abed32135b', '14fadd903e97',
+    '766320015fa1', '153996c13801', '074d8c359ce3', '304091a5834a', 'b48a6bea2fd4',
+    '14fadd903e97', '766320015fa1', '0337c7c38f87', '2af22f0086de', 'af6a8f8ebf6f',
+    '345918ca7b7d', '6c55d67a8066', 'e9b8cc6f21b7', '6c55d67a8066', 'e9b8cc6f21b7',
+    '2b735acea7ed', '363441a37538', '73203348d18c', '6c55d67a8066', 'c00cb065fd93',
+    'fa3336f7337d', '2ad3191b380d', '5f4672d54bc9', '19c8e822d37e', '180381a32d81',
+    '44ca96349f9d', '847adb02a923', '0337c7c38f87', '2af22f0086de', 'cf71b5031b59',
+    'e9b8cc6f21b7', '046dc670dd7c', '97fd9d1083c1', '73203348d18c', 'cf71b5031b59',
+    'de3238e66f66', '030abd05cc4f', '14fadd903e97', '766320015fa1', 'cd153e06b6d4',
+    '766320015fa1', 'cd153e06b6d4', '6c55d67a8066', 'ede3f9d66c00', '6f1a9faea92c',
+    'a361f0e9f915', '5166d3699393', '2559bed9a820', '3b31fbe7f09a', '801d9091bf2a',
+    '180381a32d81', 'e8a7393ef66e', '35f7b1c3e838', '78db18415394', '78db18415394',
+    '4c1a266221e2', '57a727d67632',
+]
 
 
-def test_group_generators_are_pinned(pendant_free_all):
+def test_group_generators_are_pinned():
     # a change to how the group is built must find the same generators in
-    # the same order and the same orbits; the residuals include every
-    # build of the corpus's small unions whose path goes on past its base
-    digest = hashlib.sha256()
-    count = 0
-    for masks, base in _pinned_builds(pendant_free_all):
-        group = base_group(masks, base)
-        digest.update(repr((group.orbits, group.moves)).encode())
-        count += 1
-    assert count == PINNED[0]
-    assert digest.hexdigest() == PINNED[1]
+    # the same order and the same orbits
+    moved = []
+    for (name, masks), want in zip(_pinned_builds(), PINNED, strict=True):
+        group = group_of(masks)
+        got = hashlib.sha256(repr((group.orbits, group.moves)).encode()).hexdigest()[:12]
+        if got != want:
+            moved.append((name, got, want))
+    assert moved == []
 
 
-# (refinements spent in all, SHA-256 of the budgets left in turn)
-PINNED_BUDGETS = (637, "14c62332fc79347ac78c705e107a0b4eedcbed9e0665b1bfa087108e739e401f")
+# the refinements that each build spends
+PINNED_BUDGETS = [
+    5, 0, 8, 0, 13, 0, 19, 0, 26, 0, 34, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 2, 2, 5, 0, 9, 0, 14, 0, 8, 4,
+    14, 0, 20, 0, 19, 6, 27, 0, 34, 8, 2, 2, 4, 6, 8, 10,
+    13, 15, 6, 10, 0, 0, 1, 1, 1, 1, 5, 0, 5, 0, 3, 0,
+    1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 2, 3, 1, 1, 0, 0,
+    1, 0, 2, 0, 2, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0,
+    3, 0, 5, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 1, 0,
+    0, 0, 1, 1, 1, 0, 1, 1, 1, 1, 2, 0, 0, 0, 3, 3,
+    0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1,
+    1, 1, 5, 0, 2, 2, 2, 0,
+]
 
 
-def test_group_budgets_are_pinned(pendant_free_all):
+def test_group_budgets_are_pinned():
     # the same builds must spend the same refinements: a swap of twins
     # spends none, and a cheaper search may lower these
-    digest = hashlib.sha256()
-    spent = 0
-    for masks, base in _pinned_builds(pendant_free_all):
-        group = symmetry.BaseOrbits(masks, base)
-        digest.update(repr(group.budget).encode())
-        spent += symmetry.REFINE_LIMIT * len(masks) - group.budget
-    assert (spent, digest.hexdigest()) == PINNED_BUDGETS
+    moved = []
+    for (name, masks), want in zip(_pinned_builds(), PINNED_BUDGETS, strict=True):
+        group = symmetry.BaseOrbits(masks)
+        group.generators()
+        got = symmetry.REFINE_LIMIT * len(masks) - group.budget
+        if got != want:
+            moved.append((name, got, want))
+    assert moved == []
 
 
 def _pinned_systems():
@@ -407,7 +395,7 @@ def test_leaf_check_rejects_what_refinement_cannot(monkeypatch):
         return checked[-1]
 
     monkeypatch.setattr(symmetry, "_is_automorphism", spy)
-    assert full_orbits(masks, range(12)) == ([()] * 12, [])
+    assert full_orbits(masks) == ([()] * 12, [])
     assert checked == [False]
 
 
@@ -416,7 +404,7 @@ def test_spent_budget_keeps_orbits_sound(monkeypatch):
     # is trivial, which bans nothing
     monkeypatch.setattr(symmetry, "REFINE_LIMIT", 0)
     g = standard_graph("complete", 6)
-    assert full_orbits(g.all_edge_masks(), range(g.m)) == ([()] * g.m, [])
+    assert full_orbits(g.all_edge_masks()) == ([()] * g.m, [])
 
 
 def test_min_vertex_code_with_orbits(monkeypatch):
@@ -750,10 +738,11 @@ def test_lifted_orbits_lie_in_the_line_graphs_orbits(pendant_free_all):
 
 
 def test_isolated_vertices_keep_the_bans():
-    # the group is found on the vertices with an edge only: with the 20
-    # isolated vertices after K_8's in its base, the searches for
-    # automorphisms that permute them, which lift to the identity, spent
-    # the build's budget before K_8's levels, and K_8 took 105,408 nodes
+    # the group is found on all the vertices, and any two isolated ones
+    # are twins, swapped with no search, whose swap lifts to the identity;
+    # when searches found those automorphisms instead, with the 20 isolated
+    # vertices after K_8's they spent the build's budget before K_8's
+    # levels, and K_8 took 105,408 nodes
     k8 = standard_graph("complete", 8)
     want = solver.min_edge_code(k8).code.indices()
     for before, after in ((0, 20), (20, 0), (10, 10)):
@@ -811,10 +800,10 @@ def test_lifted_build_spends_its_budget_per_vertex(monkeypatch):
     spent = []
 
     class Spy(symmetry.BaseOrbits):
-        def __init__(self, masks, base, budget=None):
-            super().__init__(masks, base, budget)
-            given = symmetry.REFINE_LIMIT * len(masks) if budget is None else budget
-            spent.append(given - self.budget)
+        def generators(self):
+            out = super().generators()
+            spent.append(symmetry.REFINE_LIMIT * len(self.masks) - self.budget)
+            return out
 
     monkeypatch.setattr(symmetry, "BaseOrbits", Spy)
     assert symmetry.edge_orbits(g, g.edges, range(g.m)).moves == []
